@@ -218,7 +218,7 @@ def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> Decompositio
             return DecompositionCheck(
                 False, violation=f"vertex uncovered: {v}", witness=v)
     for u, v in sorted(graph.edges):
-        if not any(u in bag and v in bag for bag in dec.bags.values()):
+        if not occ[u] & occ[v]:
             return DecompositionCheck(
                 False, violation=f"edge uncovered: {{{u},{v}}}", witness=(u, v))
     for v in graph.vertices():

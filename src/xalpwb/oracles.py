@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 
 from .instances import (
     CapExceeded,
@@ -283,14 +282,15 @@ def is_vertex_cover(graph: Graph, s: frozenset[int]) -> bool:
 
 
 def check_subset_solution(graph: Graph, problem: str, s: frozenset[int]) -> bool:
-    adj = graph.adjacency()
     if problem == "is":
         return is_independent_set(graph, s)
     if problem == "vc":
         return is_vertex_cover(graph, s)
     if problem == "ds":
+        adj = graph.adjacency()
         return all(_dominates(adj, s, v) for v in graph.vertices())
     if problem == "rbds":
+        adj = graph.adjacency()
         blue = {v for v in graph.vertices() if graph.labels.get(v) == "blue"}
         red = {v for v in graph.vertices() if graph.labels.get(v) == "red"}
         return s <= frozenset(blue) and all(_dominates(adj, s, v) for v in red)
@@ -322,7 +322,6 @@ def optimum_subset(graph: Graph, problem: str, cap: int | None = None):
     else:
         ground = sorted(graph.vertices())
     _guard(1 << len(ground), cap, "subset space")
-    adj = graph.adjacency()
     best = None
     best_size = None
     for mask in range(1 << len(ground)):
@@ -345,177 +344,180 @@ def optimum_subset(graph: Graph, problem: str, cap: int | None = None):
 
 # ------------------------------------------------------- tree-DP solver
 
-
-@dataclass(frozen=True)
-class _NiceNode:
-    kind: str  # "leaf" | "introduce" | "forget" | "join"
-    bag: frozenset[int]
-    vertex: int | None = None
-    kids: tuple = ()
+_LEAF, _INTRODUCE, _FORGET, _JOIN = range(4)
 
 
-def _nice_decomposition(dec: TreeDecomposition) -> _NiceNode:
+def _mask(vertices) -> int:
+    """Vertex set as an int with bit 1 << v for each vertex v."""
+    return sum(1 << v for v in vertices)
+
+
+def _nice_decomposition(dec: TreeDecomposition) -> list[tuple[int, int, int]]:
     """Convert a decomposition into leaf/introduce/forget/join form with the
-    same width; the returned root has an empty bag."""
+    same width, listed in post-order as (kind, vertex, bag mask) steps.
 
-    def chain(lower: frozenset[int], upper: frozenset[int], node: _NiceNode) -> _NiceNode:
+    A leaf opens a branch with an empty bag; introduce and forget change the
+    newest branch's bag by one vertex (the step's bag is the bag after the
+    change); a join merges the two newest branches, which hold the same bag.
+    A node's child branches join left to right, and the steps end on a single
+    branch with an empty bag."""
+    steps: list[tuple[int, int, int]] = []
+
+    def chain(lower: frozenset[int], upper: frozenset[int]) -> None:
         # forget what the lower bag has extra, then introduce what is missing
-        cur = node
-        bag = lower
+        bag = _mask(lower)
         for v in sorted(lower - upper):
-            bag = bag - {v}
-            cur = _NiceNode("forget", bag, vertex=v, kids=(cur,))
-        for v in sorted(upper - bag):
-            bag = bag | {v}
-            cur = _NiceNode("introduce", bag, vertex=v, kids=(cur,))
-        return cur
+            bag ^= 1 << v
+            steps.append((_FORGET, v, bag))
+        for v in sorted(upper - lower):
+            bag |= 1 << v
+            steps.append((_INTRODUCE, v, bag))
 
-    def build(i: int) -> _NiceNode:
-        bag = dec.bags[i]
+    # (node, -1) enters a node; (node, k) closes the branch of its k-th child
+    todo = [(dec.tree.root, -1)]
+    while todo:
+        i, k = todo.pop()
         kids = dec.tree.child_list(i)
-        if not kids:
-            cur: _NiceNode | None = None
+        if k >= 0:
+            chain(dec.bags[kids[k]], dec.bags[i])
+            if k:
+                steps.append((_JOIN, 0, _mask(dec.bags[i])))
+        elif kids:
+            for k in reversed(range(len(kids))):
+                todo.append((i, k))
+                todo.append((kids[k], -1))
         else:
-            branches = [chain(dec.bags[c], bag, build(c)) for c in kids]
-            cur = branches[0]
-            for nxt in branches[1:]:
-                cur = _NiceNode("join", bag, kids=(cur, nxt))
-        if cur is None:
-            base = _NiceNode("leaf", frozenset())
-            return chain(frozenset(), bag, base)
-        return cur
+            steps.append((_LEAF, 0, 0))
+            chain(frozenset(), dec.bags[i])
+    chain(dec.bags[dec.tree.root], frozenset())
+    return steps
 
-    root = build(dec.tree.root)
-    return chain(dec.bags[dec.tree.root], frozenset(), root)
+
+def _run_dp(dec: TreeDecomposition, leaf: dict, introduce, forget, join) -> dict:
+    """Evaluate one dynamic program over the nice form of dec without
+    recursion, keeping one table per open branch; a table is dropped as soon
+    as the next step has consumed it.  The steps must not mutate their input
+    tables.  Returns the table of the final, empty bag."""
+    tables: list[dict] = []
+    for kind, v, bag in _nice_decomposition(dec):
+        if kind == _LEAF:
+            tables.append(leaf)
+        elif kind == _INTRODUCE:
+            tables.append(introduce(tables.pop(), v, bag))
+        elif kind == _FORGET:
+            tables.append(forget(tables.pop(), v))
+        else:
+            right = tables.pop()
+            tables.append(join(tables.pop(), right))
+    return tables.pop()
+
+
+def _validated_max_bag(instance: LogTwGraphInstance) -> int:
+    check = validate_decomposition(instance.graph, instance.decomposition)
+    if not check.ok:
+        raise InvariantViolation(f"invalid decomposition: {check.violation}")
+    return max(len(b) for b in instance.decomposition.bags.values())
+
+
+def _neighbour_masks(graph: Graph) -> list[int]:
+    nbr = [0] * (graph.n + 1)
+    for u, v in graph.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
 
 
 def solve_is_treedp(instance: LogTwGraphInstance, cap: int | None = None):
     """Maximum independent set by dynamic programming over the instance's
-    own decomposition (converted internally to introduce/forget/join form).
-    Returns (decision vs target_weight, optimum size)."""
-    check = validate_decomposition(instance.graph, instance.decomposition)
-    if not check.ok:
-        raise InvariantViolation(f"invalid decomposition: {check.violation}")
-    max_bag = max(len(b) for b in instance.decomposition.bags.values())
-    _guard(1 << max_bag, cap, "bag mask space")
-    graph = instance.graph
+    own decomposition, walked iteratively in introduce/forget/join form.
 
-    def table(node: _NiceNode) -> dict[frozenset[int], int]:
-        if node.kind == "leaf":
-            return {frozenset(): 0}
-        if node.kind == "introduce":
-            sub = table(node.kids[0])
-            v = node.vertex
-            out: dict[frozenset[int], int] = {}
-            for mask, val in sub.items():
-                out[mask] = max(out.get(mask, -1), val)
-                if all(not graph.has_edge(v, u) for u in mask):
-                    grown = mask | {v}
-                    out[grown] = max(out.get(grown, -1), val + 1)
-            return out
-        if node.kind == "forget":
-            sub = table(node.kids[0])
-            v = node.vertex
-            out = {}
-            for mask, val in sub.items():
-                kept = mask - {v}
-                out[kept] = max(out.get(kept, -1), val)
-            return out
-        left = table(node.kids[0])
-        right = table(node.kids[1])
-        out = {}
-        for mask, lval in left.items():
-            rval = right.get(mask)
-            if rval is not None:
-                out[mask] = lval + rval - len(mask)
+    A table maps each independent subset of the current bag, as an int mask
+    with bit 1 << v for vertex v, to the size of the largest independent set
+    of the processed subgraph that meets the bag in exactly that subset.
+    Returns (decision vs target_weight, optimum size)."""
+    max_bag = _validated_max_bag(instance)
+    _guard(1 << max_bag, cap, "bag mask space")
+    nbr = _neighbour_masks(instance.graph)
+
+    def introduce(table, v, bag):
+        bit, around = 1 << v, nbr[v]
+        out = dict(table)
+        for mask, val in table.items():
+            if not mask & around:
+                out[mask | bit] = val + 1
         return out
 
-    root = _nice_decomposition(instance.decomposition)
-    best = table(root)[frozenset()]
+    def forget(table, v):
+        keep = ~(1 << v)
+        out: dict[int, int] = {}
+        for mask, val in table.items():
+            kept = mask & keep
+            if val > out.get(kept, -1):
+                out[kept] = val
+        return out
+
+    def join(left, right):
+        return {mask: val + right[mask] - mask.bit_count()
+                for mask, val in left.items() if mask in right}
+
+    best = _run_dp(instance.decomposition, {0: 0}, introduce, forget, join)[0]
     return best >= instance.target_weight, best
 
 
 def solve_ds_treedp(instance: LogTwGraphInstance, cap: int | None = None):
     """Minimum dominating set by the standard 3-state dynamic program over
-    the instance's decomposition: each bag vertex is in the set, dominated,
-    or not yet dominated.  Returns (decision vs target_weight, optimum).
+    the instance's decomposition, walked iteratively in introduce/forget/join
+    form: each bag vertex is in the set, dominated, or not yet dominated.
+    Returns (decision vs target_weight, optimum), the optimum being infinity
+    when no dominating set exists.
 
-    A vertex may only be forgotten once it is in the set or dominated; join
-    nodes merge tables bucketed by their in-set so the combination stays
-    polynomial in the table sizes."""
-    check = validate_decomposition(instance.graph, instance.decomposition)
-    if not check.ok:
-        raise InvariantViolation(f"invalid decomposition: {check.violation}")
-    max_bag = max(len(b) for b in instance.decomposition.bags.values())
+    Tables are keyed by (in_mask, dom_mask), int masks with bit 1 << v for
+    vertex v: the bag vertices in the set, and those outside it that are
+    dominated; the rest of the bag is not yet dominated.  An introduced
+    vertex with an in-set bag neighbour starts dominated.  A vertex may only
+    be forgotten once it is in the set or dominated; join nodes merge tables
+    bucketed by their in-set so the combination stays polynomial in the
+    table sizes."""
+    max_bag = _validated_max_bag(instance)
     _guard(3 ** max_bag, cap, "bag state space")
-    graph = instance.graph
-    IN, DOM, UNDOM = 0, 1, 2
+    nbr = _neighbour_masks(instance.graph)
     INF = float("inf")
 
-    def table(node: _NiceNode) -> dict[tuple, int]:
-        # keys are tuples of (vertex, state) sorted by vertex
-        if node.kind == "leaf":
-            return {(): 0}
-        if node.kind == "introduce":
-            sub = table(node.kids[0])
-            v = node.vertex
-            nbrs = {u for u in node.bag if u != v and graph.has_edge(u, v)}
-            out: dict[tuple, int] = {}
-
-            def put(key, val):
-                if val < out.get(key, INF):
-                    out[key] = val
-
-            for key, val in sub.items():
-                states = dict(key)
-                # v joins the set: undominated bag neighbors become dominated
-                relabeled = {u: (DOM if u in nbrs and s == UNDOM else s)
-                             for u, s in states.items()}
-                put(tuple(sorted({**relabeled, v: IN}.items())), val + 1)
-                # v dominated now: needs an in-set bag neighbor
-                if any(states[u] == IN for u in nbrs):
-                    put(tuple(sorted({**states, v: DOM}.items())), val)
-                put(tuple(sorted({**states, v: UNDOM}.items())), val)
-            return out
-        if node.kind == "forget":
-            sub = table(node.kids[0])
-            v = node.vertex
-            out = {}
-            for key, val in sub.items():
-                states = dict(key)
-                if states[v] == UNDOM:
-                    continue  # all neighbors are processed: v stays undominated
-                del states[v]
-                kept = tuple(sorted(states.items()))
-                if val < out.get(kept, INF):
-                    out[kept] = val
-            return out
-        left = table(node.kids[0])
-        right = table(node.kids[1])
-        buckets: dict[frozenset[int], list[tuple[tuple, int]]] = {}
-        for key, val in right.items():
-            in_set = frozenset(u for u, s in key if s == IN)
-            buckets.setdefault(in_set, []).append((key, val))
+    def introduce(table, v, bag):
+        bit, around = 1 << v, nbr[v] & bag
         out = {}
-        for key1, val1 in left.items():
-            states1 = dict(key1)
-            in_set = frozenset(u for u, s in states1.items() if s == IN)
-            for key2, val2 in buckets.get(in_set, ()):
-                states2 = dict(key2)
-                merged = {}
-                for u, s1 in states1.items():
-                    s2 = states2[u]
-                    if s1 == IN:
-                        merged[u] = IN
-                    else:
-                        merged[u] = DOM if DOM in (s1, s2) else UNDOM
-                key = tuple(sorted(merged.items()))
-                val = val1 + val2 - len(in_set)
+        for (ins, dom), val in table.items():
+            out[ins, dom | bit if ins & around else dom] = val
+            # v joins the set: its bag neighbours outside it become dominated
+            key = (ins | bit, dom | (around & ~ins))
+            if val + 1 < out.get(key, INF):
+                out[key] = val + 1
+        return out
+
+    def forget(table, v):
+        bit = 1 << v
+        keep = ~bit
+        out = {}
+        for (ins, dom), val in table.items():
+            if (ins | dom) & bit:  # all of v's neighbours are processed
+                key = (ins & keep, dom & keep)
                 if val < out.get(key, INF):
                     out[key] = val
         return out
 
-    root = _nice_decomposition(instance.decomposition)
-    final = table(root)
-    best = final.get((), INF)
+    def join(left, right):
+        by_in: dict[int, list[tuple[int, int]]] = {}
+        for (ins, dom), val in right.items():
+            by_in.setdefault(ins, []).append((dom, val))
+        out = {}
+        for (ins, dom1), val1 in left.items():
+            base = val1 - ins.bit_count()
+            for dom2, val2 in by_in.get(ins, ()):
+                key = (ins, dom1 | dom2)
+                if base + val2 < out.get(key, INF):
+                    out[key] = base + val2
+        return out
+
+    final = _run_dp(instance.decomposition, {(0, 0): 0}, introduce, forget, join)
+    best = final.get((0, 0), INF)
     return best <= instance.target_weight, best

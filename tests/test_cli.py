@@ -6,6 +6,7 @@ import pytest
 
 from xalpwb.cli import main
 from xalpwb.formats import parse_instance, serialize_instance
+from xalpwb.reductions import reduce_rbds_to_ds
 from xalpwb.verify import generate_instance, replay_counterexample
 
 
@@ -63,6 +64,20 @@ def test_solve_treedp_matches_brute(workdir, capsys):
     assert main(["solve", "--problem", "is", "-i", "g.logtw",
                  "--solver", "treedp"]) == 0
     assert capsys.readouterr().out.strip() == brute
+
+
+def test_solve_ds_treedp_matches_brute(workdir, capsys):
+    answers = set()
+    for seed in range(6):
+        target = reduce_rbds_to_ds(generate_instance("logtw-rbds", None, seed=seed)).target
+        pathlib.Path("d.logtw").write_text(serialize_instance(target))
+        assert main(["solve", "--problem", "ds", "-i", "d.logtw"]) == 0
+        brute = capsys.readouterr().out.strip()
+        assert main(["solve", "--problem", "ds", "-i", "d.logtw",
+                     "--solver", "treedp"]) == 0
+        assert capsys.readouterr().out.strip() == brute, seed
+        answers.add(brute)
+    assert answers == {"YES", "NO"}
 
 
 def test_solve_listcol_conflict_no(workdir, capsys):

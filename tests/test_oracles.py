@@ -1,5 +1,7 @@
 """Ground-truth solvers: spec'd small cases, dual-solver agreement, caps."""
 
+import dataclasses
+
 import pytest
 
 from xalpwb.instances import (
@@ -26,6 +28,7 @@ from xalpwb.oracles import (
     solve_tcmc_bruteforce,
     solve_tcmc_traversal,
 )
+from xalpwb.reductions import reduce_rbds_to_ds
 from xalpwb.verify import generate_instance
 
 P3 = Graph(n=3, edges=frozenset({(1, 2), (2, 3)}))
@@ -145,6 +148,35 @@ def test_ds_tree_dp_agrees_with_subset_oracle():
         _, dp_best = solve_ds_treedp(inst)
         best, _ = optimum_subset(inst.graph, "ds")
         assert dp_best == best, seed
+
+
+def test_tree_dps_agree_with_subset_oracle_on_multi_join_decompositions():
+    sources = [generate_instance("logtw-vc", {"tree_nodes": 6, "n": 12, "max_bag": 5}, seed)
+               for seed in range(30)]
+    sources += [reduce_rbds_to_ds(generate_instance("logtw-rbds", None, seed=seed)).target
+                for seed in range(30)]
+    joins = 0
+    for pos, inst in enumerate(sources):
+        tree = inst.decomposition.tree
+        joins += any(len(tree.child_list(i)) > 1 for i in tree.nodes())
+        assert solve_is_treedp(inst)[1] == optimum_subset(inst.graph, "is")[0], pos
+        ds = dataclasses.replace(inst, problem="ds")
+        assert solve_ds_treedp(ds)[1] == optimum_subset(inst.graph, "ds")[0], pos
+    assert joins >= 20
+
+
+def _path_instance(n: int) -> LogTwGraphInstance:
+    graph = Graph(n=n, edges=frozenset((v, v + 1) for v in range(1, n)))
+    tree = OrderedTree(n=n - 1, children={i: (i + 1,) for i in range(1, n - 1)})
+    dec = TreeDecomposition(tree=tree, bags={i: frozenset({i, i + 1}) for i in range(1, n)})
+    return LogTwGraphInstance(graph=graph, decomposition=dec, target_weight=1, k=1)
+
+
+def test_tree_dps_handle_deep_decompositions():
+    n = 1501  # a path decomposition 1500 bags deep
+    inst = _path_instance(n)
+    assert solve_is_treedp(inst) == (True, (n + 1) // 2)
+    assert solve_ds_treedp(dataclasses.replace(inst, problem="ds")) == (False, (n + 2) // 3)
 
 
 def test_single_bag_dp_equals_bruteforce():
