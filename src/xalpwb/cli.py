@@ -119,12 +119,9 @@ def cmd_solve(args) -> int:
         threshold = args.threshold
         if threshold is None:
             threshold = instance.target_weight
-        if args.problem == "is" and args.solver == "treedp":
-            ok, _best = oracles.solve_is_treedp(instance, cap=cap)
-            sol = None
-        elif args.problem == "ds" and args.solver == "treedp":
-            ok, _best = oracles.solve_ds_treedp(instance, cap=cap)
-            sol = None
+        if args.solver == "treedp":
+            best, sol = oracles.optimum_treedp(instance, args.problem, cap=cap)
+            ok = oracles.meets_target(args.problem, best, threshold)
         else:
             ok, sol = oracles.solve_is_ds_vc(instance.graph, args.problem,
                                              threshold, cap=cap)

@@ -1,6 +1,9 @@
-"""Ground-truth solvers: exhaustive deciders for every problem family plus
-the tree-traversal and tree-DP membership-style solvers used to cross-check
-them.
+"""Ground-truth solvers: exhaustive deciders for every problem family, the
+tree-traversal solver that cross-checks the tcmc one, and the
+witness-producing decomposition DP for the logtw families (IS, VC, DS and
+RBDS over the instance's own decomposition).  The DP is the verification
+harness's oracle for those families; subset enumeration (optimum_subset)
+is its independent small-n cross-check.
 
 Every solver enforces its size cap before doing any work and raises
 CapExceeded past it.  Solutions returned always satisfy the instance's own
@@ -297,16 +300,19 @@ def check_subset_solution(graph: Graph, problem: str, s: frozenset[int]) -> bool
     raise InvariantViolation(f"unknown subset problem {problem!r}")
 
 
+def meets_target(problem: str, size, threshold: int) -> bool:
+    """The threshold is a lower bound on an independent set's size and an
+    upper bound on a cover's or dominating set's."""
+    return size >= threshold if problem == "is" else size <= threshold
+
+
 def solve_is_ds_vc(graph: Graph, problem: str, threshold: int,
                    cap: int | None = None):
     """Exact threshold decision by subset enumeration.  For "is" the
     threshold is a lower bound on the size, for the covering problems an
     upper bound.  Returns (decision, witness set or None)."""
     best_size, best = optimum_subset(graph, problem, cap=cap)
-    if problem == "is":
-        ok = best_size >= threshold
-    else:
-        ok = best_size <= threshold
+    ok = meets_target(problem, best_size, threshold)
     return (ok, best if ok else None)
 
 
@@ -427,24 +433,20 @@ def _neighbour_masks(graph: Graph) -> list[int]:
     return nbr
 
 
-def solve_is_treedp(instance: LogTwGraphInstance, cap: int | None = None):
-    """Maximum independent set by dynamic programming over the instance's
-    own decomposition, walked iteratively in introduce/forget/join form.
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
-    A table maps each independent subset of the current bag, as an int mask
-    with bit 1 << v for vertex v, to the size of the largest independent set
-    of the processed subgraph that meets the bag in exactly that subset.
-    Returns (decision vs target_weight, optimum size)."""
-    max_bag = _validated_max_bag(instance)
-    _guard(1 << max_bag, cap, "bag mask space")
-    nbr = _neighbour_masks(instance.graph)
+
+def _is_steps(nbr: list[int], shift: int, track: int):
+    """Max independent set: tables map the in-set part of the bag to the
+    best packed value."""
 
     def introduce(table, v, bag):
-        bit, around = 1 << v, nbr[v]
+        bit, around, gain = 1 << v, nbr[v], (1 << shift) + ((1 << v) & track)
         out = dict(table)
         for mask, val in table.items():
             if not mask & around:
-                out[mask | bit] = val + 1
+                out[mask | bit] = val + gain
         return out
 
     def forget(table, v):
@@ -456,42 +458,68 @@ def solve_is_treedp(instance: LogTwGraphInstance, cap: int | None = None):
                 out[kept] = val
         return out
 
-    def join(left, right):
-        return {mask: val + right[mask] - mask.bit_count()
-                for mask, val in left.items() if mask in right}
-
-    best = _run_dp(instance.decomposition, {0: 0}, introduce, forget, join)[0]
-    return best >= instance.target_weight, best
+    return {0: 0}, introduce, forget, _mask_join(shift, track)
 
 
-def solve_ds_treedp(instance: LogTwGraphInstance, cap: int | None = None):
-    """Minimum dominating set by the standard 3-state dynamic program over
-    the instance's decomposition, walked iteratively in introduce/forget/join
-    form: each bag vertex is in the set, dominated, or not yet dominated.
-    Returns (decision vs target_weight, optimum), the optimum being infinity
-    when no dominating set exists.
-
-    Tables are keyed by (in_mask, dom_mask), int masks with bit 1 << v for
-    vertex v: the bag vertices in the set, and those outside it that are
-    dominated; the rest of the bag is not yet dominated.  An introduced
-    vertex with an in-set bag neighbour starts dominated.  A vertex may only
-    be forgotten once it is in the set or dominated; join nodes merge tables
-    bucketed by their in-set so the combination stays polynomial in the
-    table sizes."""
-    max_bag = _validated_max_bag(instance)
-    _guard(3 ** max_bag, cap, "bag state space")
-    nbr = _neighbour_masks(instance.graph)
+def _vc_steps(nbr: list[int], shift: int, track: int):
+    """Min vertex cover: tables map the in-cover part of the bag to the best
+    packed value; a vertex may stay out only if its bag neighbours are in."""
     INF = float("inf")
 
     def introduce(table, v, bag):
-        bit, around = 1 << v, nbr[v] & bag
+        bit, around, gain = 1 << v, nbr[v] & bag, (1 << shift) + ((1 << v) & track)
+        out = {}
+        for mask, val in table.items():
+            if not around & ~mask:
+                out[mask] = val
+            out[mask | bit] = val + gain
+        return out
+
+    def forget(table, v):
+        keep = ~(1 << v)
+        out: dict[int, int] = {}
+        for mask, val in table.items():
+            kept = mask & keep
+            if val < out.get(kept, INF):
+                out[kept] = val
+        return out
+
+    return {0: 0}, introduce, forget, _mask_join(shift, track)
+
+
+def _mask_join(shift: int, track: int):
+    # the bag's chosen vertices are counted on both sides, and only they are
+    def join(left, right):
+        return {mask: val + right[mask] - ((mask.bit_count() << shift) + (mask & track))
+                for mask, val in left.items() if mask in right}
+
+    return join
+
+
+def _ds_steps(nbr: list[int], shift: int, track: int, allowed: int, must: int):
+    """Min dominating set restricted to the allowed vertices, dominating the
+    must vertices: all/all gives DS, blue/red gives RBDS.
+
+    Tables are keyed by (in_mask, dom_mask): the bag vertices in the set,
+    and those outside it that are dominated or need no domination; the rest
+    of the bag is not yet dominated.  An introduced vertex with an in-set bag
+    neighbour starts dominated.  A vertex may only be forgotten once it is
+    in the set or dominated; join nodes merge tables bucketed by their
+    in-set so the combination stays polynomial in the table sizes."""
+    INF = float("inf")
+
+    def introduce(table, v, bag):
+        bit, around, gain = 1 << v, nbr[v] & bag, (1 << shift) + ((1 << v) & track)
+        free = 0 if must & bit else bit
+        joinable = allowed & bit
         out = {}
         for (ins, dom), val in table.items():
-            out[ins, dom | bit if ins & around else dom] = val
-            # v joins the set: its bag neighbours outside it become dominated
-            key = (ins | bit, dom | (around & ~ins))
-            if val + 1 < out.get(key, INF):
-                out[key] = val + 1
+            out[ins, dom | bit if ins & around else dom | free] = val
+            if joinable:
+                # v joins the set: its bag neighbours outside it become dominated
+                key = (ins | bit, dom | (around & ~ins))
+                if val + gain < out.get(key, INF):
+                    out[key] = val + gain
         return out
 
     def forget(table, v):
@@ -511,13 +539,65 @@ def solve_ds_treedp(instance: LogTwGraphInstance, cap: int | None = None):
             by_in.setdefault(ins, []).append((dom, val))
         out = {}
         for (ins, dom1), val1 in left.items():
-            base = val1 - ins.bit_count()
+            base = val1 - ((ins.bit_count() << shift) + (ins & track))
             for dom2, val2 in by_in.get(ins, ()):
                 key = (ins, dom1 | dom2)
                 if base + val2 < out.get(key, INF):
                     out[key] = base + val2
         return out
 
-    final = _run_dp(instance.decomposition, {(0, 0): 0}, introduce, forget, join)
-    best = final.get((0, 0), INF)
-    return best <= instance.target_weight, best
+    return {(0, 0): 0}, introduce, forget, join
+
+
+def optimum_treedp(instance: LogTwGraphInstance, problem: str,
+                   cap: int | None = None, witness: bool = True):
+    """Optimal size and one witness, as optimum_subset gives them (max IS,
+    min VC, min DS or min RBDS; infinity and None when no feasible set
+    exists), by dynamic programming over the instance's own decomposition,
+    walked iteratively in introduce/forget/join form (Cygan et al.,
+    Parameterized Algorithms, ch. 7).
+
+    Table keys are int masks with bit 1 << v for bag vertex v.  A value
+    packs a partial solution as size << S | chosen_mask with S = n + 1, so
+    an introduce adds (1 << S) + bit, a join subtracts what the two sides
+    share on the bag, and min/max on the int picks an optimum, breaking ties
+    by the chosen mask.  With witness False the values are plain sizes,
+    which is cheaper, and the witness returned is None."""
+    if problem not in ("is", "vc", "ds", "rbds"):
+        raise InvariantViolation(f"unknown subset problem {problem!r}")
+    graph = instance.graph
+    max_bag = _validated_max_bag(instance)
+    nbr = _neighbour_masks(graph)
+    shift, track = (graph.n + 1, -1) if witness else (0, 0)
+    if problem in ("is", "vc"):
+        _guard(1 << max_bag, cap, "bag mask space")
+        steps = (_is_steps if problem == "is" else _vc_steps)(nbr, shift, track)
+        empty = 0
+    else:
+        _guard(3 ** max_bag, cap, "bag state space")
+        if problem == "ds":
+            allowed = must = _mask(graph.vertices())
+        else:
+            allowed = _mask(v for v in graph.vertices() if graph.labels.get(v) == "blue")
+            must = _mask(v for v in graph.vertices() if graph.labels.get(v) == "red")
+        steps = _ds_steps(nbr, shift, track, allowed, must)
+        empty = (0, 0)
+    best = _run_dp(instance.decomposition, *steps).get(empty)
+    if best is None:
+        return float("inf"), None
+    return best >> shift, _members(best & ((1 << shift) - 1)) if witness else None
+
+
+def solve_is_treedp(instance: LogTwGraphInstance, cap: int | None = None):
+    """Maximum independent set by the decomposition DP.
+    Returns (decision vs target_weight, optimum size)."""
+    best, _ = optimum_treedp(instance, "is", cap=cap, witness=False)
+    return meets_target("is", best, instance.target_weight), best
+
+
+def solve_ds_treedp(instance: LogTwGraphInstance, cap: int | None = None):
+    """Minimum dominating set by the decomposition DP.  Returns (decision vs
+    target_weight, optimum), the optimum being infinity when no dominating
+    set exists."""
+    best, _ = optimum_treedp(instance, "ds", cap=cap, witness=False)
+    return meets_target("ds", best, instance.target_weight), best

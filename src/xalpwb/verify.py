@@ -1,10 +1,14 @@
 """Randomized small-instance generators and the cross-validation harness
 certifying every reduction and evaluator-equivalence claim.
 
-Trials are deterministic in (name, profile, seed); disagreements carry a
-replayable serialized counterexample, skips (oracle cap exhaustion) are
-reported separately and a report only passes when skips stay at or below
-20% of the trials.
+Each trial solves its source and its target once; the verdicts are compared
+and the solutions they come with are carried across the reduction by its
+lift maps.  The logtw families are solved by the witness-producing
+decomposition DP; subset enumeration stays the oracles' small-n
+cross-check.  Trials are deterministic in (name, profile, seed);
+disagreements carry a replayable serialized counterexample, skips (an
+oracle's size cap reached before it starts) are reported separately and a
+report only passes when skips stay at or below 20% of the trials.
 """
 
 from __future__ import annotations
@@ -374,48 +378,37 @@ def generate_instance(family: str, size_profile: dict | None = None, seed: int =
 # ------------------------------------------------------- family solvers
 
 
-def _solve_family(family: str, instance, cap) -> bool:
-    if family == "tcmc":
-        return oracles.solve_tcmc_bruteforce(instance, "clique", cap=cap)[0]
-    if family == "tcmis":
-        return oracles.solve_tcmc_bruteforce(instance, "independent-set", cap=cap)[0]
-    if family in ("negcnf", "poscnf", "gencnf"):
-        return oracles.solve_cnf_bruteforce(instance, cap=cap)[0]
-    if family == "listcol":
-        return oracles.solve_listcoloring(instance, cap=cap)[0]
-    if family == "logtw-is":
-        return oracles.solve_is_treedp(instance, cap=cap)[0]
-    if family in ("logtw-vc", "logtw-rbds", "logtw-ds"):
-        problem = family.split("-")[1]
-        try:
-            return oracles.solve_is_ds_vc(instance.graph, problem,
-                                          instance.target_weight, cap=cap)[0]
-        except CapExceeded:
-            # the decomposition-driven solvers scale past subset enumeration
-            if problem == "ds":
-                return oracles.solve_ds_treedp(instance, cap=cap)[0]
-            if problem == "vc":
-                _, best_is = oracles.solve_is_treedp(instance, cap=cap)
-                return instance.graph.n - best_is <= instance.target_weight
-            raise
-    raise InvariantViolation(f"no oracle for family {family!r}")
+def _cnf_solver(instance, cap):
+    return oracles.solve_cnf_bruteforce(instance, cap=cap)
 
 
-def _family_solution(family: str, instance, cap):
-    """(solvable, solution) for families whose lift maps get exercised."""
-    if family == "tcmc":
-        return oracles.solve_tcmc_bruteforce(instance, "clique", cap=cap)
-    if family == "tcmis":
-        return oracles.solve_tcmc_bruteforce(instance, "independent-set", cap=cap)
-    if family in ("negcnf", "poscnf", "gencnf"):
-        return oracles.solve_cnf_bruteforce(instance, cap=cap)
-    if family == "listcol":
-        return oracles.solve_listcoloring(instance, cap=cap)
-    if family in ("logtw-is", "logtw-vc", "logtw-rbds", "logtw-ds"):
-        problem = family.split("-")[1]
-        return oracles.solve_is_ds_vc(instance.graph, problem,
-                                      instance.target_weight, cap=cap)
-    raise InvariantViolation(f"no oracle for family {family!r}")
+# (solvable, solution or None) per family, the logtw families aside
+_FAMILY_SOLVERS = {
+    "tcmc": lambda instance, cap: oracles.solve_tcmc_bruteforce(
+        instance, "clique", cap=cap),
+    "tcmis": lambda instance, cap: oracles.solve_tcmc_bruteforce(
+        instance, "independent-set", cap=cap),
+    "negcnf": _cnf_solver,
+    "poscnf": _cnf_solver,
+    "gencnf": _cnf_solver,
+    "listcol": lambda instance, cap: oracles.solve_listcoloring(instance, cap=cap),
+}
+
+
+def _solve_family(family: str, instance, cap, witness: bool = True):
+    """(solvable, solution): the exact verdict and, when solvable, a
+    solution the lift checks can carry across the reduction.  The logtw
+    families are solved by the decomposition DP, which builds its witness
+    only when asked: a chain compares verdicts alone."""
+    if family.startswith("logtw-"):
+        problem = family.removeprefix("logtw-")
+        best, solution = oracles.optimum_treedp(instance, problem, cap=cap,
+                                                witness=witness)
+        ok = oracles.meets_target(problem, best, instance.target_weight)
+        return ok, solution if ok else None
+    if family not in _FAMILY_SOLVERS:
+        raise InvariantViolation(f"no oracle for family {family!r}")
+    return _FAMILY_SOLVERS[family](instance, cap)
 
 
 def _check_family_solution(family: str, instance, solution) -> bool:
@@ -430,11 +423,8 @@ def _check_family_solution(family: str, instance, solution) -> bool:
     if family in ("logtw-is", "logtw-vc", "logtw-rbds", "logtw-ds"):
         problem = family.split("-")[1]
         s = frozenset(solution)
-        if not oracles.check_subset_solution(instance.graph, problem, s):
-            return False
-        if problem == "is":
-            return len(s) >= instance.target_weight
-        return len(s) <= instance.target_weight
+        return (oracles.check_subset_solution(instance.graph, problem, s)
+                and oracles.meets_target(problem, len(s), instance.target_weight))
     raise InvariantViolation(f"no checker for family {family!r}")
 
 
@@ -551,6 +541,7 @@ def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
         if base == "atm-tcmc":
             machine, x, shape, blocks, beta = source
             src_ok = run_with_tree_shape(machine, x, shape)
+            src_sol = None
             try:
                 tgt_ok, tgt_sol = oracles.solve_tcmc_bruteforce(
                     art.target, "clique", cap=cap)
@@ -558,9 +549,8 @@ def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
                 tgt_ok = oracles.solve_tcmc_traversal(art.target, "clique", cap=cap)
                 tgt_sol = None
         else:
-            src_ok = _solve_family(src_family, source, cap)
-            tgt_ok = _solve_family(tgt_family, art.target, cap)
-            tgt_sol = None
+            src_ok, src_sol = _solve_family(src_family, source, cap)
+            tgt_ok, tgt_sol = _solve_family(tgt_family, art.target, cap)
     except CapExceeded:
         return TrialOutcome("skip")
     if src_ok != tgt_ok:
@@ -568,7 +558,7 @@ def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
                             detail=f"source {src_ok} target {tgt_ok}")
     problems = _resource_checks(base, source, art, notes)
     if not problems and src_ok:
-        problems = _lift_checks(base, source, art, tgt_sol, cap, notes)
+        problems = _lift_checks(base, source, art, src_sol, tgt_sol)
     if problems:
         return TrialOutcome("disagree", detail="; ".join(problems), notes=notes)
     return TrialOutcome("agree", notes=notes)
@@ -627,35 +617,30 @@ def _expected_logtw_weight(source: TreeChainedCnf) -> int:
     return total + sum(2 + ell for ell in lengths)
 
 
-def _lift_checks(base: str, source, art: ReductionArtifact, tgt_sol,
-                 cap, notes: list[str]) -> list[str]:
+def _lift_checks(base: str, source, art: ReductionArtifact,
+                 src_sol, tgt_sol) -> list[str]:
+    """Carry the oracles' solutions of a solvable trial across the
+    reduction both ways and check them on the other side."""
     problems = []
     src_family, tgt_family = REDUCTION_TYPES[base]
-    try:
-        if base == "atm-tcmc":
-            machine, x, shape, blocks, beta = source
-            run = shaped_run(machine, x, shape)
-            forwarded = art.lift.forward(run)
-            if not oracles.check_tcmc_solution(art.target, "clique", forwarded):
-                problems.append("lifted run is not a tree-chained clique")
-            if tgt_sol is not None:
-                back = art.lift.backward(tgt_sol)
-                again = art.lift.forward(back)
-                if not oracles.check_tcmc_solution(art.target, "clique", again):
-                    problems.append("decoded run does not re-encode validly")
-            return problems
-        src_ok, src_sol = _family_solution(src_family, source, cap)
-        assert src_ok
-        forwarded = art.lift.forward(src_sol)
-        if not _check_family_solution(tgt_family, art.target, forwarded):
-            problems.append("forward-lifted solution invalid on target")
-        tgt_ok, tgt_sol2 = _family_solution(tgt_family, art.target, cap)
-        assert tgt_ok
-        back = art.lift.backward(tgt_sol2)
-        if not _check_family_solution(src_family, source, back):
-            problems.append("backward-lifted solution invalid on source")
-    except CapExceeded:
-        notes.append("lift check skipped (cap)")
+    if base == "atm-tcmc":
+        machine, x, shape, blocks, beta = source
+        run = shaped_run(machine, x, shape)
+        forwarded = art.lift.forward(run)
+        if not oracles.check_tcmc_solution(art.target, "clique", forwarded):
+            problems.append("lifted run is not a tree-chained clique")
+        if tgt_sol is not None:
+            back = art.lift.backward(tgt_sol)
+            again = art.lift.forward(back)
+            if not oracles.check_tcmc_solution(art.target, "clique", again):
+                problems.append("decoded run does not re-encode validly")
+        return problems
+    forwarded = art.lift.forward(src_sol)
+    if not _check_family_solution(tgt_family, art.target, forwarded):
+        problems.append("forward-lifted solution invalid on target")
+    back = art.lift.backward(tgt_sol)
+    if not _check_family_solution(src_family, source, back):
+        problems.append("backward-lifted solution invalid on source")
     return problems
 
 
@@ -714,8 +699,8 @@ def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOu
             machine, x, shape, blocks, beta = source
             src_ok = run_with_tree_shape(machine, x, shape)
         else:
-            src_ok = _solve_family(src_family, source, cap)
-        tgt_ok = _solve_family(end_family, current, cap)
+            src_ok = _solve_family(src_family, source, cap, witness=False)[0]
+        tgt_ok = _solve_family(end_family, current, cap, witness=False)[0]
     except CapExceeded:
         return TrialOutcome("skip")
     if src_ok != tgt_ok:

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from xalpwb import oracles
 from xalpwb.cli import main
 from xalpwb.formats import parse_instance, serialize_instance
 from xalpwb.reductions import reduce_rbds_to_ds
@@ -78,6 +79,30 @@ def test_solve_ds_treedp_matches_brute(workdir, capsys):
         assert capsys.readouterr().out.strip() == brute, seed
         answers.add(brute)
     assert answers == {"YES", "NO"}
+
+
+@pytest.mark.parametrize("problem", ["is", "vc", "ds", "rbds"])
+def test_solve_treedp_honours_threshold_and_writes_witness(workdir, capsys,
+                                                           monkeypatch, problem):
+    family = "logtw-rbds" if problem == "rbds" else "logtw-vc"
+    inst = _write_instance("g.logtw", family, seed=4)
+    best, _ = oracles.optimum_subset(inst.graph, problem)
+    missed = best + 1 if problem == "is" else best - 1
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("subset enumeration called")
+
+    monkeypatch.setattr(oracles, "optimum_subset", no_enumeration)
+    solve = ["solve", "--problem", problem, "-i", "g.logtw", "--solver", "treedp"]
+    assert main(solve + [f"--threshold={missed}", "-o", "missed.txt"]) == 0
+    assert capsys.readouterr().out.strip() == "NO"
+    assert not pathlib.Path("missed.txt").exists()
+    assert main(solve + [f"--threshold={best}", "-o", "sol.txt"]) == 0
+    assert capsys.readouterr().out.strip() == "YES"
+    head, *members = pathlib.Path("sol.txt").read_text().split()
+    witness = frozenset(int(v) for v in members)
+    assert head == "sol" and len(witness) == best
+    assert oracles.check_subset_solution(inst.graph, problem, witness)
 
 
 def test_solve_listcol_conflict_no(workdir, capsys):

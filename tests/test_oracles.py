@@ -20,6 +20,7 @@ from xalpwb.oracles import (
     check_subset_solution,
     check_tcmc_solution,
     optimum_subset,
+    optimum_treedp,
     solve_cnf_bruteforce,
     solve_ds_treedp,
     solve_is_ds_vc,
@@ -186,6 +187,37 @@ def test_single_bag_dp_equals_bruteforce():
     inst = LogTwGraphInstance(graph=g, decomposition=dec, target_weight=2, k=2)
     ok, best = solve_is_treedp(inst)
     assert ok and best == optimum_subset(g, "is")[0] == 2
+
+
+@pytest.mark.parametrize("profile", [None, {"tree_nodes": 6, "n": 12, "max_bag": 5}])
+@pytest.mark.parametrize("problem", ["is", "vc", "ds", "rbds"])
+def test_witness_dp_agrees_with_subset_oracle(problem, profile):
+    family = "logtw-rbds" if problem == "rbds" else "logtw-vc"
+    for seed in range(20):
+        inst = generate_instance(family, profile, seed=seed)
+        best, witness = optimum_treedp(inst, problem)
+        assert best == optimum_subset(inst.graph, problem)[0], seed
+        assert check_subset_solution(inst.graph, problem, witness), seed
+        assert len(witness) == best, seed
+
+
+def test_rbds_red_vertex_without_blue_neighbour_is_infeasible():
+    g = Graph(n=3, edges=frozenset({(1, 2), (2, 3)}),
+              labels={1: "blue", 2: "red", 3: "red"})
+    dec = TreeDecomposition(tree=OrderedTree(n=1), bags={1: frozenset({1, 2, 3})})
+    inst = LogTwGraphInstance(graph=g, decomposition=dec, target_weight=3, k=1,
+                              problem="rbds")
+    assert optimum_treedp(inst, "rbds") == (float("inf"), None)
+    assert optimum_subset(g, "rbds") == (float("inf"), None)
+
+
+def test_witness_dp_cap_enforced_before_work():
+    inst = _path_instance(4)
+    with pytest.raises(CapExceeded, match="bag mask space"):
+        optimum_treedp(inst, "vc", cap=3)
+    with pytest.raises(CapExceeded, match="bag state space"):
+        optimum_treedp(inst, "ds", cap=8)
+    assert optimum_treedp(inst, "vc", cap=4) == (2, frozenset({1, 3}))
 
 
 def test_caps_enforced_before_work():

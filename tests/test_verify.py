@@ -2,6 +2,7 @@
 
 import pytest
 
+from xalpwb import oracles, verify
 from xalpwb.instances import InvariantViolation
 from xalpwb.reductions import REDUCTION_NAMES, REDUCTIONS
 from xalpwb.verify import (
@@ -173,3 +174,39 @@ def test_chain_domain_exit_counts_as_skip():
         if outcome.status == "skip" and "nonempty classes" in outcome.detail:
             return
     raise AssertionError("expected at least one domain-exit skip")
+
+
+def test_logtw_lift_checks_never_skip():
+    report = verify_reduction("poscnf-logtwis", 50, 1)
+    assert report.ok and report.agreements == 50
+    assert not any(note.endswith("lift check skipped (cap)")
+                   for note in report.resource_notes)
+
+
+@pytest.mark.parametrize("name, solver", [("tcmc-tcmis", "solve_tcmc_bruteforce"),
+                                          ("rbds-ds", "optimum_treedp")])
+def test_trial_solves_each_side_once(monkeypatch, name, solver):
+    real_solve, real_lift = getattr(oracles, solver), verify._lift_checks
+    solved, lifted = [], []
+
+    def counted_solve(instance, *args, **kwargs):
+        solved.append(instance)
+        return real_solve(instance, *args, **kwargs)
+
+    def counted_lift(*args):
+        lifted.append(args)
+        return real_lift(*args)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("subset enumeration called")
+
+    monkeypatch.setattr(oracles, solver, counted_solve)
+    monkeypatch.setattr(oracles, "optimum_subset", no_enumeration)
+    monkeypatch.setattr(verify, "_lift_checks", counted_lift)
+    src_family = REDUCTION_TYPES[name][0]
+    for seed in range(10):
+        source = generate_instance(src_family, None, seed=seed)
+        solved.clear()
+        assert run_trial(name, source).status == "agree", seed
+        assert len(solved) == 2 and solved[0] is source and solved[1] is not source, seed
+    assert lifted  # some trials were solvable, so their lifts were checked
