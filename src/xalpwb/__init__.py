@@ -21,7 +21,6 @@ from .instances import (
 from .formats import parse_instance, serialize_instance
 from .machines import (
     Action,
-    Configuration,
     MachineSpec,
     RunStats,
     eval_alternating,
@@ -29,7 +28,6 @@ from .machines import (
     eval_balanced,
     eval_stack,
     eval_stack_via_alternation,
-    initial_configuration,
     run_with_tree_shape,
 )
 from .reductions import REDUCTION_NAMES, REDUCTIONS, LiftMap, ReductionArtifact
@@ -39,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "CapExceeded",
-    "Configuration",
     "DecompositionCheck",
     "FormatError",
     "Graph",
@@ -63,7 +60,6 @@ __all__ = [
     "eval_balanced",
     "eval_stack",
     "eval_stack_via_alternation",
-    "initial_configuration",
     "parse_instance",
     "run_with_tree_shape",
     "serialize_instance",

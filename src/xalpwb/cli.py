@@ -106,11 +106,9 @@ def cmd_solve(args) -> int:
     if args.problem in ("tcmc", "tcmis"):
         mode = "independent-set" if (args.mode == "is" or args.problem == "tcmis") \
             else "clique"
-        if args.solver == "traversal":
-            ok = oracles.solve_tcmc_traversal(instance, mode, cap=cap)
-            sol = None
-        else:
-            ok, sol = oracles.solve_tcmc_bruteforce(instance, mode, cap=cap)
+        solve = (oracles.solve_tcmc_traversal if args.solver == "traversal"
+                 else oracles.solve_tcmc_bruteforce)
+        ok, sol = solve(instance, mode, cap=cap)
     elif args.problem == "cnf":
         ok, sol = oracles.solve_cnf_bruteforce(instance, cap=cap)
     elif args.problem == "listcol":

@@ -494,22 +494,16 @@ class LogTwGraphInstance:
         return [v for v in self.graph.vertices() if self.graph.labels.get(v) == "blue"]
 
 
-UNBOUNDED = None
-
-
 @dataclass(frozen=True)
 class ResourceBudget:
     """Resource limits for machine evaluation; None means unbounded."""
 
     time_steps: int | None = None
     tree_size: int | None = None
-    work_cells: int | None = None
-    co_nondet_per_path: int | None = None
     stack_height_cap: int | None = None
 
     def __post_init__(self):
-        for name in ("time_steps", "tree_size", "work_cells",
-                     "co_nondet_per_path", "stack_height_cap"):
+        for name in ("time_steps", "tree_size", "stack_height_cap"):
             val = getattr(self, name)
             if val is not None and val < 0:
                 raise InvariantViolation(f"budget field {name} must be nonnegative")

@@ -49,29 +49,6 @@ class Action(NamedTuple):
     stack_op: tuple[str, str] | None  # ("push"|"pop", symbol) or None
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One machine snapshot; stack contents are deliberately excluded, only
-    the height is carried."""
-
-    state: str
-    input_head: int
-    work_tape: tuple[str, ...]
-    work_head: int
-    steps_remaining: int | None = None
-    stack_height: int = 0
-
-    def __post_init__(self):
-        if self.input_head < 0:
-            raise InvariantViolation("input head out of range")
-        if not 1 <= self.work_head <= len(self.work_tape):
-            raise InvariantViolation("work head out of range")
-        if self.steps_remaining is not None and self.steps_remaining < 0:
-            raise InvariantViolation("negative step counter")
-        if self.stack_height < 0:
-            raise InvariantViolation("negative stack height")
-
-
 # bare machine part used as search key: (state, input_head, work_tape, work_head)
 Part = tuple[str, int, tuple[str, ...], int]
 
@@ -182,13 +159,6 @@ def input_symbol(x: str, pos: int) -> str:
 
 def initial_part(m: MachineSpec, x: str) -> Part:
     return (m.initial, 1, (m.blank,) * m.work_cells, 1)
-
-
-def initial_configuration(m: MachineSpec, x: str,
-                          steps_remaining: int | None = None) -> Configuration:
-    state, input_head, tape, work_head = initial_part(m, x)
-    return Configuration(state=state, input_head=input_head, work_tape=tape,
-                         work_head=work_head, steps_remaining=steps_remaining)
 
 
 def _applicable(m: MachineSpec, part: Part, x: str) -> tuple[Action, ...]:
@@ -483,113 +453,282 @@ def run_with_tree_shape(m: MachineSpec, x: str, shape: OrderedTree) -> bool:
 # ------------------------------------------------- stack via alternation
 
 
-def _overapprox_parts(m: MachineSpec, x: str) -> list[Part]:
-    """Machine parts reachable when stack guards are ignored; a superset of
-    the parts reachable in any stack-respecting run."""
+def _overapprox_parts(m: MachineSpec, x: str) -> dict[Part, list[tuple[Action, Part]]]:
+    """Machine parts reachable when stack guards are ignored, a superset of
+    the parts reachable in any stack-respecting run, each with its
+    applicable actions and their results."""
     init = initial_part(m, x)
-    seen = {init}
+    moves: dict[Part, list[tuple[Action, Part]]] = {}
     stack = [init]
     while stack:
         part = stack.pop()
-        for act in _applicable(m, part, x):
-            nxt = _apply(part, act)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-        if len(seen) > MAX_CONFIGS:
+        if part in moves:
+            continue
+        moves[part] = [(act, _apply(part, act)) for act in _applicable(m, part, x)]
+        stack.extend(nxt for _, nxt in moves[part] if nxt not in moves)
+        if len(moves) > MAX_CONFIGS:
             raise CapExceeded("machine configuration space too large")
-    return sorted(seen)
+    return moves
 
 
-def _pop_action(m: MachineSpec, part: Part, x: str):
-    """The unique applicable pop action of a deterministic part, if any."""
-    if m.mode[part[0]] != "det":
-        return None
-    acts = _applicable(m, part, x)
-    if len(acts) == 1 and acts[0].stack_op is not None and acts[0].stack_op[0] == "pop":
-        return acts[0]
-    return None
+class _Segments:
+    """Reachability tables of stack-respecting segments over interned parts.
+
+    Part k is bit k of a mask, parts in sorted order (self.parts).  The
+    table of key (i, level) lists R(i, d, level) for d = 0, 1, ...: the mask
+    of the parts c2 such that a segment of exactly d steps leads from part i
+    to c2 without dropping below its own stack level.  A segment at level 0
+    halts on an accepting part.  Without a stack-height cap, level 1 stands
+    for every nested level (they behave alike); with a cap, the level is
+    exact and a push from level h needs h + 1 <= cap.
+
+    A segment's last level-preserving move is a plain step, or a push whose
+    matching pop comes back to the level, so R(i, d) is the step image of
+    R(i, d - 1) plus, for every push of sym from R(i, s) into part j, the
+    parts reached by popping sym from R(j, d - 2 - s, level + 1).
+    """
+
+    def __init__(self, m: MachineSpec, x: str, cap: int | None):
+        part_moves = _overapprox_parts(m, x)
+        self.parts = parts = sorted(part_moves)
+        index = {part: k for k, part in enumerate(parts)}
+        n = len(parts)
+        moves = []  # per part: (sym or None, j) in _applicable order, pops left out
+        steps = []  # per part: mask of the plain-step successors
+        after = [0] * n  # per pop part: the part the pop leads to
+        pop_mask: dict[str, int] = {}  # sym -> mask of the parts that pop sym
+        preds: list[list[int]] = [[] for _ in range(n)]
+        pushers = accepting = 0
+        for k, part in enumerate(parts):
+            if part[0] in m.accepting:
+                accepting |= 1 << k
+            own, step = [], 0
+            for act, nxt in part_moves[part]:
+                j = index[nxt]
+                preds[j].append(k)
+                op = act.stack_op
+                if op is None:
+                    own.append((None, j))
+                    step |= 1 << j
+                elif op[0] == "push":
+                    own.append((op[1], j))
+                    pushers |= 1 << k
+                else:  # a pop is a deterministic part's only move
+                    pop_mask[op[1]] = pop_mask.get(op[1], 0) | 1 << k
+                    after[k] = j
+            moves.append(own)
+            steps.append(step)
+        # parts that reach an accepting part when stack guards are ignored;
+        # every part of a derivation does, so the tables keep only these
+        useful, todo = accepting, [k for k in range(n) if accepting >> k & 1]
+        while todo:
+            for k in preds[todo.pop()]:
+                if not useful >> k & 1:
+                    useful |= 1 << k
+                    todo.append(k)
+        self.cap, self.moves, self.steps = cap, moves, steps
+        self.after, self.pop_mask = after, pop_mask
+        self.pushers, self.accepting, self.useful = pushers, accepting, useful
+        # key -> (entries, calls, pop images); calls maps (target, sym) to
+        # the target's pop image of sym and the d at which the key's
+        # segments push sym into the target; a pop image lists, per entry,
+        # the parts reached by popping sym from it
+        self.tables: dict[tuple[int, int], tuple[list, dict, dict]] = {}
+        self.fresh: list[tuple[int, int]] = []
+
+    def nested(self, level: int) -> int | None:
+        """The level a push from this level enters, or None if the cap forbids it."""
+        if self.cap is None:
+            return 1
+        return level + 1 if level < self.cap else None
+
+    def _pop_image(self, mask: int, sym: str) -> int:
+        mask &= self.pop_mask.get(sym, 0)
+        out = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out |= 1 << self.after[low.bit_length() - 1]
+        return out
+
+    def open(self, key: tuple[int, int]):
+        if key not in self.tables:
+            self.tables[key] = ([], {}, {})
+            self.fresh.append(key)
+
+    def settle(self):
+        """Give every newly opened table its d = 0 entry."""
+        while self.fresh:
+            key = self.fresh.pop()
+            self._append(key, 1 << key[0])
+
+    def _append(self, key: tuple[int, int], mask: int):
+        entries, calls, images = self.tables[key]
+        d = len(entries)
+        entries.append(mask)
+        for sym, image in images.items():
+            image.append(self._pop_image(mask, sym))
+        level = key[1]
+        nested = self.nested(level)
+        if nested is None:
+            return
+        live = mask & self.pushers
+        if level == 0:
+            live &= ~self.accepting
+        while live:
+            low = live & -live
+            live ^= low
+            for sym, j in self.moves[low.bit_length() - 1]:
+                if sym is None:
+                    continue
+                target = (j, nested)
+                self.open(target)
+                target_entries, _, target_images = self.tables[target]
+                if sym not in target_images:
+                    target_images[sym] = [self._pop_image(e, sym) for e in target_entries]
+                _, starts = calls.setdefault((target, sym), (target_images[sym], []))
+                if not starts or starts[-1] != d:
+                    starts.append(d)
+
+    def extend(self, key: tuple[int, int]):
+        """Append the next entry of a table.  The pop images it reads, at
+        d - 2 - s, are already there: a table opened when its part is first
+        pushed into, and kept one entry per step, is never behind the
+        segments that call it."""
+        entries, calls, _ = self.tables[key]
+        d = len(entries)
+        live = entries[-1]
+        if key[1] == 0:
+            live &= ~self.accepting
+        mask = 0
+        steps = self.steps
+        while live:
+            low = live & -live
+            live ^= low
+            mask |= steps[low.bit_length() - 1]
+        for image, starts in calls.values():
+            for s in starts:
+                k = d - 2 - s
+                if k < 0:
+                    break
+                mask |= image[k]
+        self._append(key, mask & self.useful)
+
+    def quiet(self) -> bool:
+        """True when no table can get another nonzero entry: every last
+        entry is empty, and so is every pop image a call has yet to read."""
+        for entries, calls, _ in self.tables.values():
+            if entries[-1]:
+                return False
+            for image, starts in calls.values():
+                for s in starts:
+                    if any(image[max(0, len(entries) - 2 - s):]):
+                        return False
+        return True
+
+    def at(self, key: tuple[int, int], d: int) -> int:
+        """R(key, d), extending the table as far as needed."""
+        self.open(key)
+        self.settle()
+        entries = self.tables[key][0]
+        while len(entries) <= d:
+            self.extend(key)
+            self.settle()
+        return entries[d]
+
+    def first_move(self, i: int, d: int, goal: int, level: int):
+        """The first move of the first derivation of a d-step segment from
+        part i to part goal (d > 0, the segment exists): plain steps and
+        pushes in _applicable order, a push's inner length d_in ascending,
+        then its pop part in part order.  Returns (next part, steps left,
+        inner segment as (part, steps, goal, level) or None)."""
+        bit = 1 << goal
+        moves = self.moves[i]
+        last = len(moves) - 1
+        for n, (sym, j) in enumerate(moves):
+            if sym is None:
+                # the last candidate needs no test: the segment exists
+                if n == last or self.at((j, level), d - 1) & bit:
+                    return j, d - 1, None
+                continue
+            nested = self.nested(level)
+            if nested is None:
+                continue
+            for d_in in range(d - 1):
+                pops = self.at((j, nested), d_in) & self.pop_mask.get(sym, 0)
+                while pops:
+                    low = pops & -pops
+                    pops ^= low
+                    cp = low.bit_length() - 1
+                    after = self.after[cp]
+                    if self.at((after, level), d - 2 - d_in) & bit:
+                        return after, d - 2 - d_in, (j, d_in, cp, nested)
+        raise InvariantViolation("segment derivation vanished")
+
+    def derivation_meters(self, start: int, d: int, goal: int) -> tuple[int, int]:
+        """(pushes, max co-nondeterministic steps on a path) of the first
+        derivation of the top-level segment, walked with an explicit list of
+        pending inner segments.  A push splits a segment into the inner one
+        and the continuation after the pop, both one split deeper."""
+        pushes = co = 0
+        todo = [(start, d, goal, 0, 0)]
+        while todo:
+            i, d, goal, level, depth = todo.pop()
+            co = max(co, depth)
+            while d:
+                i, d, inner = self.first_move(i, d, goal, level)
+                if inner is not None:
+                    pushes += 1
+                    depth += 1
+                    co = max(co, depth)
+                    todo.append(inner + (depth,))
+        return pushes, co
 
 
 def eval_stack_via_alternation(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
     """Stack acceptance decided by the alternation construction: guess the
-    accepting end configuration, then check segments A(c1,c2) that never pop
-    below their entry level; every push guesses its matching pop
-    configuration and splits co-nondeterministically into the enclosed
-    segment and the continuation after the pop.
+    accepting end configuration, then check segments that never pop below
+    their entry level; every push guesses its matching pop configuration
+    and splits co-nondeterministically into the enclosed segment and the
+    continuation after the pop.
 
-    Guessing is exhaustive enumeration over the finite configuration space
-    with remaining-step counters, in a fixed order, so results are
-    deterministic.  tree_nodes meters the simulating alternating machine's
-    accepting tree (one node per simulated step, three per push split, one
-    per segment end, plus the initial guess).
+    The guesses are decided by the realizable-pairs dynamic program (Cook
+    1971; Ruzzo 1980) over the parts of _overapprox_parts, interned as bits
+    (see _Segments): the top segment from the initial part and every
+    segment a push enters get a table of reachable-part bitmasks, one entry
+    per step length, all grown together one step at a time.  The smallest
+    step count whose top-level entry holds an accepting part wins, with the
+    first such part in part order.
+
+    tree_nodes meters the simulating alternating machine's accepting tree
+    for the first derivation in the guessing order (a plain or push move in
+    table order, the earliest matching pop first, pop parts in part order,
+    as in _Segments.first_move): one node
+    per simulated step, three per push split, one per segment end, plus the
+    initial guess, so used steps with p pushes make used + 2p + 2 nodes.
+    max_co_nondet_on_path counts the push splits on the deepest path.
+    A stack-height cap bounds the levels a push may reach.  On rejection
+    the direct stack search reports whether the step budget ran out.
     """
     _require_no_universal(m, "eval_stack_via_alternation")
     _require_budget(budget, "time_steps")
-    total = budget.time_steps
-    parts = _overapprox_parts(m, x)
-    pop_of = {}
-    for part in parts:
-        act = _pop_action(m, part, x)
-        if act is not None:
-            pop_of[part] = act
-    init = initial_part(m, x)
-    acc_parts = [p for p in parts if p[0] in m.accepting]
-    memo: dict = {}
-
-    def segment(c1: Part, r1: int, c2: Part, r2: int, h: int):
-        """Nodes/co-nondet of the accepting subtree for segment c1->c2, or
-        None; both ends sit at stack level h and the segment never drops
-        below it."""
-        key = (c1, r1, c2, r2, h)
-        if key in memo:
-            return memo[key]
-        res = None
-        if c1 == c2 and r1 == r2:
-            res = (1, 0)
-        elif r1 > r2 and not (c1[0] in m.accepting and h == 0):
-            # an accepting part at level 0 halts, so only the base case above
-            # may end there
-            for act in _applicable(m, c1, x):
-                if act.stack_op is None:
-                    sub = segment(_apply(c1, act), r1 - 1, c2, r2, h)
-                    if sub is not None:
-                        res = (1 + sub[0], sub[1])
-                        break
-                elif act.stack_op[0] == "push":
-                    sym = act.stack_op[1]
-                    pushed = _apply(c1, act)
-                    res = _split_push(pushed, r1 - 1, sym, c2, r2, h)
-                    if res is not None:
-                        break
-                # a pop here would pop below level h: not allowed inside a segment
-        memo[key] = res
-        return res
-
-    def _split_push(pushed: Part, r_push: int, sym: str, c2: Part, r2: int, h: int):
-        for rp in range(r_push, r2, -1):
-            for cp in parts:
-                act = pop_of.get(cp)
-                if act is None or act.stack_op[1] != sym:
-                    continue
-                after = _apply(cp, act)
-                inner = segment(pushed, r_push, cp, rp, h + 1)
-                if inner is None:
-                    continue
-                outer = segment(after, rp - 1, c2, r2, h)
-                if outer is None:
-                    continue
-                return (3 + inner[0] + outer[0], 1 + max(inner[1], outer[1]))
-        return None
-
-    for used in range(total + 1):
-        ra = total - used
-        for ca in acc_parts:
-            got = segment(init, total, ca, ra, 0)
-            if got is not None:
-                nodes, co = got
-                return RunStats(accepted=True, tree_nodes=nodes + 1,
-                                max_co_nondet_on_path=co, steps_used=used)
+    seg = _Segments(m, x, budget.stack_height_cap)
+    top = (seg.parts.index(initial_part(m, x)), 0)
+    seg.open(top)
+    seg.settle()
+    for used in range(budget.time_steps + 1):
+        if used:
+            for key in list(seg.tables):  # tables opened now start at d = 0
+                seg.extend(key)
+            seg.settle()
+        hit = seg.tables[top][0][used] & seg.accepting
+        if hit:
+            goal = (hit & -hit).bit_length() - 1
+            pushes, co = seg.derivation_meters(top[0], used, goal)
+            return RunStats(accepted=True, tree_nodes=used + 2 * pushes + 2,
+                            max_co_nondet_on_path=co, steps_used=used)
+        if seg.quiet():  # a dead run: no later step count can accept
+            break
     _, exhausted = _stack_search(m, x, budget)
     return RunStats(accepted=False, exhausted=exhausted)
 

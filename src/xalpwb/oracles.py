@@ -110,19 +110,19 @@ def solve_tcmc_bruteforce(instance: TcmcInstance, mode: str = "clique",
 
 
 def solve_tcmc_traversal(instance: TcmcInstance, mode: str = "clique",
-                         cap: int | None = None) -> bool:
+                         cap: int | None = None):
     """Exact decision by depth-first traversal of the structure tree keeping
     only the parent's selection, the deterministic realization of the
-    membership traversal."""
+    membership traversal.  Returns (solvable, choice or None), the choice
+    read back from the selection each solvable (node, parent selection)
+    pair settled on."""
     if mode not in TCMC_MODES:
         raise InvariantViolation(f"unknown tcmc mode {mode!r}")
     ks = range(1, instance.k + 1)
-    per_node = {}
     for i in instance.tree.nodes():
         space = 1
         for j in ks:
             space *= max(len(instance.classes[(i, j)]), 1)
-        per_node[i] = space
         _guard(space, cap, f"per-node choice space at {i}")
 
     def selections(i: int):
@@ -139,13 +139,14 @@ def solve_tcmc_traversal(instance: TcmcInstance, mode: str = "clique",
             if good:
                 yield combo
 
-    memo: dict[tuple[int, tuple[int, ...] | None], bool] = {}
+    # (node, parent selection) -> the node's first workable selection, or None
+    memo: dict[tuple[int, tuple[int, ...] | None], tuple[int, ...] | None] = {}
 
     def down(i: int, parent_sel: tuple[int, ...] | None) -> bool:
         key = (i, parent_sel)
         if key in memo:
-            return memo[key]
-        res = False
+            return memo[key] is not None
+        res = None
         for sel in selections(i):
             if parent_sel is not None:
                 good = all(
@@ -154,12 +155,22 @@ def solve_tcmc_traversal(instance: TcmcInstance, mode: str = "clique",
                 if not good:
                     continue
             if all(down(c, sel) for c in instance.tree.child_list(i)):
-                res = True
+                res = sel
                 break
         memo[key] = res
-        return res
+        return res is not None
 
-    return down(instance.tree.root, None)
+    root = instance.tree.root
+    if not down(root, None):
+        return False, None
+    choice: dict[tuple[int, int], int] = {}
+    todo = [(root, memo[root, None])]
+    while todo:
+        i, sel = todo.pop()
+        for j, v in zip(ks, sel):
+            choice[(i, j)] = v
+        todo.extend((c, memo[c, sel]) for c in instance.tree.child_list(i))
+    return True, choice
 
 
 # ------------------------------------------------------------------- cnf

@@ -546,8 +546,8 @@ def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
                 tgt_ok, tgt_sol = oracles.solve_tcmc_bruteforce(
                     art.target, "clique", cap=cap)
             except CapExceeded:
-                tgt_ok = oracles.solve_tcmc_traversal(art.target, "clique", cap=cap)
-                tgt_sol = None
+                tgt_ok, tgt_sol = oracles.solve_tcmc_traversal(
+                    art.target, "clique", cap=cap)
         else:
             src_ok, src_sol = _solve_family(src_family, source, cap)
             tgt_ok, tgt_sol = _solve_family(tgt_family, art.target, cap)
@@ -629,11 +629,10 @@ def _lift_checks(base: str, source, art: ReductionArtifact,
         forwarded = art.lift.forward(run)
         if not oracles.check_tcmc_solution(art.target, "clique", forwarded):
             problems.append("lifted run is not a tree-chained clique")
-        if tgt_sol is not None:
-            back = art.lift.backward(tgt_sol)
-            again = art.lift.forward(back)
-            if not oracles.check_tcmc_solution(art.target, "clique", again):
-                problems.append("decoded run does not re-encode validly")
+        back = art.lift.backward(tgt_sol)
+        again = art.lift.forward(back)
+        if not oracles.check_tcmc_solution(art.target, "clique", again):
+            problems.append("decoded run does not re-encode validly")
         return problems
     forwarded = art.lift.forward(src_sol)
     if not _check_family_solution(tgt_family, art.target, forwarded):

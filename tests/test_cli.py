@@ -1,6 +1,9 @@
 """CLI exit-status contract, file round trips, and report output."""
 
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +108,19 @@ def test_solve_treedp_honours_threshold_and_writes_witness(workdir, capsys,
     assert oracles.check_subset_solution(inst.graph, problem, witness)
 
 
+def test_solve_traversal_writes_witness(workdir, capsys):
+    inst = _write_instance("t.tcmc", "tcmc", seed=0)
+    expected, _ = oracles.solve_tcmc_bruteforce(inst, "clique")
+    assert expected  # the witness path needs a solvable instance
+    assert main(["solve", "--problem", "tcmc", "-i", "t.tcmc",
+                 "--solver", "traversal", "-o", "sol.txt"]) == 0
+    assert capsys.readouterr().out.strip() == "YES"
+    text = pathlib.Path("sol.txt").read_text()
+    choice = {(int(i), int(j)): int(v)
+              for i, j, v in re.findall(r"\((\d+), (\d+)\)=(\d+)", text)}
+    assert text.startswith("sol ") and oracles.check_tcmc_solution(inst, "clique", choice)
+
+
 def test_solve_listcol_conflict_no(workdir, capsys):
     text = ("xalpwb 1\nlistcol\np graph 2 1\ne 1 2\n"
             "palette 1\nlist 1 1\nlist 2 1\n")
@@ -165,6 +181,17 @@ def test_machine_eval_contract(workdir, corpus, capsys):
     assert "stack=1" in out and out.startswith("ACCEPT")
     # alternating semantics on a stack machine is a usage error
     assert main(["machine", "eval", "--semantics", "alt", "-m", "pp.mach"]) == 2
+
+
+def test_python_m_runs_the_cli(workdir):
+    machine = pathlib.Path(oracles.__file__).parent / "corpus" / "push_pop.mach"
+    done = subprocess.run(
+        [sys.executable, "-m", "xalpwb", "machine", "eval", "--semantics", "stackalt",
+         "-m", str(machine)],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(pathlib.Path(oracles.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ACCEPT treeNodes=6")
 
 
 def test_machine_shaped_mismatch_rejects(workdir, corpus, capsys):

@@ -235,22 +235,6 @@ def test_runstats_tree_nodes_cover_steps(corpus):
                 assert st.tree_nodes >= st.steps_used
 
 
-def test_configuration_invariants():
-    from xalpwb.machines import Configuration, initial_configuration
-
-    cfg = Configuration(state="s", input_head=1, work_tape=("_",), work_head=1)
-    assert cfg.stack_height == 0
-    with pytest.raises(InvariantViolation):
-        Configuration(state="s", input_head=1, work_tape=("_",), work_head=2)
-    with pytest.raises(InvariantViolation):
-        Configuration(state="s", input_head=1, work_tape=("_",),
-                      work_head=1, stack_height=-1)
-    m = make_machine(["a"], "a", ["a"], {"a": "det"}, 2, "_", {})
-    start = initial_configuration(m, "01", steps_remaining=5)
-    assert start.work_head == 1 and start.input_head == 1
-    assert start.steps_remaining == 5
-
-
 def test_determinism_identical_stats(corpus):
     for name, m in sorted(corpus.items()):
         for x in corpus_inputs(m, 3):

@@ -42,7 +42,7 @@ def test_tcmc_singleton_class_solvable():
                         classes={(1, 1): frozenset({1})}, graph=Graph(n=1))
     ok, sol = solve_tcmc_bruteforce(inst)
     assert ok and sol == {(1, 1): 1}
-    assert solve_tcmc_traversal(inst)
+    assert solve_tcmc_traversal(inst) == (True, {(1, 1): 1})
 
 
 def test_tcmc_missing_edge_unsolvable_in_clique_mode():
@@ -61,7 +61,12 @@ def test_tcmc_dual_solver_agreement():
         inst = generate_instance("tcmis", None, seed=seed)
         for mode in ("clique", "independent-set"):
             brute, _ = solve_tcmc_bruteforce(inst, mode)
-            assert brute == solve_tcmc_traversal(inst, mode), (seed, mode)
+            ok, choice = solve_tcmc_traversal(inst, mode)
+            assert brute == ok, (seed, mode)
+            if ok:
+                assert check_tcmc_solution(inst, mode, choice), (seed, mode)
+            else:
+                assert choice is None
 
 
 def test_tcmc_forced_chain_unique_solution():
@@ -73,7 +78,7 @@ def test_tcmc_forced_chain_unique_solution():
     inst = TcmcInstance(tree=tree, k=1, classes=classes, graph=g)
     ok, sol = solve_tcmc_bruteforce(inst, "clique")
     assert ok and sol == {(1, 1): 1, (2, 1): 2, (3, 1): 3}
-    assert solve_tcmc_traversal(inst, "clique")
+    assert solve_tcmc_traversal(inst, "clique") == (True, sol)
 
 
 def test_cnf_empty_clause_set_satisfiable():

@@ -183,6 +183,31 @@ def test_logtw_lift_checks_never_skip():
                    for note in report.resource_notes)
 
 
+def test_capped_atm_trial_runs_the_backward_lift_check(monkeypatch):
+    # the brute force exceeds the default cap on this accepting trial's
+    # target, so the traversal decides it and its choice is decoded back
+    source = generate_instance("atm", None, seed=100044)
+    real_apply, real_traversal = verify._apply, oracles.solve_tcmc_traversal
+    traversed, decoded = [], []
+
+    def traversal(*args, **kwargs):
+        result = real_traversal(*args, **kwargs)
+        traversed.append(result)
+        return result
+
+    def apply(name, src):
+        art = real_apply(name, src)
+        backward = art.lift.backward
+        art.lift.backward = lambda sol: decoded.append(sol) or backward(sol)
+        return art
+
+    monkeypatch.setattr(oracles, "solve_tcmc_traversal", traversal)
+    monkeypatch.setattr(verify, "_apply", apply)
+    assert run_trial("atm-tcmc", source).status == "agree"
+    assert len(traversed) == 1 and traversed[0][0]
+    assert decoded == [traversed[0][1]]
+
+
 @pytest.mark.parametrize("name, solver", [("tcmc-tcmis", "solve_tcmc_bruteforce"),
                                           ("rbds-ds", "optimum_treedp")])
 def test_trial_solves_each_side_once(monkeypatch, name, solver):
