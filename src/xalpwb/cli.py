@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import oracles, verify
+from . import verify
 from .corpus import CORPUS_BUDGET, load_corpus
 from .formats import parse_instance, serialize_instance
 from .instances import CapExceeded, ResourceBudget, XalpwbError
@@ -23,31 +23,9 @@ EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_SOLVE_FORMATS = {
-    "tcmc": "tcmc",
-    "tcmis": "tcmc",
-    "cnf": "cnf",
-    "listcol": "listcol",
-    "is": "logtw",
-    "vc": "logtw",
-    "ds": "logtw",
-    "rbds": "logtw",
-}
-
-# instance format consumed by each reduction's -i file
-_REDUCE_INPUT = {
-    "atm-tcmc": "machine",
-    "tcmc-tcmis": "tcmc",
-    "tcmis-listcol": "tcmc",
-    "listcol-precol": "listcol",
-    "tcmis-negcnf": "tcmc",
-    "negcnf-poscnf": "cnf",
-    "part-gencnf": "cnf",
-    "poscnf-logtwis": "cnf",
-    "is-vc": "logtw",
-    "vc-rbds": "logtw",
-    "rbds-ds": "logtw",
-}
+# --problem name -> its family entry; the three CNF families share one
+_PROBLEMS = {f.problem: f for f in verify.FAMILIES.values() if f.problem}
+_SOLVERS = tuple(dict.fromkeys(name for f in _PROBLEMS.values() for name in f.solvers))
 
 
 class UsageError(XalpwbError):
@@ -76,7 +54,8 @@ def cmd_reduce(args) -> int:
         x = args.input_string or ""
         artifact = reduce_atm_to_tcmc(machine, x, shape, args.blocks, args.beta)
     else:
-        instance = parse_instance(_REDUCE_INPUT[args.name], text)
+        source = verify.REDUCTION_TYPES[args.name][0]
+        instance = parse_instance(verify.FAMILIES[source].format, text)
         artifact = REDUCTIONS[args.name](instance)
     _write(args.output, serialize_instance(artifact.target))
     if args.lift:
@@ -90,42 +69,33 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _solution_lines(problem, solution) -> str:
+def _solution_line(solution) -> str:
+    """'sol' and the solution's items, each free of whitespace: members of
+    a set, or key=value with a tuple key written i,j."""
     if isinstance(solution, dict):
-        items = [f"{k}={v}" for k, v in sorted(solution.items())]
+        items = [(",".join(map(str, k)) if isinstance(k, tuple) else str(k)) + f"={v}"
+                 for k, v in sorted(solution.items())]
     else:
         items = [str(v) for v in sorted(solution)]
     return "sol " + " ".join(items) + "\n"
 
 
 def cmd_solve(args) -> int:
-    if args.problem not in _SOLVE_FORMATS:
-        raise UsageError(f"unknown problem family {args.problem!r}")
-    instance = parse_instance(_SOLVE_FORMATS[args.problem], _read(args.input))
-    cap = args.cap
-    if args.problem in ("tcmc", "tcmis"):
-        mode = "independent-set" if (args.mode == "is" or args.problem == "tcmis") \
-            else "clique"
-        solve = (oracles.solve_tcmc_traversal if args.solver == "traversal"
-                 else oracles.solve_tcmc_bruteforce)
-        ok, sol = solve(instance, mode, cap=cap)
-    elif args.problem == "cnf":
-        ok, sol = oracles.solve_cnf_bruteforce(instance, cap=cap)
-    elif args.problem == "listcol":
-        ok, sol = oracles.solve_listcoloring(instance, cap=cap)
-    else:
-        threshold = args.threshold
-        if threshold is None:
-            threshold = instance.target_weight
-        if args.solver == "treedp":
-            best, sol = oracles.optimum_treedp(instance, args.problem, cap=cap)
-            ok = oracles.meets_target(args.problem, best, threshold)
-        else:
-            ok, sol = oracles.solve_is_ds_vc(instance.graph, args.problem,
-                                             threshold, cap=cap)
+    family = _PROBLEMS[args.problem]
+    solve = family.solvers.get(args.solver)
+    if solve is None:
+        raise UsageError(f"--problem {args.problem} takes --solver "
+                         + " or ".join(family.solvers))
+    logtw = family.format == "logtw"  # only these instances carry a size target
+    if args.threshold is not None and not logtw:
+        raise UsageError("--threshold applies to --problem "
+                         + ", ".join(p for p, f in _PROBLEMS.items() if f.format == "logtw"))
+    instance = parse_instance(family.format, _read(args.input))
+    threshold = instance.target_weight if logtw and args.threshold is None else args.threshold
+    ok, sol = solve(instance, args.cap, threshold)
     print("YES" if ok else "NO")
     if ok and sol is not None and args.output:
-        _write(args.output, _solution_lines(args.problem, sol))
+        _write(args.output, _solution_line(sol))
     return EXIT_OK
 
 
@@ -205,13 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("solve", help="run an exact oracle")
-    p.add_argument("--problem", required=True)
+    p.add_argument("--problem", required=True, choices=tuple(_PROBLEMS))
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output")
-    p.add_argument("--mode", choices=("clique", "is"), default="clique")
     p.add_argument("--threshold", type=int)
-    p.add_argument("--solver", choices=("brute", "treedp", "traversal"),
-                   default="brute")
+    p.add_argument("--solver", choices=_SOLVERS, default="brute")
     p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_solve)
 

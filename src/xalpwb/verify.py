@@ -1,9 +1,11 @@
 """Randomized small-instance generators and the cross-validation harness
 certifying every reduction and evaluator-equivalence claim.
 
-Each trial solves its source and its target once; the verdicts are compared
-and the solutions they come with are carried across the reduction by its
-lift maps.  The logtw families are solved by the witness-producing
+Each problem family's format, exact oracle, solution checker and CLI
+solvers sit in one registry, FAMILIES, which the CLI reads too.  Each trial
+solves its source and its target once; the verdicts are compared and the
+solutions they come with are carried across the reduction by its lift
+maps.  The logtw families are solved by the witness-producing
 decomposition DP; subset enumeration stays the oracles' small-n
 cross-check.  Trials are deterministic in (name, profile, seed);
 disagreements carry a replayable serialized counterexample, skips (an
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import oracles
 from .formats import parse_instance, serialize_instance
@@ -375,74 +378,104 @@ def generate_instance(family: str, size_profile: dict | None = None, seed: int =
     raise AssertionError(family)
 
 
-# ------------------------------------------------------- family solvers
+# ------------------------------------------------------- family registry
 
 
-def _cnf_solver(instance, cap):
-    return oracles.solve_cnf_bruteforce(instance, cap=cap)
+@dataclass(frozen=True)
+class Family:
+    """One problem family: its CLI --problem name (None when the CLI does not
+    solve it), its parse_instance format tag, the exact oracle verify
+    decides it by, its solution checker (None for atm, whose shaped run is
+    checked through the reduction's re-encoding) and the CLI solvers.
+
+    decide(instance, cap, witness) and every solver(instance, cap,
+    threshold) return (solvable, solution or None).  witness=False lets the
+    logtw DP skip its solution, which a chain, comparing verdicts alone,
+    does not need.  Every callable looks its oracle up in the oracles
+    module when called, so rebinding an oracle there reaches the
+    registry."""
+
+    problem: str | None
+    format: str
+    decide: Callable
+    check: Callable | None
+    solvers: dict[str, Callable] = field(default_factory=dict)
 
 
-# (solvable, solution or None) per family, the logtw families aside
-_FAMILY_SOLVERS = {
-    "tcmc": lambda instance, cap: oracles.solve_tcmc_bruteforce(
-        instance, "clique", cap=cap),
-    "tcmis": lambda instance, cap: oracles.solve_tcmc_bruteforce(
-        instance, "independent-set", cap=cap),
-    "negcnf": _cnf_solver,
-    "poscnf": _cnf_solver,
-    "gencnf": _cnf_solver,
-    "listcol": lambda instance, cap: oracles.solve_listcoloring(instance, cap=cap),
-}
+def _tcmc_family(problem: str, mode: str) -> Family:
+    # the traversal decides, with a choice, what the brute force cannot
+    def decide(instance, cap, witness=True):
+        try:
+            return oracles.solve_tcmc_bruteforce(instance, mode, cap=cap)
+        except CapExceeded:
+            return oracles.solve_tcmc_traversal(instance, mode, cap=cap)
+
+    return Family(
+        problem, "tcmc", decide,
+        lambda instance, choice: oracles.check_tcmc_solution(instance, mode, choice),
+        {"brute": lambda instance, cap, threshold:
+            oracles.solve_tcmc_bruteforce(instance, mode, cap=cap),
+         "traversal": lambda instance, cap, threshold:
+            oracles.solve_tcmc_traversal(instance, mode, cap=cap)})
 
 
-def _solve_family(family: str, instance, cap, witness: bool = True):
-    """(solvable, solution): the exact verdict and, when solvable, a
-    solution the lift checks can carry across the reduction.  The logtw
-    families are solved by the decomposition DP, which builds its witness
-    only when asked: a chain compares verdicts alone."""
-    if family.startswith("logtw-"):
-        problem = family.removeprefix("logtw-")
+def _logtw_family(problem: str) -> Family:
+    def treedp(instance, cap, threshold, witness=True):
         best, solution = oracles.optimum_treedp(instance, problem, cap=cap,
                                                 witness=witness)
-        ok = oracles.meets_target(problem, best, instance.target_weight)
+        ok = oracles.meets_target(problem, best, threshold)
         return ok, solution if ok else None
-    if family not in _FAMILY_SOLVERS:
-        raise InvariantViolation(f"no oracle for family {family!r}")
-    return _FAMILY_SOLVERS[family](instance, cap)
 
-
-def _check_family_solution(family: str, instance, solution) -> bool:
-    if family == "tcmc":
-        return oracles.check_tcmc_solution(instance, "clique", solution)
-    if family == "tcmis":
-        return oracles.check_tcmc_solution(instance, "independent-set", solution)
-    if family in ("negcnf", "poscnf", "gencnf"):
-        return oracles.check_cnf_solution(instance, frozenset(solution))
-    if family == "listcol":
-        return oracles.check_coloring(instance, solution)
-    if family in ("logtw-is", "logtw-vc", "logtw-rbds", "logtw-ds"):
-        problem = family.split("-")[1]
+    def check(instance, solution):
         s = frozenset(solution)
         return (oracles.check_subset_solution(instance.graph, problem, s)
                 and oracles.meets_target(problem, len(s), instance.target_weight))
-    raise InvariantViolation(f"no checker for family {family!r}")
+
+    return Family(
+        problem, "logtw",
+        lambda instance, cap, witness=True:
+            treedp(instance, cap, instance.target_weight, witness),
+        check,
+        {"brute": lambda instance, cap, threshold:
+            oracles.solve_is_ds_vc(instance.graph, problem, threshold, cap=cap),
+         "treedp": treedp})
+
+
+def _cnf_decide(instance, cap, witness=True):
+    return oracles.solve_cnf_bruteforce(instance, cap=cap)
+
+
+def _listcol_decide(instance, cap, witness=True):
+    return oracles.solve_listcoloring(instance, cap=cap)
+
+
+_CNF = Family(
+    "cnf", "cnf", _cnf_decide,
+    lambda instance, true_vars: oracles.check_cnf_solution(instance, frozenset(true_vars)),
+    {"brute": lambda instance, cap, threshold: _cnf_decide(instance, cap)})
+
+# family name -> Family; the source and target of every reduction in
+# REDUCTION_TYPES has an entry
+FAMILIES = {
+    # an atm source is (machine, input, shape, blocks, beta)
+    "atm": Family(None, "machine",
+                  lambda source, cap, witness=True:
+                      (run_with_tree_shape(*source[:3]), None),
+                  None),
+    "tcmc": _tcmc_family("tcmc", "clique"),
+    "tcmis": _tcmc_family("tcmis", "independent-set"),
+    "listcol": Family(
+        "listcol", "listcol", _listcol_decide,
+        lambda instance, coloring: oracles.check_coloring(instance, coloring),
+        {"brute": lambda instance, cap, threshold: _listcol_decide(instance, cap)}),
+    "negcnf": _CNF,
+    "poscnf": _CNF,
+    "gencnf": _CNF,
+    **{f"logtw-{p}": _logtw_family(p) for p in ("is", "vc", "rbds", "ds")},
+}
 
 
 # -------------------------------------------------------- counterexamples
-
-
-_FORMAT_OF_FAMILY = {
-    "tcmc": "tcmc",
-    "tcmis": "tcmc",
-    "listcol": "listcol",
-    "negcnf": "cnf",
-    "poscnf": "cnf",
-    "gencnf": "cnf",
-    "logtw-is": "logtw",
-    "logtw-vc": "logtw",
-    "logtw-rbds": "logtw",
-    "logtw-ds": "logtw",
-}
 
 
 def serialize_counterexample(name: str, source) -> str:
@@ -458,8 +491,7 @@ def serialize_counterexample(name: str, source) -> str:
         lines.append("section shape")
         lines.extend(serialize_instance(shape).splitlines()[1:])
     else:
-        src_family = REDUCTION_TYPES[first][0]
-        tag = _FORMAT_OF_FAMILY[src_family]
+        tag = FAMILIES[REDUCTION_TYPES[first][0]].format
         lines.append(f"section instance {tag}")
         lines.extend(serialize_instance(source).splitlines()[1:])
     return "\n".join(lines) + "\n"
@@ -523,10 +555,7 @@ def _lookup_reduction(name: str):
 
 def _apply(name: str, source) -> ReductionArtifact:
     base, fn = _lookup_reduction(name)
-    if base == "atm-tcmc":
-        machine, x, shape, blocks, beta = source
-        return fn(machine, x, shape, blocks, beta)
-    return fn(source)
+    return fn(*source) if base == "atm-tcmc" else fn(source)
 
 
 def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
@@ -534,23 +563,12 @@ def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
     with the oracles, compare, and check lifts, witnesses, and parameter
     growth."""
     base, _ = _lookup_reduction(name)
-    src_family, tgt_family = REDUCTION_TYPES[base]
+    src, tgt = (FAMILIES[family] for family in REDUCTION_TYPES[base])
     notes: list[str] = []
     try:
         art = _apply(name, source)
-        if base == "atm-tcmc":
-            machine, x, shape, blocks, beta = source
-            src_ok = run_with_tree_shape(machine, x, shape)
-            src_sol = None
-            try:
-                tgt_ok, tgt_sol = oracles.solve_tcmc_bruteforce(
-                    art.target, "clique", cap=cap)
-            except CapExceeded:
-                tgt_ok, tgt_sol = oracles.solve_tcmc_traversal(
-                    art.target, "clique", cap=cap)
-        else:
-            src_ok, src_sol = _solve_family(src_family, source, cap)
-            tgt_ok, tgt_sol = _solve_family(tgt_family, art.target, cap)
+        src_ok, src_sol = src.decide(source, cap)
+        tgt_ok, tgt_sol = tgt.decide(art.target, cap)
     except CapExceeded:
         return TrialOutcome("skip")
     if src_ok != tgt_ok:
@@ -622,10 +640,9 @@ def _lift_checks(base: str, source, art: ReductionArtifact,
     """Carry the oracles' solutions of a solvable trial across the
     reduction both ways and check them on the other side."""
     problems = []
-    src_family, tgt_family = REDUCTION_TYPES[base]
+    src, tgt = (FAMILIES[family] for family in REDUCTION_TYPES[base])
     if base == "atm-tcmc":
-        machine, x, shape, blocks, beta = source
-        run = shaped_run(machine, x, shape)
+        run = shaped_run(*source[:3])
         forwarded = art.lift.forward(run)
         if not oracles.check_tcmc_solution(art.target, "clique", forwarded):
             problems.append("lifted run is not a tree-chained clique")
@@ -635,10 +652,10 @@ def _lift_checks(base: str, source, art: ReductionArtifact,
             problems.append("decoded run does not re-encode validly")
         return problems
     forwarded = art.lift.forward(src_sol)
-    if not _check_family_solution(tgt_family, art.target, forwarded):
+    if not tgt.check(art.target, forwarded):
         problems.append("forward-lifted solution invalid on target")
     back = art.lift.backward(tgt_sol)
-    if not _check_family_solution(src_family, source, back):
+    if not src.check(source, back):
         problems.append("backward-lifted solution invalid on source")
     return problems
 
@@ -694,12 +711,8 @@ def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOu
                 # the intermediate instance left this stage's domain (e.g. an
                 # unsolvable empty class reaching a partition-based stage)
                 return TrialOutcome("skip", detail=str(exc))
-        if chain[0] == "atm-tcmc":
-            machine, x, shape, blocks, beta = source
-            src_ok = run_with_tree_shape(machine, x, shape)
-        else:
-            src_ok = _solve_family(src_family, source, cap, witness=False)[0]
-        tgt_ok = _solve_family(end_family, current, cap, witness=False)[0]
+        src_ok = FAMILIES[src_family].decide(source, cap, witness=False)[0]
+        tgt_ok = FAMILIES[end_family].decide(current, cap, witness=False)[0]
     except CapExceeded:
         return TrialOutcome("skip")
     if src_ok != tgt_ok:

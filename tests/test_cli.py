@@ -1,7 +1,6 @@
 """CLI exit-status contract, file round trips, and report output."""
 
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -116,9 +115,32 @@ def test_solve_traversal_writes_witness(workdir, capsys):
                  "--solver", "traversal", "-o", "sol.txt"]) == 0
     assert capsys.readouterr().out.strip() == "YES"
     text = pathlib.Path("sol.txt").read_text()
-    choice = {(int(i), int(j)): int(v)
-              for i, j, v in re.findall(r"\((\d+), (\d+)\)=(\d+)", text)}
+    choice = {tuple(int(c) for c in key.split(",")): int(v)
+              for key, v in (item.split("=") for item in text.split()[1:])}
     assert text.startswith("sol ") and oracles.check_tcmc_solution(inst, "clique", choice)
+
+
+@pytest.mark.parametrize("problem, family, flags, accepted", [
+    ("cnf", "poscnf", ["--solver", "treedp"], "brute"),
+    ("is", "logtw-is", ["--solver", "traversal"], "brute or treedp"),
+    ("tcmc", "tcmc", ["--solver", "treedp"], "brute or traversal"),
+    ("cnf", "poscnf", ["--threshold", "3"], "is, vc, rbds, ds"),
+])
+def test_solve_rejects_flags_the_family_does_not_take(workdir, capsys, problem, family,
+                                                      flags, accepted):
+    _write_instance("inst.txt", family, seed=1)
+    assert main(["solve", "--problem", problem, "-i", "inst.txt", "-o", "s"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and accepted in captured.err
+    assert not pathlib.Path("s").exists()
+
+
+def test_solve_has_no_mode_option_and_lists_the_problems(workdir, capsys):
+    _write_instance("t.tcmc", "tcmc", seed=0)
+    assert main(["solve", "--problem", "tcmis", "-i", "t.tcmc", "--mode", "clique"]) == 2
+    capsys.readouterr()
+    assert main(["solve", "--help"]) == 0
+    assert "{tcmc,tcmis,listcol,cnf,is,vc,rbds,ds}" in capsys.readouterr().out
 
 
 def test_solve_listcol_conflict_no(workdir, capsys):

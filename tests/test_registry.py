@@ -1,0 +1,101 @@
+"""The problem-family registry that verify and the CLI both read."""
+
+import pathlib
+
+import pytest
+
+from xalpwb import oracles, verify
+from xalpwb.cli import main
+from xalpwb.formats import parse_instance, serialize_instance
+from xalpwb.instances import CapExceeded
+from xalpwb.reductions import reduce_rbds_to_ds
+from xalpwb.verify import FAMILIES, REDUCTION_TYPES, generate_instance
+
+# atm sources are (machine, input, shape, blocks, beta) tuples, not one instance
+GENERATED = [f for f in FAMILIES if f in verify._DEFAULT_PROFILES and f != "atm"]
+
+# --problem name -> a family of that problem
+PROBLEM_FAMILY = {e.problem: f for f, e in reversed(FAMILIES.items()) if e.problem}
+
+
+def _instance(family, seed):
+    if family == "logtw-ds":
+        return reduce_rbds_to_ds(generate_instance("logtw-rbds", None, seed=seed)).target
+    return generate_instance(family, None, seed=seed)
+
+
+def _read_solution(text):
+    """The solution a 'sol' line holds: a set of members, or a dict whose
+    keys are ints or i,j pairs."""
+    head, *items = text.split()
+    assert head == "sol"
+    if not any("=" in item for item in items):
+        return frozenset(int(v) for v in items)
+
+    def key(k):
+        return tuple(int(c) for c in k.split(",")) if "," in k else int(k)
+
+    return {key(k): int(v) for k, v in (item.split("=") for item in items)}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_TYPES))
+def test_every_reduction_family_has_an_entry(name):
+    for family in REDUCTION_TYPES[name]:
+        assert family in FAMILIES, (name, family)
+
+
+@pytest.mark.parametrize("family", GENERATED)
+def test_instances_round_trip_and_decided_solutions_check(family):
+    entry = FAMILIES[family]
+    solvable = 0
+    for seed in range(20):
+        inst = generate_instance(family, None, seed=seed)
+        assert parse_instance(entry.format, serialize_instance(inst)) == inst, seed
+        ok, solution = entry.decide(inst, None)
+        if ok:
+            solvable += 1
+            assert entry.check(inst, solution), seed
+        else:
+            assert solution is None, seed
+    assert solvable
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEM_FAMILY))
+def test_solve_writes_a_solution_that_splits_and_checks(tmp_path, monkeypatch, capsys,
+                                                        problem):
+    monkeypatch.chdir(tmp_path)
+    entry = FAMILIES[PROBLEM_FAMILY[problem]]
+    inst = next(i for i in (_instance(PROBLEM_FAMILY[problem], s) for s in range(50))
+                if entry.decide(i, None)[0])
+    pathlib.Path("inst.txt").write_text(serialize_instance(inst))
+    for solver in entry.solvers:
+        assert main(["solve", "--problem", problem, "-i", "inst.txt",
+                     "--solver", solver, "-o", f"{solver}.sol"]) == 0
+        assert capsys.readouterr().out.strip() == "YES"
+        solution = _read_solution(pathlib.Path(f"{solver}.sol").read_text())
+        assert entry.check(inst, solution), solver
+
+
+@pytest.mark.parametrize("family", ["tcmc", "tcmis"])
+def test_capped_brute_force_falls_back_to_the_traversal(monkeypatch, family):
+    entry = FAMILIES[family]
+    expected = [entry.decide(generate_instance(family, None, seed=s), None)[0]
+                for s in range(20)]
+    real_traversal, traversed = oracles.solve_tcmc_traversal, []
+
+    def capped(*args, **kwargs):
+        raise CapExceeded("class choice space")
+
+    def traversal(*args, **kwargs):
+        traversed.append(args)
+        return real_traversal(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "solve_tcmc_bruteforce", capped)
+    monkeypatch.setattr(oracles, "solve_tcmc_traversal", traversal)
+    for seed in range(20):
+        inst = generate_instance(family, None, seed=seed)
+        ok, choice = entry.decide(inst, None)
+        assert ok == expected[seed], seed
+        if ok:
+            assert entry.check(inst, choice), seed
+    assert len(traversed) == 20 and any(expected) and not all(expected)
