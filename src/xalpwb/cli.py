@@ -144,8 +144,6 @@ def cmd_machine(args) -> int:
         accepted = run_with_tree_shape(machine, x, shape)
         print("ACCEPT" if accepted else "REJECT")
         return EXIT_OK
-    if args.semantics not in EVALUATORS:
-        raise UsageError(f"unknown semantics {args.semantics!r}")
     stats = EVALUATORS[args.semantics](machine, x, budget)
     verdict = "ACCEPT" if stats.accepted else "REJECT"
     print(f"{verdict} treeNodes={stats.tree_nodes} "
@@ -199,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("machine", help="evaluate a machine")
     p.add_argument("action", choices=("eval",))
     p.add_argument("--semantics", required=True,
-                   choices=("stack", "alt", "balanced", "altstack",
-                            "stackalt", "shaped"))
+                   choices=(*EVALUATORS, "shaped"))
     p.add_argument("-m", "--machine", required=True)
     p.add_argument("-x", "--input-string", default="")
     p.add_argument("--shape")

@@ -8,6 +8,7 @@ input alphabet up to the given length, in a fixed order.
 from __future__ import annotations
 
 import itertools
+import pathlib
 from importlib import resources
 
 from .instances import ResourceBudget
@@ -26,19 +27,10 @@ def load_corpus(path=None) -> dict[str, MachineSpec]:
     """Parse every .mach file in the corpus directory (or a custom one)."""
     from .formats import parse_instance
 
-    out: dict[str, MachineSpec] = {}
-    if path is None:
-        base = corpus_dir()
-        names = sorted(p.name for p in base.iterdir() if p.name.endswith(".mach"))
-        for name in names:
-            out[name[:-5]] = parse_instance("machine", (base / name).read_text())
-    else:
-        import pathlib
-
-        base = pathlib.Path(path)
-        for p in sorted(base.glob("*.mach")):
-            out[p.stem] = parse_instance("machine", p.read_text())
-    return out
+    base = corpus_dir() if path is None else pathlib.Path(path)
+    names = sorted(p.name for p in base.iterdir() if p.name.endswith(".mach"))
+    return {name[:-5]: parse_instance("machine", (base / name).read_text())
+            for name in names}
 
 
 def corpus_inputs(machine: MachineSpec, max_len: int = MAX_INPUT_LEN) -> list[str]:

@@ -3,10 +3,13 @@
 All files are UTF-8, one record per line, lines whose first token starts
 with '#' are comments, and the first record is the versioned header
 "xalpwb 1".  parse_instance(tag, text) and serialize_instance(x) round-trip:
-parse(serialize(x)) is structurally equal to x.
+parse(serialize(x)) is structurally equal to x.  Both read only FORMATS,
+the table at the end of this module.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from .instances import (
     FormatError,
@@ -23,8 +26,18 @@ from .machines import Action, MachineSpec
 
 HEADER = "xalpwb 1"
 
-FORMAT_TAGS = ("graph", "tree", "decomposition", "tcmc", "cnf",
-               "listcol", "logtw", "machine")
+_GRAPH_TOKENS = ("p", "e", "label")
+_TREE_TOKENS = ("t", "a")
+
+
+class Format(NamedTuple):
+    """One entry of FORMATS: the instance type a tag reads and writes, its
+    writer (the lines after the header) and its reader (the records after
+    the header)."""
+
+    type: type
+    lines: Callable
+    parse: Callable
 
 
 def _records(text: str) -> list[tuple[int, list[str]]]:
@@ -53,79 +66,36 @@ def _int(tok: str, lineno: int, what: str) -> int:
         raise FormatError(f"{what}: expected integer, got {tok!r}", lineno)
 
 
+def _route(recs, fmt: str, own: tuple[str, ...], *groups):
+    """Yield the records of a composite format whose first token is in own,
+    in line order, and append each record of an embedded part to the list
+    of the (tokens, list) group whose tokens hold its first token.  Any
+    other record raises at its line, in order with the yielded ones."""
+    for lineno, toks in recs:
+        if toks[0] in own:
+            yield lineno, toks
+            continue
+        for tokens, out in groups:
+            if toks[0] in tokens:
+                out.append((lineno, toks))
+                break
+        else:
+            raise FormatError(f"unexpected record {toks[0]!r} in {fmt}", lineno)
+
+
 def parse_instance(format_tag: str, text: str):
     """Parse text in the tagged format into a validated instance."""
-    if format_tag not in FORMAT_TAGS:
+    if format_tag not in FORMATS:
         raise FormatError(f"unknown format tag {format_tag!r}")
-    recs = _check_header(_records(text))
-    parser = {
-        "graph": _parse_graph,
-        "tree": _parse_tree,
-        "decomposition": _parse_decomposition,
-        "tcmc": _parse_tcmc,
-        "cnf": _parse_cnf,
-        "listcol": _parse_listcol,
-        "logtw": _parse_logtw,
-        "machine": _parse_machine,
-    }[format_tag]
-    return parser(recs)
+    return FORMATS[format_tag].parse(_check_header(_records(text)))
 
 
 def serialize_instance(instance) -> str:
     """Serialize a validated instance; inverse of parse_instance."""
-    lines = [HEADER]
-    if isinstance(instance, Graph):
-        lines += _graph_lines(instance)
-    elif isinstance(instance, OrderedTree):
-        lines += _tree_lines(instance)
-    elif isinstance(instance, TreeDecomposition):
-        lines += _decomposition_lines(instance)
-    elif isinstance(instance, TcmcInstance):
-        lines.append(f"tcmc {instance.k}")
-        lines += _graph_lines(instance.graph)
-        lines += _tree_lines(instance.tree)
-        for (i, j) in sorted(instance.classes):
-            vs = " ".join(str(v) for v in sorted(instance.classes[(i, j)]))
-            lines.append(f"class {i} {j} {vs}".rstrip())
-    elif isinstance(instance, TreeChainedCnf):
-        lines.append(f"cnf {instance.variant} {instance.k}")
-        lines += _tree_lines(instance.tree)
-        slot = {}
-        if instance.partition is not None:
-            for (i, j), cell in instance.partition.items():
-                for x in cell:
-                    slot[x] = j
-        for x in instance.all_variables():
-            i = instance.node_of_var(x)
-            name = instance.var_names[x]
-            if x in slot:
-                lines.append(f"var {i} {name} {slot[x]}")
-            else:
-                lines.append(f"var {i} {name}")
-        for clause in instance.clauses:
-            lits = " ".join(
-                instance.var_names[lit] if lit > 0 else "-" + instance.var_names[-lit]
-                for lit in clause)
-            lines.append(f"c {lits}".rstrip())
-    elif isinstance(instance, ListColoringInstance):
-        lines.append("listcol")
-        lines += _graph_lines(instance.graph)
-        lines.append("palette " + " ".join(str(c) for c in sorted(instance.palette)))
-        for v in sorted(instance.lists):
-            cs = " ".join(str(c) for c in sorted(instance.lists[v]))
-            lines.append(f"list {v} {cs}")
-        for v in sorted(instance.precolored):
-            lines.append(f"pre {v} {instance.precolored[v]}")
-    elif isinstance(instance, LogTwGraphInstance):
-        lines.append(f"logtw {instance.k} {instance.target_weight}")
-        lines.append(f"problem {instance.problem}")
-        lines += _graph_lines(instance.graph)
-        lines += _decomposition_lines(instance.decomposition)
-    elif isinstance(instance, MachineSpec):
-        lines += _machine_lines(instance)
-    else:
+    fmt = _FORMAT_OF_TYPE.get(type(instance))
+    if fmt is None:
         raise FormatError(f"cannot serialize {type(instance).__name__}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([HEADER, *fmt.lines(instance)]) + "\n"
 
 
 # ---------------------------------------------------------------- graph
@@ -139,11 +109,10 @@ def _graph_lines(g: Graph) -> list[str]:
     return lines
 
 
-def _parse_graph_records(recs, allow_extra=False):
+def _parse_graph_records(recs) -> Graph:
     n = m = None
     edges = set()
     labels = {}
-    rest = []
     for lineno, toks in recs:
         if toks[0] == "p":
             if len(toks) != 4 or toks[1] != "graph":
@@ -164,20 +133,13 @@ def _parse_graph_records(recs, allow_extra=False):
             if len(toks) < 3:
                 raise FormatError("expected 'label <v> <text>'", lineno)
             labels[_int(toks[1], lineno, "label vertex")] = " ".join(toks[2:])
-        elif allow_extra:
-            rest.append((lineno, toks))
         else:
             raise FormatError(f"unexpected record {toks[0]!r} in graph", lineno)
     if n is None:
         raise FormatError("missing 'p graph' record")
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, found {len(edges)}")
-    return Graph(n=n, edges=frozenset(edges), labels=labels), rest
-
-
-def _parse_graph(recs) -> Graph:
-    g, _ = _parse_graph_records(recs)
-    return g
+    return Graph(n=n, edges=frozenset(edges), labels=labels)
 
 
 # ---------------------------------------------------------------- tree
@@ -190,10 +152,9 @@ def _tree_lines(t: OrderedTree) -> list[str]:
     return lines
 
 
-def _parse_tree_records(recs, allow_extra=False):
+def _parse_tree_records(recs) -> OrderedTree:
     n = None
     arcs: dict[int, dict[int, int]] = {}
-    rest = []
     for lineno, toks in recs:
         if toks[0] == "t":
             if len(toks) != 2:
@@ -212,8 +173,6 @@ def _parse_tree_records(recs, allow_extra=False):
             if order in arcs.setdefault(p, {}):
                 raise FormatError(f"duplicate child order {order} at node {p}", lineno)
             arcs[p][order] = c
-        elif allow_extra:
-            rest.append((lineno, toks))
         else:
             raise FormatError(f"unexpected record {toks[0]!r} in tree", lineno)
     if n is None:
@@ -224,12 +183,7 @@ def _parse_tree_records(recs, allow_extra=False):
         if orders != list(range(1, len(orders) + 1)):
             raise FormatError(f"child orders of node {p} are not 1..{len(orders)}")
         children[p] = tuple(by_order[o] for o in orders)
-    return OrderedTree(n=n, children=children), rest
-
-
-def _parse_tree(recs) -> OrderedTree:
-    t, _ = _parse_tree_records(recs)
-    return t
+    return OrderedTree(n=n, children=children)
 
 
 # ------------------------------------------------------- decomposition
@@ -242,23 +196,15 @@ def _decomposition_lines(dec: TreeDecomposition) -> list[str]:
     return lines
 
 
-def _parse_decomposition_records(recs, allow_extra=False):
+def _parse_decomposition_records(recs) -> TreeDecomposition:
     bag_recs = []
-    rest = []
     tree_recs = []
-    for lineno, toks in recs:
-        if toks[0] == "bag":
-            if len(toks) < 2:
-                raise FormatError("expected 'bag <node> <v...>'", lineno)
-            i = _int(toks[1], lineno, "bag node")
-            bag_recs.append((lineno, i, [_int(v, lineno, "bag vertex") for v in toks[2:]]))
-        elif toks[0] in ("t", "a"):
-            tree_recs.append((lineno, toks))
-        elif allow_extra:
-            rest.append((lineno, toks))
-        else:
-            raise FormatError(f"unexpected record {toks[0]!r} in decomposition", lineno)
-    tree, _ = _parse_tree_records(tree_recs)
+    for lineno, toks in _route(recs, "decomposition", ("bag",), (_TREE_TOKENS, tree_recs)):
+        if len(toks) < 2:
+            raise FormatError("expected 'bag <node> <v...>'", lineno)
+        i = _int(toks[1], lineno, "bag node")
+        bag_recs.append((lineno, i, [_int(v, lineno, "bag vertex") for v in toks[2:]]))
+    tree = _parse_tree_records(tree_recs)
     bags: dict[int, frozenset[int]] = {}
     for lineno, i, vs in bag_recs:
         if i in bags:
@@ -266,21 +212,26 @@ def _parse_decomposition_records(recs, allow_extra=False):
         bags[i] = frozenset(vs)
     for i in tree.nodes():
         bags.setdefault(i, frozenset())
-    return TreeDecomposition(tree=tree, bags=bags), rest
-
-
-def _parse_decomposition(recs) -> TreeDecomposition:
-    dec, _ = _parse_decomposition_records(recs)
-    return dec
+    return TreeDecomposition(tree=tree, bags=bags)
 
 
 # ---------------------------------------------------------------- tcmc
 
+def _tcmc_lines(inst: TcmcInstance) -> list[str]:
+    lines = [f"tcmc {inst.k}", *_graph_lines(inst.graph), *_tree_lines(inst.tree)]
+    for (i, j) in sorted(inst.classes):
+        vs = " ".join(str(v) for v in sorted(inst.classes[(i, j)]))
+        lines.append(f"class {i} {j} {vs}".rstrip())
+    return lines
+
+
 def _parse_tcmc(recs) -> TcmcInstance:
     k = None
     class_recs = []
-    other = []
-    for lineno, toks in recs:
+    graph_recs = []
+    tree_recs = []
+    for lineno, toks in _route(recs, "tcmc", ("tcmc", "class"),
+                               (_GRAPH_TOKENS, graph_recs), (_TREE_TOKENS, tree_recs)):
         if toks[0] == "tcmc":
             if len(toks) != 2:
                 raise FormatError("expected 'tcmc <k>'", lineno)
@@ -292,19 +243,10 @@ def _parse_tcmc(recs) -> TcmcInstance:
             j = _int(toks[2], lineno, "class color")
             vs = [_int(v, lineno, "class vertex") for v in toks[3:]]
             class_recs.append((lineno, i, j, vs))
-        else:
-            other.append((lineno, toks))
     if k is None:
         raise FormatError("missing 'tcmc <k>' record")
-    graph_recs = [(ln, t) for ln, t in other if t[0] in ("p", "e", "label")]
-    tree_recs = [(ln, t) for ln, t in other if t[0] in ("t", "a")]
-    leftovers = [(ln, t) for ln, t in other
-                 if t[0] not in ("p", "e", "label", "t", "a")]
-    if leftovers:
-        ln, t = leftovers[0]
-        raise FormatError(f"unexpected record {t[0]!r} in tcmc", ln)
-    graph, _ = _parse_graph_records(graph_recs)
-    tree, _ = _parse_tree_records(tree_recs)
+    graph = _parse_graph_records(graph_recs)
+    tree = _parse_tree_records(tree_recs)
     classes: dict[tuple[int, int], frozenset[int]] = {}
     for lineno, i, j, vs in class_recs:
         if (i, j) in classes:
@@ -318,13 +260,35 @@ def _parse_tcmc(recs) -> TcmcInstance:
 
 # ----------------------------------------------------------------- cnf
 
+def _cnf_lines(inst: TreeChainedCnf) -> list[str]:
+    lines = [f"cnf {inst.variant} {inst.k}", *_tree_lines(inst.tree)]
+    slot = {}
+    if inst.partition is not None:
+        for (i, j), cell in inst.partition.items():
+            for x in cell:
+                slot[x] = j
+    for x in inst.all_variables():
+        i = inst.node_of_var(x)
+        name = inst.var_names[x]
+        if x in slot:
+            lines.append(f"var {i} {name} {slot[x]}")
+        else:
+            lines.append(f"var {i} {name}")
+    for clause in inst.clauses:
+        lits = " ".join(
+            inst.var_names[lit] if lit > 0 else "-" + inst.var_names[-lit]
+            for lit in clause)
+        lines.append(f"c {lits}".rstrip())
+    return lines
+
+
 def _parse_cnf(recs) -> TreeChainedCnf:
     variant = None
     k = None
     var_recs = []
     clause_recs = []
     tree_recs = []
-    for lineno, toks in recs:
+    for lineno, toks in _route(recs, "cnf", ("cnf", "var", "c"), (_TREE_TOKENS, tree_recs)):
         if toks[0] == "cnf":
             if len(toks) != 3:
                 raise FormatError("expected 'cnf <variant> <k>'", lineno)
@@ -338,13 +302,9 @@ def _parse_cnf(recs) -> TreeChainedCnf:
             var_recs.append((lineno, node, toks[2], slot))
         elif toks[0] == "c":
             clause_recs.append((lineno, toks[1:]))
-        elif toks[0] in ("t", "a"):
-            tree_recs.append((lineno, toks))
-        else:
-            raise FormatError(f"unexpected record {toks[0]!r} in cnf", lineno)
     if variant is None:
         raise FormatError("missing 'cnf <variant> <k>' record")
-    tree, _ = _parse_tree_records(tree_recs)
+    tree = _parse_tree_records(tree_recs)
     variable_sets: dict[int, set[int]] = {i: set() for i in tree.nodes()}
     var_names: dict[int, str] = {}
     id_of: dict[str, int] = {}
@@ -393,14 +353,24 @@ def _parse_cnf(recs) -> TreeChainedCnf:
 
 # ------------------------------------------------------------- listcol
 
+def _listcol_lines(inst: ListColoringInstance) -> list[str]:
+    lines = ["listcol", *_graph_lines(inst.graph)]
+    lines.append("palette " + " ".join(str(c) for c in sorted(inst.palette)))
+    for v in sorted(inst.lists):
+        cs = " ".join(str(c) for c in sorted(inst.lists[v]))
+        lines.append(f"list {v} {cs}")
+    for v in sorted(inst.precolored):
+        lines.append(f"pre {v} {inst.precolored[v]}")
+    return lines
+
+
 def _parse_listcol(recs) -> ListColoringInstance:
     palette = None
     lists: dict[int, frozenset[int]] = {}
     precolored: dict[int, int] = {}
-    other = []
-    for lineno, toks in recs:
-        if toks[0] == "listcol":
-            continue
+    graph_recs = []
+    for lineno, toks in _route(recs, "listcol", ("listcol", "palette", "list", "pre"),
+                               (_GRAPH_TOKENS, graph_recs)):
         if toks[0] == "palette":
             palette = frozenset(_int(c, lineno, "palette color") for c in toks[1:])
         elif toks[0] == "list":
@@ -417,25 +387,27 @@ def _parse_listcol(recs) -> ListColoringInstance:
             if v in precolored:
                 raise FormatError(f"duplicate precoloring of vertex {v}", lineno)
             precolored[v] = _int(toks[2], lineno, "precolor")
-        elif toks[0] in ("p", "e", "label"):
-            other.append((lineno, toks))
-        else:
-            raise FormatError(f"unexpected record {toks[0]!r} in listcol", lineno)
     if palette is None:
         raise FormatError("missing 'palette' record")
-    graph, _ = _parse_graph_records(other)
+    graph = _parse_graph_records(graph_recs)
     return ListColoringInstance(graph=graph, palette=palette,
                                 lists=lists, precolored=precolored)
 
 
 # --------------------------------------------------------------- logtw
 
+def _logtw_lines(inst: LogTwGraphInstance) -> list[str]:
+    return [f"logtw {inst.k} {inst.target_weight}", f"problem {inst.problem}",
+            *_graph_lines(inst.graph), *_decomposition_lines(inst.decomposition)]
+
+
 def _parse_logtw(recs) -> LogTwGraphInstance:
     k = weight = None
     problem = "is"
     graph_recs = []
     dec_recs = []
-    for lineno, toks in recs:
+    for lineno, toks in _route(recs, "logtw", ("logtw", "problem"),
+                               (_GRAPH_TOKENS, graph_recs), (_TREE_TOKENS + ("bag",), dec_recs)):
         if toks[0] == "logtw":
             if len(toks) != 3:
                 raise FormatError("expected 'logtw <k> <W>'", lineno)
@@ -445,16 +417,10 @@ def _parse_logtw(recs) -> LogTwGraphInstance:
             if len(toks) != 2:
                 raise FormatError("expected 'problem <tag>'", lineno)
             problem = toks[1]
-        elif toks[0] in ("p", "e", "label"):
-            graph_recs.append((lineno, toks))
-        elif toks[0] in ("t", "a", "bag"):
-            dec_recs.append((lineno, toks))
-        else:
-            raise FormatError(f"unexpected record {toks[0]!r} in logtw", lineno)
     if k is None or weight is None:
         raise FormatError("missing 'logtw <k> <W>' record")
-    graph, _ = _parse_graph_records(graph_recs)
-    dec, _ = _parse_decomposition_records(dec_recs)
+    graph = _parse_graph_records(graph_recs)
+    dec = _parse_decomposition_records(dec_recs)
     return LogTwGraphInstance(graph=graph, decomposition=dec,
                               target_weight=weight, k=k, problem=problem)
 
@@ -552,3 +518,20 @@ def _parse_machine(recs) -> MachineSpec:
         work_alphabet=work_alphabet,
         transitions={k: tuple(v) for k, v in transitions.items()},
     )
+
+
+# --------------------------------------------------------------- table
+
+FORMATS = {
+    "graph": Format(Graph, _graph_lines, _parse_graph_records),
+    "tree": Format(OrderedTree, _tree_lines, _parse_tree_records),
+    "decomposition": Format(TreeDecomposition, _decomposition_lines,
+                            _parse_decomposition_records),
+    "tcmc": Format(TcmcInstance, _tcmc_lines, _parse_tcmc),
+    "cnf": Format(TreeChainedCnf, _cnf_lines, _parse_cnf),
+    "listcol": Format(ListColoringInstance, _listcol_lines, _parse_listcol),
+    "logtw": Format(LogTwGraphInstance, _logtw_lines, _parse_logtw),
+    "machine": Format(MachineSpec, _machine_lines, _parse_machine),
+}
+
+_FORMAT_OF_TYPE = {fmt.type: fmt for fmt in FORMATS.values()}

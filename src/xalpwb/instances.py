@@ -507,26 +507,3 @@ class ResourceBudget:
             val = getattr(self, name)
             if val is not None and val < 0:
                 raise InvariantViolation(f"budget field {name} must be nonnegative")
-
-
-def equal_size_classes(instance: TcmcInstance) -> TcmcInstance:
-    """Optional normalization: pad every class with isolated vertices until
-    all classes have the same size.  Isolated vertices can never join a
-    multicolor clique (in instances with more than one class), so clique
-    solvability is preserved; complement first if independent-set semantics
-    are wanted.  Provided as an optional transform, not a format constraint."""
-    if not instance.classes:
-        return instance
-    target = max(len(vs) for vs in instance.classes.values())
-    next_v = instance.graph.n + 1
-    classes = {}
-    for key in sorted(instance.classes):
-        vs = set(instance.classes[key])
-        while len(vs) < target:
-            vs.add(next_v)
-            next_v += 1
-        classes[key] = frozenset(vs)
-    graph = Graph(n=next_v - 1, edges=instance.graph.edges,
-                  labels=dict(instance.graph.labels))
-    return TcmcInstance(tree=instance.tree, k=instance.k,
-                        classes=classes, graph=graph)

@@ -18,7 +18,7 @@ exhaustive enumeration in a fixed order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .instances import (
@@ -346,42 +346,48 @@ def _pick_child(succ, cost, part) -> Part:
 
 
 def _tree_depth_and_co(succ, cost, root) -> tuple[int, int]:
-    """Depth and max universal steps per path of the recovered minimal tree."""
-    memo: dict[Part, tuple[int, int]] = {}
+    """Depth and max universal steps per path of the recovered minimal tree.
 
-    def rec(part: Part) -> tuple[int, int]:
-        if part in memo:
-            return memo[part]
+    One loop over cost, which lists parts in finalization order: a part's
+    tree children cost less than it, so they come earlier."""
+    got: dict[Part, tuple[int, int]] = {}
+    for part in cost:
         kind = succ[part][0]
         if kind == "leaf":
             res = (0, 0)
         elif kind == "or":
-            d, co = rec(_pick_child(succ, cost, part))
+            d, co = got[_pick_child(succ, cost, part)]
             res = (d + 1, co)
         else:
-            (d1, co1) = rec(succ[part][1][0])
-            (d2, co2) = rec(succ[part][1][1])
+            (d1, co1), (d2, co2) = got[succ[part][1][0]], got[succ[part][1][1]]
             res = (1 + max(d1, d2), 1 + max(co1, co2))
-        memo[part] = res
-        return res
+        if part == root:
+            return res
+        got[part] = res
+    raise AssertionError("root has no accepting tree")
 
-    return rec(root)
 
-
-def eval_alternating(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
-    """Alternating semantics: accepted iff an accepting computation tree with
-    at most budget.tree_size nodes exists; reports the smallest such tree."""
-    _require_stack_free(m, "eval_alternating")
+def _smallest_tree(m: MachineSpec, x: str, budget: ResourceBudget, what: str):
+    """Shared front of eval_alternating and eval_balanced: the alternating
+    RunStats of the smallest accepting tree, with the (succ, cost, root)
+    tables it was read from."""
+    _require_stack_free(m, what)
     _require_budget(budget, "tree_size")
     succ, parents = _explore_alternation(m, x)
     cost = _min_tree_costs(succ, parents)
     init = initial_part(m, x)
     best = cost.get(init)
     if best is None or best > budget.tree_size:
-        return RunStats(accepted=False, exhausted=best is not None)
+        return RunStats(accepted=False, exhausted=best is not None), succ, cost, init
     depth, co = _tree_depth_and_co(succ, cost, init)
-    return RunStats(accepted=True, tree_nodes=best,
-                    max_co_nondet_on_path=co, steps_used=depth)
+    return (RunStats(accepted=True, tree_nodes=best, max_co_nondet_on_path=co,
+                     steps_used=depth), succ, cost, init)
+
+
+def eval_alternating(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
+    """Alternating semantics: accepted iff an accepting computation tree with
+    at most budget.tree_size nodes exists; reports the smallest such tree."""
+    return _smallest_tree(m, x, budget, "eval_alternating")[0]
 
 
 # ------------------------------------------------------------ shaped runs
@@ -798,7 +804,9 @@ class _TreeNode:
 
 
 def _build_min_tree(succ, cost, root_part: Part) -> _TreeNode:
-    root = _TreeNode(root_part)
+    """The minimal accepting tree as nodes; a part's subtree has cost[part]
+    nodes."""
+    root = _TreeNode(root_part, size=cost[root_part])
     stack = [root]
     while stack:
         node = stack.pop()
@@ -810,15 +818,9 @@ def _build_min_tree(succ, cost, root_part: Part) -> _TreeNode:
         else:
             kids = succ[node.part][1]
         for kp in kids:
-            kid = _TreeNode(kp, parent=node)
+            kid = _TreeNode(kp, parent=node, size=cost[kp])
             node.kids.append(kid)
             stack.append(kid)
-
-    def fill(node: _TreeNode) -> int:
-        node.size = 1 + sum(fill(k) for k in node.kids)
-        return node.size
-
-    fill(root)
     return root
 
 
@@ -941,20 +943,11 @@ def eval_balanced(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
     tree_nodes reports the underlying minimal accepting tree;
     max_co_nondet_on_path meters the rebalanced verification.
     """
-    _require_stack_free(m, "eval_balanced")
-    _require_budget(budget, "tree_size")
-    succ, parents = _explore_alternation(m, x)
-    cost = _min_tree_costs(succ, parents)
-    init = initial_part(m, x)
-    best = cost.get(init)
-    if best is None or best > budget.tree_size:
-        return RunStats(accepted=False, exhausted=best is not None)
+    stats, succ, cost, init = _smallest_tree(m, x, budget, "eval_balanced")
+    if not stats.accepted:
+        return stats
     tree = _build_min_tree(succ, cost, init)
-    assert tree.size == best
-    co = _balanced_co_meter(tree, m.accepting)
-    depth, _ = _tree_depth_and_co(succ, cost, init)
-    return RunStats(accepted=True, tree_nodes=best,
-                    max_co_nondet_on_path=co, steps_used=depth)
+    return replace(stats, max_co_nondet_on_path=_balanced_co_meter(tree, m.accepting))
 
 
 EVALUATORS = {

@@ -190,6 +190,11 @@ def test_verify_machines_exit_0(workdir, capsys):
                  "--max-input-len", "3"]) == 0
 
 
+def test_verify_missing_machines_dir_exit_2(workdir, capsys):
+    assert main(["verify", "--machines", "no-such-dir"]) == 2
+    assert "no-such-dir" in capsys.readouterr().err
+
+
 def test_machine_eval_contract(workdir, corpus, capsys):
     pathlib.Path("acc.mach").write_text(serialize_instance(corpus["accept_now"]))
     for semantics in ("alt", "balanced", "altstack", "stack", "stackalt"):

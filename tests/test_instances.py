@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from xalpwb.formats import parse_instance, serialize_instance
+from xalpwb.formats import FORMATS, parse_instance, serialize_instance
 from xalpwb.instances import (
     FormatError,
     Graph,
@@ -12,11 +12,9 @@ from xalpwb.instances import (
     ListColoringInstance,
     LogTwGraphInstance,
     OrderedTree,
-    TcmcInstance,
     TreeChainedCnf,
     TreeDecomposition,
     ceil_log2,
-    equal_size_classes,
     validate_decomposition,
 )
 from xalpwb.verify import generate_instance
@@ -182,6 +180,26 @@ def test_round_trip(family):
         assert parse_instance(tag, text) == inst
 
 
+def test_every_format_tag_round_trips(corpus):
+    cases = [("machine", m) for m in corpus.values()]
+    for seed in range(8):
+        dec = generate_instance("logtw-is", None, seed=seed).decomposition
+        cases += [("decomposition", dec), ("tree", dec.tree)]
+    cases += [(tag, generate_instance(family, None, seed=0))
+              for family, tag in (("graph", "graph"), ("tcmc", "tcmc"), ("negcnf", "cnf"),
+                                  ("listcol", "listcol"), ("logtw-is", "logtw"))]
+    assert {tag for tag, _ in cases} == set(FORMATS)
+    for tag, inst in cases:
+        assert FORMATS[tag].type is type(inst)
+        assert parse_instance(tag, serialize_instance(inst)) == inst
+
+
+@pytest.mark.parametrize("tag", ["decomposition", "tcmc", "cnf", "listcol", "logtw"])
+def test_composite_format_reports_foreign_record_at_its_line(tag):
+    with pytest.raises(FormatError, match=f"line 2: unexpected record 'zzz' in {tag}"):
+        parse_instance(tag, "xalpwb 1\nzzz 1\n")
+
+
 def test_round_trip_empty_edge_graph():
     g = Graph(n=3)
     text = serialize_instance(g)
@@ -227,17 +245,6 @@ def test_logtw_width_bound_checked():
                              bags={1: frozenset({1, 2, 3, 4})})
     with pytest.raises(InvariantViolation, match="exceeds"):
         LogTwGraphInstance(graph=big, decomposition=wide, target_weight=0, k=1)
-
-
-def test_equal_size_class_padding():
-    tree = OrderedTree(n=1)
-    inst = TcmcInstance(tree=tree, k=2,
-                        classes={(1, 1): frozenset({1, 2}), (1, 2): frozenset({3})},
-                        graph=Graph(n=3))
-    padded = equal_size_classes(inst)
-    sizes = {len(vs) for vs in padded.classes.values()}
-    assert sizes == {2}
-    assert padded.graph.n == 4
 
 
 def _mutate(rng, text):

@@ -145,6 +145,13 @@ def test_balanced_matches_alternating(toys):
         assert a.tree_nodes == b.tree_nodes
 
 
+@pytest.mark.parametrize("evaluate", [eval_alternating, eval_balanced])
+def test_deep_minimal_tree_accepts(corpus, evaluate):
+    budget = ResourceBudget(time_steps=5000, tree_size=5000)
+    stats = evaluate(corpus["find_one"], "0" * 2500 + "1", budget)
+    assert stats.accepted and stats.tree_nodes == 2502 and stats.steps_used == 2501
+
+
 # --------------------------------------------------------- shaped runs
 
 def test_shaped_single_node(toys):
