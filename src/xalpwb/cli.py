@@ -124,8 +124,12 @@ def cmd_verify(args) -> int:
             _write(f"{args.report}.cex{i}.txt", cex)
     else:
         sys.stdout.write(text)
-    print(f"agreements={report.agreements} disagreements={len(report.disagreements)} "
-          f"skips={len(report.skips)}")
+    summary = (f"agreements={report.agreements} disagreements={len(report.disagreements)} "
+               f"skips={len(report.skips)}")
+    if not report.ok and not report.disagreements:
+        summary += (f" (over the skip budget {report.skip_budget:g} = "
+                    f"{verify.SKIP_BUDGET:g} x {report.trials} trials)")
+    print(summary)
     return EXIT_OK if report.ok else EXIT_DISAGREE
 
 

@@ -9,6 +9,7 @@ are 1-based dense integers; display labels are optional decoration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class XalpwbError(Exception):
@@ -82,6 +83,16 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         return adj
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Entry v is the int with bit 1 << u for each neighbour u of v;
+        entry 0 is 0.  Computed on first use and kept on the instance."""
+        nbr = [0] * (self.n + 1)
+        for u, v in self.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return tuple(nbr)
 
 
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -204,15 +215,16 @@ def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> Decompositio
 
     Returns the width when all conditions hold, otherwise the first violated
     condition (vertex coverage, edge coverage, occurrence connectivity) with
-    a witness.
+    a witness.  The tree nodes whose bags hold v induce a forest, which is
+    connected exactly when it has one node more than it has edges.
     """
-    occ: dict[int, set[int]] = {v: set() for v in graph.vertices()}
+    occ = dict.fromkeys(graph.vertices(), 0)  # v -> its tree nodes as bits
     for i, bag in dec.bags.items():
         for v in bag:
             if v not in occ:
                 return DecompositionCheck(
                     False, violation=f"bag vertex out of range: {v}", witness=v)
-            occ[v].add(i)
+            occ[v] |= 1 << i
     for v in graph.vertices():
         if not occ[v]:
             return DecompositionCheck(
@@ -221,22 +233,14 @@ def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> Decompositio
         if not occ[u] & occ[v]:
             return DecompositionCheck(
                 False, violation=f"edge uncovered: {{{u},{v}}}", witness=(u, v))
+    links = dict.fromkeys(graph.vertices(), 0)  # v -> tree edges inside occ[v]
+    for p, cs in dec.tree.children.items():
+        up = dec.bags[p]
+        for c in cs:
+            for v in dec.bags[c] & up:
+                links[v] += 1
     for v in graph.vertices():
-        nodes = occ[v]
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            around = list(dec.tree.child_list(i))
-            p = dec.tree.parent(i)
-            if p is not None:
-                around.append(p)
-            for j in around:
-                if j in nodes and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if seen != nodes:
+        if occ[v].bit_count() != links[v] + 1:
             return DecompositionCheck(
                 False, violation=f"occurrences disconnected: {v}", witness=v)
     return DecompositionCheck(True, width=dec.width())
@@ -459,7 +463,8 @@ LOGTW_PROBLEMS = ("is", "vc", "rbds", "ds")
 @dataclass(frozen=True)
 class LogTwGraphInstance:
     """Graph problem instance carrying its own decomposition witness and a
-    declared logarithmic-treewidth parameter k: width <= k * ceil(log2 n)."""
+    declared logarithmic-treewidth parameter k: width <= k * ceil(log2 n).
+    The decomposition is validated once, here; width keeps the result."""
 
     graph: Graph
     decomposition: TreeDecomposition
@@ -475,6 +480,7 @@ class LogTwGraphInstance:
         check = validate_decomposition(self.graph, self.decomposition)
         if not check.ok:
             raise InvariantViolation(f"invalid decomposition: {check.violation}")
+        object.__setattr__(self, "_width", check.width)
         bound = self.k * ceil_log2(self.graph.n)
         if check.width > bound:
             raise InvariantViolation(
@@ -486,6 +492,11 @@ class LogTwGraphInstance:
                 if self.graph.labels.get(v) not in ("red", "blue"):
                     raise InvariantViolation(
                         f"rbds instance needs red/blue label on vertex {v}")
+
+    @property
+    def width(self) -> int:
+        """Width of the decomposition, as validated at construction."""
+        return self._width  # type: ignore[attr-defined]
 
     def red_vertices(self) -> list[int]:
         return [v for v in self.graph.vertices() if self.graph.labels.get(v) == "red"]

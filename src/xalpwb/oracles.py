@@ -24,7 +24,7 @@ from .instances import (
     TcmcInstance,
     TreeChainedCnf,
     TreeDecomposition,
-    validate_decomposition,
+    validate_decomposition,  # verify checks reduction witnesses through this name
 )
 
 DEFAULT_CAP = 1 << 20
@@ -45,6 +45,19 @@ def _guard(size: int, cap: int | None, what: str):
     cap = resolve_cap(cap)
     if size > cap:
         raise CapExceeded(f"instance too large for oracle: {what} {size} > cap {cap}")
+
+
+def _mask(vertices) -> int:
+    """Vertex set as an int with bit 1 << v for each vertex v."""
+    return sum(1 << v for v in vertices)
+
+
+def _bits(mask: int):
+    """The set bits of mask as vertex ids, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ------------------------------------------------------------------ tcmc
@@ -72,8 +85,10 @@ def check_tcmc_solution(instance: TcmcInstance, mode: str,
 def solve_tcmc_bruteforce(instance: TcmcInstance, mode: str = "clique",
                           cap: int | None = None):
     """Exact decision by enumerating one vertex per class; backtracks over
-    classes in tree order so constraints prune early.  Returns
-    (solvable, choice or None)."""
+    classes in tree order so constraints prune early, trying each class's
+    vertices in increasing order.  A class's candidates are its vertex mask
+    cut down by the neighbour masks of the earlier chosen vertices it is
+    constrained with.  Returns (solvable, choice or None)."""
     if mode not in TCMC_MODES:
         raise InvariantViolation(f"unknown tcmc mode {mode!r}")
     keys = [(i, j) for i in instance.tree.preorder()
@@ -90,22 +105,28 @@ def solve_tcmc_bruteforce(instance: TcmcInstance, mode: str = "clique",
         if index[a] > index[b]:
             a, b = b, a
         earlier[b].append(a)
+    nbr = instance.graph.neighbour_masks
+    clique = mode == "clique"
+    members = {key: _mask(instance.classes[key]) for key in keys}
     choice: dict[tuple[int, int], int] = {}
 
-    def backtrack(pos: int) -> bool:
-        if pos == len(keys):
-            return True
-        key = keys[pos]
-        for v in sorted(instance.classes[key]):
-            if all(_pair_ok(instance.graph, choice[a], v, mode) for a in earlier[key]):
-                choice[key] = v
-                if backtrack(pos + 1):
-                    return True
-                del choice[key]
-        return False
+    def candidates(key):
+        allowed = members[key]
+        for a in earlier[key]:
+            allowed &= nbr[choice[a]] if clique else ~nbr[choice[a]]
+        return _bits(allowed)
 
-    if backtrack(0):
-        return True, dict(choice)
+    # one candidate iterator per class chosen so far, and one for the next
+    todo = [candidates(keys[0])]
+    while todo:
+        v = next(todo[-1], None)
+        if v is None:
+            todo.pop()
+            continue
+        choice[keys[len(todo) - 1]] = v
+        if len(todo) == len(keys):
+            return True, choice
+        todo.append(candidates(keys[len(todo)]))
     return False, None
 
 
@@ -124,44 +145,53 @@ def solve_tcmc_traversal(instance: TcmcInstance, mode: str = "clique",
         for j in ks:
             space *= max(len(instance.classes[(i, j)]), 1)
         _guard(space, cap, f"per-node choice space at {i}")
+    nbr = instance.graph.neighbour_masks
+    clique = mode == "clique"
 
-    def selections(i: int):
+    def fits(v: int, mask: int) -> bool:
+        # v is adjacent to all of mask (clique) or to none of it
+        return not mask & ~nbr[v] if clique else not mask & nbr[v]
+
+    def selections(i: int, parent_sel: tuple[int, ...] | None):
+        # the node's selections in product order that fit the parent's
+        above = _mask(parent_sel) if parent_sel is not None else 0
         pools = [sorted(instance.classes[(i, j)]) for j in ks]
         for combo in itertools.product(*pools):
-            good = True
-            for j1 in range(instance.k):
-                for j2 in range(j1 + 1, instance.k):
-                    if not _pair_ok(instance.graph, combo[j1], combo[j2], mode):
-                        good = False
-                        break
-                if not good:
+            seen = above
+            for cv in combo:
+                if not fits(cv, seen):
                     break
-            if good:
+                seen |= 1 << cv
+            else:
                 yield combo
 
     # (node, parent selection) -> the node's first workable selection, or None
     memo: dict[tuple[int, tuple[int, ...] | None], tuple[int, ...] | None] = {}
-
-    def down(i: int, parent_sel: tuple[int, ...] | None) -> bool:
-        key = (i, parent_sel)
-        if key in memo:
-            return memo[key] is not None
-        res = None
-        for sel in selections(i):
-            if parent_sel is not None:
-                good = all(
-                    _pair_ok(instance.graph, pv, cv, mode)
-                    for pv in parent_sel for cv in sel)
-                if not good:
-                    continue
-            if all(down(c, sel) for c in instance.tree.child_list(i)):
-                res = sel
-                break
-        memo[key] = res
-        return res is not None
-
     root = instance.tree.root
-    if not down(root, None):
+    # a frame is [node, parent selection, selections left, selection tried,
+    # index of its next child to settle]
+    todo = [[root, None, selections(root, None), None, 0]]
+    while todo:
+        frame = todo[-1]
+        i, parent_sel, sels, sel, pos = frame
+        kids = instance.tree.child_list(i)
+        if sel is not None and pos < len(kids):
+            below = memo.get((kids[pos], sel), False)
+            if below is False:  # not settled yet
+                todo.append([kids[pos], sel, selections(kids[pos], sel), None, 0])
+                continue
+            if below is not None:
+                frame[4] = pos + 1
+                continue
+        elif sel is not None:  # every child settled on a selection
+            memo[i, parent_sel] = sel
+            todo.pop()
+            continue
+        frame[3], frame[4] = next(sels, None), 0
+        if frame[3] is None:
+            memo[i, parent_sel] = None
+            todo.pop()
+    if memo[root, None] is None:
         return False, None
     choice: dict[tuple[int, int], int] = {}
     todo = [(root, memo[root, None])]
@@ -194,8 +224,32 @@ def check_cnf_solution(instance: TreeChainedCnf, true_vars: frozenset[int]) -> b
     return all(clause_satisfied(c, true_vars) for c in instance.clauses)
 
 
+def _first_satisfying(assignments, clauses: tuple[tuple[int, ...], ...]):
+    """The first assignment (an int with bit 1 << x for each true variable
+    x) that satisfies every clause, or None.  A clause is kept as a pair of
+    masks, its positive and its negated variables: it holds under a when
+    pos & a or neg & ~a."""
+    masks = []
+    for clause in clauses:
+        pos = neg = 0
+        for lit in clause:
+            if lit > 0:
+                pos |= 1 << lit
+            else:
+                neg |= 1 << -lit
+        masks.append((pos, neg))
+    for a in assignments:
+        for pos, neg in masks:
+            if not (pos & a or neg & ~a):
+                break
+        else:
+            return a
+    return None
+
+
 def solve_cnf_bruteforce(instance: TreeChainedCnf, cap: int | None = None):
-    """Exact decision honoring the variant's cardinality constraint.
+    """Exact decision honoring the variant's cardinality constraint, trying
+    assignments in product order over the sorted node (or cell) groups.
     Returns (satisfiable, frozenset of true variables or None)."""
     if instance.variant == "general":
         groups = []
@@ -204,27 +258,23 @@ def solve_cnf_bruteforce(instance: TreeChainedCnf, cap: int | None = None):
             xs = sorted(instance.variable_sets[i])
             opts = []
             for r in range(0, min(instance.k, len(xs)) + 1):
-                opts.extend(itertools.combinations(xs, r))
+                opts.extend(_mask(part) for part in itertools.combinations(xs, r))
             groups.append(opts)
             space *= max(len(opts), 1)
         _guard(space, cap, "assignment space")
-        for combo in itertools.product(*groups):
-            true_vars = frozenset(v for part in combo for v in part)
-            if all(clause_satisfied(c, true_vars) for c in instance.clauses):
-                return True, true_vars
+    else:
+        assert instance.partition is not None
+        cells = sorted(instance.partition)
+        space = 1
+        for cell in cells:
+            space *= max(len(instance.partition[cell]), 1)
+        _guard(space, cap, "assignment space")
+        groups = [[1 << x for x in sorted(instance.partition[cell])] for cell in cells]
+    # the groups' variables are disjoint, so a sum is their union
+    found = _first_satisfying(map(sum, itertools.product(*groups)), instance.clauses)
+    if found is None:
         return False, None
-    assert instance.partition is not None
-    cells = sorted(instance.partition)
-    space = 1
-    for cell in cells:
-        space *= max(len(instance.partition[cell]), 1)
-    _guard(space, cap, "assignment space")
-    pools = [sorted(instance.partition[cell]) for cell in cells]
-    for combo in itertools.product(*pools):
-        true_vars = frozenset(combo)
-        if all(clause_satisfied(c, true_vars) for c in instance.clauses):
-            return True, true_vars
-    return False, None
+    return True, frozenset(_bits(found))
 
 
 # --------------------------------------------------------------- listcol
@@ -288,7 +338,16 @@ def _dominates(adj: dict[int, set[int]], chosen: frozenset[int], v: int) -> bool
 
 
 def is_independent_set(graph: Graph, s: frozenset[int]) -> bool:
-    return all(not graph.has_edge(u, v) for u in s for v in s if u < v)
+    """No two members adjacent; each member is tested against the neighbour
+    mask of those before it.  Ids outside the graph have no edges."""
+    nbr = graph.neighbour_masks
+    before = 0
+    for v in s:
+        if 0 < v <= graph.n:
+            if nbr[v] & before:
+                return False
+            before |= 1 << v
+    return True
 
 
 def is_vertex_cover(graph: Graph, s: frozenset[int]) -> bool:
@@ -364,11 +423,6 @@ def optimum_subset(graph: Graph, problem: str, cap: int | None = None):
 _LEAF, _INTRODUCE, _FORGET, _JOIN = range(4)
 
 
-def _mask(vertices) -> int:
-    """Vertex set as an int with bit 1 << v for each vertex v."""
-    return sum(1 << v for v in vertices)
-
-
 def _nice_decomposition(dec: TreeDecomposition) -> list[tuple[int, int, int]]:
     """Convert a decomposition into leaf/introduce/forget/join form with the
     same width, listed in post-order as (kind, vertex, bag mask) steps.
@@ -427,25 +481,6 @@ def _run_dp(dec: TreeDecomposition, leaf: dict, introduce, forget, join) -> dict
             right = tables.pop()
             tables.append(join(tables.pop(), right))
     return tables.pop()
-
-
-def _validated_max_bag(instance: LogTwGraphInstance) -> int:
-    check = validate_decomposition(instance.graph, instance.decomposition)
-    if not check.ok:
-        raise InvariantViolation(f"invalid decomposition: {check.violation}")
-    return max(len(b) for b in instance.decomposition.bags.values())
-
-
-def _neighbour_masks(graph: Graph) -> list[int]:
-    nbr = [0] * (graph.n + 1)
-    for u, v in graph.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    return nbr
-
-
-def _members(mask: int) -> frozenset[int]:
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def _is_steps(nbr: list[int], shift: int, track: int):
@@ -577,8 +612,8 @@ def optimum_treedp(instance: LogTwGraphInstance, problem: str,
     if problem not in ("is", "vc", "ds", "rbds"):
         raise InvariantViolation(f"unknown subset problem {problem!r}")
     graph = instance.graph
-    max_bag = _validated_max_bag(instance)
-    nbr = _neighbour_masks(graph)
+    max_bag = instance.width + 1  # the decomposition was validated with the instance
+    nbr = graph.neighbour_masks
     shift, track = (graph.n + 1, -1) if witness else (0, 0)
     if problem in ("is", "vc"):
         _guard(1 << max_bag, cap, "bag mask space")
@@ -596,7 +631,7 @@ def optimum_treedp(instance: LogTwGraphInstance, problem: str,
     best = _run_dp(instance.decomposition, *steps).get(empty)
     if best is None:
         return float("inf"), None
-    return best >> shift, _members(best & ((1 << shift) - 1)) if witness else None
+    return best >> shift, frozenset(_bits(best & ((1 << shift) - 1))) if witness else None
 
 
 def solve_is_treedp(instance: LogTwGraphInstance, cap: int | None = None):

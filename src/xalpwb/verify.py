@@ -9,8 +9,9 @@ maps.  The logtw families are solved by the witness-producing
 decomposition DP; subset enumeration stays the oracles' small-n
 cross-check.  Trials are deterministic in (name, profile, seed);
 disagreements carry a replayable serialized counterexample, skips (an
-oracle's size cap reached before it starts) are reported separately and a
-report only passes when skips stay at or below 20% of the trials.
+oracle's size cap reached before it starts, or a chain's instance leaving
+a stage's domain) are reported separately with their reason as a note, and
+a report only passes when skips stay at or below 20% of the trials.
 """
 
 from __future__ import annotations
@@ -97,10 +98,15 @@ class VerificationReport:
         return self
 
     @property
+    def skip_budget(self) -> float:
+        """The most skips a passing report may have."""
+        return SKIP_BUDGET * max(self.trials, 1)
+
+    @property
     def ok(self) -> bool:
         if self.disagreements:
             return False
-        return len(self.skips) <= SKIP_BUDGET * max(self.trials, 1)
+        return len(self.skips) <= self.skip_budget
 
     def serialize(self) -> str:
         lines = [f"report {self.name} seed {self.seed} trials {self.trials}"]
@@ -569,8 +575,8 @@ def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
         art = _apply(name, source)
         src_ok, src_sol = src.decide(source, cap)
         tgt_ok, tgt_sol = tgt.decide(art.target, cap)
-    except CapExceeded:
-        return TrialOutcome("skip")
+    except CapExceeded as exc:
+        return TrialOutcome("skip", detail=str(exc))
     if src_ok != tgt_ok:
         return TrialOutcome("disagree",
                             detail=f"source {src_ok} target {tgt_ok}")
@@ -586,9 +592,11 @@ def _resource_checks(base: str, source, art: ReductionArtifact,
                      notes: list[str]) -> list[str]:
     problems = []
     if art.witness is not None:
-        graph = art.target.graph if hasattr(art.target, "graph") else None
-        if graph is not None:
-            check = oracles.validate_decomposition(graph, art.witness)
+        if art.witness is getattr(art.target, "decomposition", None):
+            # the target validated its own decomposition when it was built
+            notes.append(f"witness-width {art.target.width}")
+        elif hasattr(art.target, "graph"):
+            check = oracles.validate_decomposition(art.target.graph, art.witness)
             if not check.ok:
                 problems.append(f"witness invalid: {check.violation}")
             else:
@@ -676,6 +684,7 @@ def verify_reduction(name: str, trials: int, seed: int,
             report.agreements += 1
         elif outcome.status == "skip":
             report.skips.append(t)
+            report.resource_notes.append(f"trial {t} skip: {outcome.detail}")
         else:
             cex = serialize_counterexample(name, source)
             report.disagreements.append((t, cex))
@@ -713,8 +722,8 @@ def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOu
                 return TrialOutcome("skip", detail=str(exc))
         src_ok = FAMILIES[src_family].decide(source, cap, witness=False)[0]
         tgt_ok = FAMILIES[end_family].decide(current, cap, witness=False)[0]
-    except CapExceeded:
-        return TrialOutcome("skip")
+    except CapExceeded as exc:
+        return TrialOutcome("skip", detail=str(exc))
     if src_ok != tgt_ok:
         return TrialOutcome("disagree", detail=f"source {src_ok} end {tgt_ok}")
     return TrialOutcome("agree")
@@ -735,6 +744,7 @@ def verify_chain(chain: list[str], trials: int, seed: int,
             report.agreements += 1
         elif outcome.status == "skip":
             report.skips.append(t)
+            report.resource_notes.append(f"trial {t} skip: {outcome.detail}")
         else:
             report.disagreements.append((t, serialize_counterexample(name, source)))
     return report.finish()

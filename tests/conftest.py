@@ -1,5 +1,6 @@
 import pytest
 
+from xalpwb.instances import Graph, OrderedTree, TcmcInstance
 from xalpwb.machines import Action, MachineSpec
 
 
@@ -18,6 +19,15 @@ def make_machine(states, initial, accepting, mode, cells, alpha, transitions):
         work_alphabet=tuple(alpha),
         transitions=table,
     )
+
+
+def deep_path_tcmc(n: int) -> TcmcInstance:
+    """A path of n tree nodes, k=1, one singleton class per node, and an
+    edge between each node's vertex and the next one's."""
+    return TcmcInstance(
+        tree=OrderedTree(n=n, children={i: (i + 1,) for i in range(1, n)}), k=1,
+        classes={(i, 1): frozenset({i}) for i in range(1, n + 1)},
+        graph=Graph(n=n, edges=frozenset((i, i + 1) for i in range(1, n))))
 
 
 @pytest.fixture(scope="session")

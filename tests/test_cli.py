@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from conftest import deep_path_tcmc
 from xalpwb import oracles
 from xalpwb.cli import main
 from xalpwb.formats import parse_instance, serialize_instance
@@ -120,6 +121,17 @@ def test_solve_traversal_writes_witness(workdir, capsys):
     assert text.startswith("sol ") and oracles.check_tcmc_solution(inst, "clique", choice)
 
 
+def test_solve_tcmc_on_a_deep_path(workdir, capsys):
+    n = 1200
+    pathlib.Path("deep.tcmc").write_text(serialize_instance(deep_path_tcmc(n)))
+    expected = "sol " + " ".join(f"{i},1={i}" for i in range(1, n + 1)) + "\n"
+    for solver in ("brute", "traversal"):
+        assert main(["solve", "--problem", "tcmc", "-i", "deep.tcmc",
+                     "--solver", solver, "-o", "sol.txt"]) == 0
+        assert capsys.readouterr().out.strip() == "YES"
+        assert pathlib.Path("sol.txt").read_text() == expected
+
+
 @pytest.mark.parametrize("problem, family, flags, accepted", [
     ("cnf", "poscnf", ["--solver", "treedp"], "brute"),
     ("is", "logtw-is", ["--solver", "traversal"], "brute or treedp"),
@@ -180,6 +192,26 @@ def test_verify_fault_chain_exit_1_with_replayable_counterexample(workdir):
     cex_files = sorted(workdir.glob("rep.txt.cex*.txt"))
     assert cex_files
     assert replay_counterexample(cex_files[0].read_text())
+
+
+def test_verify_names_each_skip_reason_and_the_skip_budget(workdir, capsys):
+    chain = "atm-tcmc,tcmc-tcmis,tcmis-negcnf,negcnf-poscnf,part-gencnf"
+    assert main(["verify", "--chain", chain, "--trials", "50", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    skipped = [ln.split()[1] for ln in lines if ln.startswith("trial ") and ln.endswith(" skip")]
+    notes = [ln.removeprefix("note trial ").split(" skip: ") for ln in lines
+             if ln.startswith("note trial ")]
+    assert len(skipped) == 29
+    assert [t for t, _ in notes] == skipped
+    assert all(reason for _, reason in notes)
+    assert lines[-1] == ("agreements=21 disagreements=0 skips=29 "
+                         "(over the skip budget 10 = 0.2 x 50 trials)")
+
+
+def test_verify_summary_names_no_budget_within_it(workdir, capsys):
+    assert main(["verify", "--reduction", "is-vc", "--trials", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "agreements=5 disagreements=0 skips=0")
 
 
 def test_verify_machines_exit_0(workdir, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from xalpwb.formats import FORMATS, parse_instance, serialize_instance
 from xalpwb.instances import (
+    DecompositionCheck,
     FormatError,
     Graph,
     InvariantViolation,
@@ -164,6 +165,94 @@ def test_decomposition_checker_against_bruteforce():
         assert got.ok == _brute_decomposition_check(g, dec), (trial, got.violation)
         checked += 1
     assert checked == 120
+
+
+def _bfs_decomposition_check(graph, dec):
+    """validate_decomposition as it was before connectivity became a count:
+    the same checks in the same order, one search over the tree per vertex."""
+    occ = {v: set() for v in graph.vertices()}
+    for i, bag in dec.bags.items():
+        for v in bag:
+            if v not in occ:
+                return DecompositionCheck(
+                    False, violation=f"bag vertex out of range: {v}", witness=v)
+            occ[v].add(i)
+    for v in graph.vertices():
+        if not occ[v]:
+            return DecompositionCheck(
+                False, violation=f"vertex uncovered: {v}", witness=v)
+    for u, v in sorted(graph.edges):
+        if not occ[u] & occ[v]:
+            return DecompositionCheck(
+                False, violation=f"edge uncovered: {{{u},{v}}}", witness=(u, v))
+    for v in graph.vertices():
+        nodes = occ[v]
+        start = next(iter(nodes))
+        seen = {start}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            around = list(dec.tree.child_list(i))
+            if dec.tree.parent(i) is not None:
+                around.append(dec.tree.parent(i))
+            for j in around:
+                if j in nodes and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if seen != nodes:
+            return DecompositionCheck(
+                False, violation=f"occurrences disconnected: {v}", witness=v)
+    return DecompositionCheck(True, width=dec.width())
+
+
+def _corruptions(inst, rng):
+    """(graph, decomposition) pairs derived from a valid instance: itself, a
+    vertex dropped from a middle bag, an edge left uncovered, and a vertex
+    out of range."""
+    graph, dec = inst.graph, inst.decomposition
+    yield graph, dec
+    middle = [i for i in dec.tree.nodes()
+              if dec.tree.parent(i) is not None and dec.tree.child_list(i) and dec.bags[i]]
+    if middle:
+        i = rng.choice(middle)
+        bags = dict(dec.bags)
+        bags[i] = bags[i] - {rng.choice(sorted(bags[i]))}
+        yield graph, TreeDecomposition(tree=dec.tree, bags=bags)
+    missing = [(u, v) for u in graph.vertices() for v in graph.vertices()
+               if u < v and (u, v) not in graph.edges]
+    if missing:
+        edge = rng.choice(missing)
+        yield Graph(n=graph.n, edges=graph.edges | {edge}), dec
+    i = rng.choice(sorted(dec.bags))
+    bags = dict(dec.bags)
+    bags[i] = bags[i] | {graph.n + 1}
+    yield graph, TreeDecomposition(tree=dec.tree, bags=bags)
+
+
+def test_decomposition_count_matches_the_search():
+    rng = random.Random(8)
+    seen = set()
+    for seed in range(150):
+        inst = generate_instance("logtw-is", {"tree_nodes": 8, "n": 12, "max_bag": 5},
+                                 seed=seed)
+        for graph, dec in _corruptions(inst, rng):
+            got = validate_decomposition(graph, dec)
+            assert got == _bfs_decomposition_check(graph, dec), (seed, got)
+            seen.add(got.violation.split(":")[0] if got.violation else "ok")
+    assert seen == {"ok", "bag vertex out of range", "vertex uncovered",
+                    "edge uncovered", "occurrences disconnected"}
+
+
+def test_logtw_instance_keeps_its_validated_width():
+    inst = generate_instance("logtw-vc", {"tree_nodes": 6, "n": 10}, seed=3)
+    assert inst.width == validate_decomposition(inst.graph, inst.decomposition).width
+    assert inst.width == inst.decomposition.width()
+
+
+def test_neighbour_masks_are_cached_per_graph():
+    g = Graph(n=4, edges=frozenset({(1, 2), (2, 3)}))
+    assert g.neighbour_masks == (0, 0b100, 0b1010, 0b100, 0)
+    assert g.neighbour_masks is g.neighbour_masks
 
 
 ROUND_TRIP_FAMILIES = ["graph", "tcmc", "tcmis", "listcol", "negcnf",

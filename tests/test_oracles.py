@@ -1,9 +1,11 @@
 """Ground-truth solvers: spec'd small cases, dual-solver agreement, caps."""
 
 import dataclasses
+import itertools
 
 import pytest
 
+from conftest import deep_path_tcmc
 from xalpwb.instances import (
     CapExceeded,
     Graph,
@@ -29,7 +31,7 @@ from xalpwb.oracles import (
     solve_tcmc_bruteforce,
     solve_tcmc_traversal,
 )
-from xalpwb.reductions import reduce_rbds_to_ds
+from xalpwb.reductions import reduce_partitioned_to_general_cnf, reduce_rbds_to_ds
 from xalpwb.verify import generate_instance
 
 P3 = Graph(n=3, edges=frozenset({(1, 2), (2, 3)}))
@@ -81,6 +83,14 @@ def test_tcmc_forced_chain_unique_solution():
     assert solve_tcmc_traversal(inst, "clique") == (True, sol)
 
 
+def test_tcmc_solvers_handle_deep_trees():
+    inst = deep_path_tcmc(1200)
+    expected = {(i, 1): i for i in range(1, 1201)}
+    for solve in (solve_tcmc_bruteforce, solve_tcmc_traversal):
+        assert solve(inst, "clique") == (True, expected)
+        assert solve(inst, "independent-set") == (False, None)
+
+
 def test_cnf_empty_clause_set_satisfiable():
     inst = TreeChainedCnf(tree=OrderedTree(n=1),
                           variable_sets={1: frozenset({1})},
@@ -105,6 +115,63 @@ def test_cnf_general_weight_constraint():
                           clauses=((1, 2), (-1, -2)), variant="general", k=1)
     ok, sol = solve_cnf_bruteforce(inst)
     assert ok and len(sol) == 1 and check_cnf_solution(inst, sol)
+
+
+def _reference_cnf(instance):
+    """solve_cnf_bruteforce as it was before clause masks: the same product
+    order, each candidate a frozenset checked literal by literal."""
+    if instance.variant == "general":
+        groups = []
+        for i in sorted(instance.variable_sets):
+            xs = sorted(instance.variable_sets[i])
+            opts = []
+            for r in range(0, min(instance.k, len(xs)) + 1):
+                opts.extend(itertools.combinations(xs, r))
+            groups.append(opts)
+        candidates = (frozenset(v for part in combo for v in part)
+                      for combo in itertools.product(*groups))
+    else:
+        pools = [sorted(instance.partition[cell]) for cell in sorted(instance.partition)]
+        candidates = (frozenset(combo) for combo in itertools.product(*pools))
+    for true_vars in candidates:
+        if all(any((lit > 0) == (abs(lit) in true_vars) for lit in clause)
+               for clause in instance.clauses):
+            return True, true_vars
+    return False, None
+
+
+def _cnf_cases():
+    for family in ("negcnf", "poscnf"):
+        for profile in (None, {"tree_nodes": 4, "k": 2, "max_cell": 3, "clauses": 9}):
+            for seed in range(30):
+                inst = generate_instance(family, profile, seed=seed)
+                yield inst
+                yield reduce_partitioned_to_general_cnf(inst).target
+    tree = OrderedTree(n=2, children={1: (2,)})
+    # node 2 has no variables
+    yield TreeChainedCnf(tree=tree, variable_sets={1: frozenset({1, 2}), 2: frozenset()},
+                         clauses=((1, -2), (2,)), variant="general", k=2)
+    # unsatisfiable: the weight bound leaves one true variable for two clauses
+    yield TreeChainedCnf(tree=OrderedTree(n=1), variable_sets={1: frozenset({1, 2})},
+                         clauses=((1,), (2,)), variant="general", k=1)
+    yield TreeChainedCnf(tree=OrderedTree(n=1), variable_sets={1: frozenset({1, 2})},
+                         clauses=((1,), (2,)), variant="positive-partitioned", k=1,
+                         partition={(1, 1): frozenset({1, 2})})
+    # cells are nonempty by construction; an emptied one leaves no assignment
+    inst = TreeChainedCnf(tree=OrderedTree(n=1), variable_sets={1: frozenset({1, 2})},
+                          clauses=(), variant="positive-partitioned", k=2,
+                          partition={(1, 1): frozenset({1}), (1, 2): frozenset({2})})
+    object.__setattr__(inst, "partition", {(1, 1): frozenset({1, 2}), (1, 2): frozenset()})
+    yield inst
+
+
+def test_cnf_masks_match_the_frozenset_enumeration():
+    outcomes = set()
+    for inst in _cnf_cases():
+        got = solve_cnf_bruteforce(inst)
+        assert got == _reference_cnf(inst), inst
+        outcomes.add((inst.variant, got[0]))
+    assert len(outcomes) == 6  # every variant, satisfiable and not
 
 
 def test_listcoloring_examples():

@@ -176,6 +176,58 @@ def test_chain_domain_exit_counts_as_skip():
     raise AssertionError("expected at least one domain-exit skip")
 
 
+def test_cap_skips_carry_the_cap_message():
+    report = verify_reduction("is-vc", trials=4, seed=0, cap=1)
+    assert report.skips == [0, 1, 2, 3]
+    assert all(note.startswith(f"trial {t} skip: instance too large for oracle: ")
+               for t, note in enumerate(report.resource_notes))
+    chain = verify_chain(["is-vc", "vc-rbds"], trials=2, seed=0, cap=1)
+    assert chain.skips == [0, 1]
+    assert chain.resource_notes[1].startswith("trial 1 skip: instance too large")
+
+
+def _count_validations(monkeypatch, *modules) -> list:
+    """Record each validate_decomposition call made through the modules'
+    own name for it."""
+    from xalpwb import instances
+
+    calls = []
+    validate = instances.validate_decomposition
+
+    def counted(graph, dec):
+        calls.append(dec)
+        return validate(graph, dec)
+
+    for module in modules:
+        monkeypatch.setattr(module, "validate_decomposition", counted)
+    return calls
+
+
+def test_chain_trial_validates_each_decomposition_once(monkeypatch):
+    # one validation per LogTwGraphInstance built along the chain (the four
+    # logtw targets); the DP reads the width its instance kept
+    from xalpwb import instances
+    from xalpwb.verify import run_chain_trial
+
+    calls = _count_validations(monkeypatch, instances, oracles)
+    chain = ["tcmis-negcnf", "negcnf-poscnf", "poscnf-logtwis", "is-vc", "vc-rbds", "rbds-ds"]
+    source = generate_instance("tcmis", {"tree_nodes": 2, "max_class": 1, "max_edges": 4},
+                               seed=0)
+    assert run_chain_trial(chain, source).status == "agree"
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("name, validations", [("is-vc", 0), ("tcmis-listcol", 1)])
+def test_only_foreign_witnesses_are_revalidated(monkeypatch, name, validations):
+    # a witness that is the target's own decomposition was validated with it
+    calls = _count_validations(monkeypatch, oracles)
+    source = generate_instance(REDUCTION_TYPES[name][0], None, seed=1)
+    outcome = run_trial(name, source)
+    assert outcome.status == "agree"
+    assert len(calls) == validations
+    assert any(note.startswith(("witness-width", "listcol-width")) for note in outcome.notes)
+
+
 def test_logtw_lift_checks_never_skip():
     report = verify_reduction("poscnf-logtwis", 50, 1)
     assert report.ok and report.agreements == 50
