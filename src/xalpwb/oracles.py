@@ -4,6 +4,8 @@ witness-producing decomposition DP for the logtw families (IS, VC, DS and
 RBDS over the instance's own decomposition).  The DP is the verification
 harness's oracle for those families; subset enumeration (optimum_subset)
 is its independent small-n cross-check.
+The four subset problems are described once, on vertex masks, in
+SUBSET_PROBLEMS, which the subset checker, enumeration and DP all read.
 
 Every solver enforces its size cap before doing any work and raises
 CapExceeded past it.  Solutions returned always satisfy the instance's own
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from dataclasses import dataclass
 
 from .instances import (
     CapExceeded,
@@ -333,47 +336,93 @@ def solve_listcoloring(instance: ListColoringInstance, cap: int | None = None):
 # ------------------------------------------------- subset-style problems
 
 
-def _dominates(adj: dict[int, set[int]], chosen: frozenset[int], v: int) -> bool:
-    return v in chosen or bool(adj[v] & chosen)
+@dataclass(frozen=True)
+class SubsetProblem:
+    """The vertices a solution may use (those labelled `member`, or all),
+    its condition, "independent" (no edge inside it), "cover" (no edge
+    outside it) or "dominate" (every vertex labelled `dominated`, or every
+    vertex, in it or next to it), and whether its optimum is a maximum."""
+
+    condition: str
+    maximize: bool = False
+    member: str | None = None
+    dominated: str | None = None
 
 
-def is_independent_set(graph: Graph, s: frozenset[int]) -> bool:
-    """No two members adjacent; each member is tested against the neighbour
-    mask of those before it.  Ids outside the graph have no edges."""
-    nbr = graph.neighbour_masks
-    before = 0
-    for v in s:
-        if 0 < v <= graph.n:
-            if nbr[v] & before:
-                return False
-            before |= 1 << v
-    return True
+SUBSET_PROBLEMS = {
+    "is": SubsetProblem("independent", maximize=True),
+    "vc": SubsetProblem("cover"),
+    "ds": SubsetProblem("dominate"),
+    "rbds": SubsetProblem("dominate", member="blue", dominated="red"),
+}
 
 
-def is_vertex_cover(graph: Graph, s: frozenset[int]) -> bool:
-    return all(u in s or v in s for u, v in graph.edges)
+def _subset_rule(graph: Graph, problem: str) -> tuple[SubsetProblem, int, int]:
+    """(problem, allowed, must): the masks of the vertices a solution may use
+    and of those it must dominate, read off the labels in one scan."""
+    rule = SUBSET_PROBLEMS.get(problem)
+    if rule is None:
+        raise InvariantViolation(f"unknown subset problem {problem!r}")
+    everyone = (1 << graph.n + 1) - 2
+    labelled: dict[str, int] = {}
+    for v, label in graph.labels.items():
+        labelled[label] = labelled.get(label, 0) | 1 << v
+    allowed = labelled.get(rule.member, 0) if rule.member else everyone
+    must = labelled.get(rule.dominated, 0) if rule.dominated else everyone
+    return rule, allowed, must
+
+
+def _meets(condition: str, nbr, chosen: int, must: int) -> bool:
+    """Whether the vertex mask chosen meets the condition.  must is the mask
+    of the vertices to dominate, and of every vertex for IS and VC."""
+    if condition == "cover":
+        chosen = must & ~chosen  # a cover's complement is independent
+    around, rest = 0, chosen
+    while rest:
+        low = rest & -rest
+        around |= nbr[low.bit_length() - 1]
+        rest ^= low
+    if condition == "dominate":
+        return not must & ~(chosen | around)
+    return not around & chosen
 
 
 def check_subset_solution(graph: Graph, problem: str, s: frozenset[int]) -> bool:
-    if problem == "is":
-        return is_independent_set(graph, s)
-    if problem == "vc":
-        return is_vertex_cover(graph, s)
-    if problem == "ds":
-        adj = graph.adjacency()
-        return all(_dominates(adj, s, v) for v in graph.vertices())
-    if problem == "rbds":
-        adj = graph.adjacency()
-        blue = {v for v in graph.vertices() if graph.labels.get(v) == "blue"}
-        red = {v for v in graph.vertices() if graph.labels.get(v) == "red"}
-        return s <= frozenset(blue) and all(_dominates(adj, s, v) for v in red)
-    raise InvariantViolation(f"unknown subset problem {problem!r}")
+    """Whether s solves the subset problem on graph.  Ids outside 1..n are
+    no vertices: IS, VC and DS ignore them, and RBDS, whose members must be
+    blue, rejects them."""
+    rule, allowed, must = _subset_rule(graph, problem)
+    chosen = 0
+    for v in s:
+        if 0 < v <= graph.n:
+            chosen |= 1 << v
+        elif rule.member:
+            return False
+    return not chosen & ~allowed and _meets(rule.condition, graph.neighbour_masks,
+                                            chosen, must)
+
+
+def is_independent_set(graph: Graph, s: frozenset[int]) -> bool:
+    """No two members adjacent.  Ids outside the graph have no edges."""
+    return check_subset_solution(graph, "is", s)
+
+
+def independent_sets(graph: Graph) -> list[int]:
+    """Every independent set of graph as a vertex mask, in increasing order:
+    each vertex in turn joins every set listed so far that misses its
+    neighbours, and the sets it joins come after all of those."""
+    nbr = graph.neighbour_masks
+    sets = [0]
+    for v in graph.vertices():
+        bit, around = 1 << v, nbr[v]
+        sets += [s | bit for s in sets if not s & around]
+    return sets
 
 
 def meets_target(problem: str, size, threshold: int) -> bool:
     """The threshold is a lower bound on an independent set's size and an
     upper bound on a cover's or dominating set's."""
-    return size >= threshold if problem == "is" else size <= threshold
+    return size >= threshold if SUBSET_PROBLEMS[problem].maximize else size <= threshold
 
 
 def solve_is_ds_vc(graph: Graph, problem: str, threshold: int,
@@ -387,35 +436,29 @@ def solve_is_ds_vc(graph: Graph, problem: str, threshold: int,
 
 
 def optimum_subset(graph: Graph, problem: str, cap: int | None = None):
-    """Optimal size and one witness: max IS, min VC, min DS, or min RBDS.
-
-    For rbds only blue subsets are enumerated; min DS / min RBDS are
-    infinity (None witness) when no feasible set exists.
-    """
-    if problem == "rbds":
-        ground = sorted(v for v in graph.vertices()
-                        if graph.labels.get(v) == "blue")
+    """Optimal size and the optimal set of least vertex mask: max IS, min
+    VC (the complement of the greatest max IS), min DS or min RBDS, the
+    last two by a walk over the submasks of the allowed vertices, and
+    infinity (None witness) when labels leave no feasible set."""
+    rule, allowed, must = _subset_rule(graph, problem)
+    _guard(1 << allowed.bit_count(), cap, "subset space")
+    if rule.condition == "independent":
+        best = max(independent_sets(graph), key=int.bit_count)
+    elif rule.condition == "cover":
+        best = allowed & ~max(reversed(independent_sets(graph)), key=int.bit_count)
     else:
-        ground = sorted(graph.vertices())
-    _guard(1 << len(ground), cap, "subset space")
-    best = None
-    best_size = None
-    for mask in range(1 << len(ground)):
-        s = frozenset(ground[i] for i in range(len(ground)) if mask >> i & 1)
-        if not check_subset_solution(graph, problem, s):
-            continue
-        if problem == "is":
-            better = best_size is None or len(s) > best_size
-        else:
-            better = best_size is None or len(s) < best_size
-        if better:
-            best_size = len(s)
-            best = s
-    if best_size is None:
-        # max IS always exists (the empty set is independent); the covering
-        # problems may be infeasible only through labels, report as infinity
-        best_size = float("inf")
-    return best_size, best
+        nbr = graph.neighbour_masks
+        best, best_size = None, allowed.bit_count() + 1
+        s = 0
+        while True:
+            if s.bit_count() < best_size and _meets("dominate", nbr, s, must):
+                best, best_size = s, s.bit_count()
+            if s == allowed:
+                break
+            s = (s - allowed) & allowed
+        if best is None:
+            return float("inf"), None
+    return best.bit_count(), frozenset(_bits(best))
 
 
 # ------------------------------------------------------- tree-DP solver
@@ -504,42 +547,12 @@ def _is_steps(nbr: list[int], shift: int, track: int):
                 out[kept] = val
         return out
 
-    return {0: 0}, introduce, forget, _mask_join(shift, track)
-
-
-def _vc_steps(nbr: list[int], shift: int, track: int):
-    """Min vertex cover: tables map the in-cover part of the bag to the best
-    packed value; a vertex may stay out only if its bag neighbours are in."""
-    INF = float("inf")
-
-    def introduce(table, v, bag):
-        bit, around, gain = 1 << v, nbr[v] & bag, (1 << shift) + ((1 << v) & track)
-        out = {}
-        for mask, val in table.items():
-            if not around & ~mask:
-                out[mask] = val
-            out[mask | bit] = val + gain
-        return out
-
-    def forget(table, v):
-        keep = ~(1 << v)
-        out: dict[int, int] = {}
-        for mask, val in table.items():
-            kept = mask & keep
-            if val < out.get(kept, INF):
-                out[kept] = val
-        return out
-
-    return {0: 0}, introduce, forget, _mask_join(shift, track)
-
-
-def _mask_join(shift: int, track: int):
-    # the bag's chosen vertices are counted on both sides, and only they are
     def join(left, right):
+        # the bag's chosen vertices are counted on both sides, and only they are
         return {mask: val + right[mask] - ((mask.bit_count() << shift) + (mask & track))
                 for mask, val in left.items() if mask in right}
 
-    return join
+    return {0: 0}, introduce, forget, join
 
 
 def _ds_steps(nbr: list[int], shift: int, track: int, allowed: int, must: int):
@@ -607,30 +620,28 @@ def optimum_treedp(instance: LogTwGraphInstance, problem: str,
     packs a partial solution as size << S | chosen_mask with S = n + 1, so
     an introduce adds (1 << S) + bit, a join subtracts what the two sides
     share on the bag, and min/max on the int picks an optimum, breaking ties
-    by the chosen mask.  With witness False the values are plain sizes,
-    which is cheaper, and the witness returned is None."""
-    if problem not in ("is", "vc", "ds", "rbds"):
-        raise InvariantViolation(f"unknown subset problem {problem!r}")
+    by the chosen mask.  VC is solved as the complement of IS.  With
+    witness False the values are plain sizes, which is cheaper, and the
+    witness returned is None."""
     graph = instance.graph
+    rule, allowed, must = _subset_rule(graph, problem)
     max_bag = instance.width + 1  # the decomposition was validated with the instance
     nbr = graph.neighbour_masks
     shift, track = (graph.n + 1, -1) if witness else (0, 0)
-    if problem in ("is", "vc"):
-        _guard(1 << max_bag, cap, "bag mask space")
-        steps = (_is_steps if problem == "is" else _vc_steps)(nbr, shift, track)
-        empty = 0
-    else:
+    if rule.condition == "dominate":
         _guard(3 ** max_bag, cap, "bag state space")
-        if problem == "ds":
-            allowed = must = _mask(graph.vertices())
-        else:
-            allowed = _mask(v for v in graph.vertices() if graph.labels.get(v) == "blue")
-            must = _mask(v for v in graph.vertices() if graph.labels.get(v) == "red")
-        steps = _ds_steps(nbr, shift, track, allowed, must)
-        empty = (0, 0)
-    best = _run_dp(instance.decomposition, *steps).get(empty)
-    if best is None:
-        return float("inf"), None
+        best = _run_dp(instance.decomposition,
+                       *_ds_steps(nbr, shift, track, allowed, must)).get((0, 0))
+        if best is None:
+            return float("inf"), None
+    else:
+        _guard(1 << max_bag, cap, "bag mask space")
+        best = _run_dp(instance.decomposition, *_is_steps(nbr, shift, track))[0]
+        if rule.condition == "cover":
+            # the least cover of least size is the complement of the greatest
+            # independent set of greatest size: take its packed value from
+            # the packed value of all vertices
+            best = (graph.n << shift) + (allowed & track) - best
     return best >> shift, frozenset(_bits(best & ((1 << shift) - 1))) if witness else None
 
 

@@ -60,6 +60,21 @@ class ReductionArtifact:
     witness: TreeDecomposition | None = None
 
 
+def _grow_decomposition(tree: OrderedTree, bags: dict[int, frozenset[int]],
+                        extra: list[tuple[int, frozenset[int]]]) -> TreeDecomposition:
+    """The decomposition of tree with the given bags, plus one new node per
+    (parent, bag) pair in extra, numbered from tree.n + 1 in order and hung
+    as the last child of its parent, an old node or an earlier new one."""
+    children = {i: list(tree.child_list(i)) for i in tree.nodes()}
+    bags = dict(bags)
+    for node, (parent, bag) in enumerate(extra, start=tree.n + 1):
+        bags[node] = bag
+        children.setdefault(parent, []).append(node)
+    grown = OrderedTree(n=tree.n + len(extra),
+                        children={i: tuple(cs) for i, cs in children.items() if cs})
+    return TreeDecomposition(tree=grown, bags=bags)
+
+
 def _require_nonempty_classes(instance: TcmcInstance, what: str):
     for key in sorted(instance.classes):
         if not instance.classes[key]:
@@ -357,9 +372,7 @@ def reduce_tcmis_to_listcoloring(instance: TcmcInstance) -> ReductionArtifact:
         if p is not None:
             bag |= {class_vertex[(p, j)] for j in range(1, instance.k + 1)}
         base_bags[i] = bag
-    children: dict[int, list[int]] = {i: list(tree.child_list(i)) for i in tree.nodes()}
-    bags: dict[int, frozenset[int]] = {i: frozenset(base_bags[i]) for i in tree.nodes()}
-    nxt_node = tree.n + 1
+    extra = []
     for e in sorted(conflict_vertex):
         u, w = e
         iu, _ = instance.class_of(u)
@@ -370,12 +383,9 @@ def reduce_tcmis_to_listcoloring(instance: TcmcInstance) -> ReductionArtifact:
             host = iu if tree.parent(iu) == iw else iw
         cu = class_vertex[instance.class_of(u)]
         cw = class_vertex[instance.class_of(w)]
-        bags[nxt_node] = frozenset({conflict_vertex[e], cu, cw})
-        children.setdefault(host, []).append(nxt_node)
-        nxt_node += 1
-    wtree = OrderedTree(n=nxt_node - 1,
-                        children={i: tuple(cs) for i, cs in children.items() if cs})
-    witness = TreeDecomposition(tree=wtree, bags=bags)
+        extra.append((host, frozenset({conflict_vertex[e], cu, cw})))
+    witness = _grow_decomposition(
+        tree, {i: frozenset(base_bags[i]) for i in tree.nodes()}, extra)
 
     def forward(choice: dict[tuple[int, int], int]) -> dict[int, int]:
         coloring = {class_vertex[key]: choice[key] for key in keys}
@@ -430,16 +440,9 @@ def reduce_listcoloring_to_precoloring(
         for i in sorted(witness.bags):
             for v in witness.bags[i]:
                 host.setdefault(v, i)
-        children = {i: list(witness.tree.child_list(i)) for i in witness.tree.nodes()}
-        bags = dict(witness.bags)
-        nxt_node = witness.tree.n + 1
-        for (v, _c), pv in sorted(pendants.items()):
-            bags[nxt_node] = frozenset({v, pv})
-            children.setdefault(host[v], []).append(nxt_node)
-            nxt_node += 1
-        wtree = OrderedTree(n=nxt_node - 1,
-                            children={i: tuple(cs) for i, cs in children.items() if cs})
-        out_witness = TreeDecomposition(tree=wtree, bags=bags)
+        out_witness = _grow_decomposition(
+            witness.tree, witness.bags,
+            [(host[v], frozenset({v, pv})) for (v, _c), pv in sorted(pendants.items())])
 
     def forward(coloring: dict[int, int]) -> dict[int, int]:
         out = dict(coloring)
@@ -702,9 +705,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
         if parent is not None:
             bag |= gvs[parent]
         base[i] = bag
-    children = {i: list(tree.child_list(i)) for i in tree.nodes()}
-    bags: dict[int, frozenset[int]] = {i: frozenset(base[i]) for i in tree.nodes()}
-    nxt_node = tree.n + 1
+    extra = []
     for g in gadget:
         scope = {cell_of[lit][0] for lit in g["lits"] if lit is not None}
         if not scope:
@@ -714,7 +715,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
         else:
             a, b = sorted(scope)
             host = a if tree.parent(a) == b else b
-        prev = None
+        parent = host
         for t in range(0, g["ell"] + 1):
             window = {g["p"][t], g["p"][t + 1]}
             for tt in (t, t + 1):
@@ -722,16 +723,9 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
                     window.add(g["pp"][tt])
                 if tt in g["lit_vertex"]:
                     window.add(g["lit_vertex"][tt])
-            bags[nxt_node] = frozenset(window | base[host])
-            if prev is None:
-                children.setdefault(host, []).append(nxt_node)
-            else:
-                children.setdefault(prev, []).append(nxt_node)
-            prev = nxt_node
-            nxt_node += 1
-    wtree = OrderedTree(n=nxt_node - 1,
-                        children={i: tuple(cs) for i, cs in children.items() if cs})
-    witness = TreeDecomposition(tree=wtree, bags=bags)
+            extra.append((parent, frozenset(window | base[host])))
+            parent = tree.n + len(extra)  # the window just added
+    witness = _grow_decomposition(tree, {i: frozenset(base[i]) for i in tree.nodes()}, extra)
     width = witness.width()
     k_out = -(-width // ceil_log2(n))  # ceil division
     target = LogTwGraphInstance(graph=graph, decomposition=witness,
@@ -825,19 +819,13 @@ def reduce_vc_to_rbds(instance: LogTwGraphInstance) -> ReductionArtifact:
     graph = Graph(n=nxt - 1, edges=frozenset(edges), labels=labels)
 
     dec = instance.decomposition
-    children = {i: list(dec.tree.child_list(i)) for i in dec.tree.nodes()}
-    bags = dict(dec.bags)
-    nxt_node = dec.tree.n + 1
+    extra = []
     for e in sorted(sub_vertex):
         u, v = e
         host = next(i for i in sorted(dec.bags)
                     if u in dec.bags[i] and v in dec.bags[i])
-        bags[nxt_node] = frozenset({u, v, sub_vertex[e]})
-        children.setdefault(host, []).append(nxt_node)
-        nxt_node += 1
-    wtree = OrderedTree(n=nxt_node - 1,
-                        children={i: tuple(cs) for i, cs in children.items() if cs})
-    witness = TreeDecomposition(tree=wtree, bags=bags)
+        extra.append((host, frozenset({u, v, sub_vertex[e]})))
+    witness = _grow_decomposition(dec.tree, dec.bags, extra)
     k_out = max(-(-witness.width() // ceil_log2(graph.n)), 1)
     target = LogTwGraphInstance(graph=graph, decomposition=witness,
                                 target_weight=instance.target_weight,
@@ -868,14 +856,9 @@ def reduce_rbds_to_ds(instance: LogTwGraphInstance) -> ReductionArtifact:
     graph = Graph(n=n + 2, edges=frozenset(edges), labels=labels)
 
     dec = instance.decomposition
-    children = {i: list(dec.tree.child_list(i)) for i in dec.tree.nodes()}
-    bags = {i: frozenset(set(b) | {x1}) for i, b in dec.bags.items()}
-    new_node = dec.tree.n + 1
-    bags[new_node] = frozenset({x0, x1})
-    children.setdefault(dec.tree.root, []).append(new_node)
-    wtree = OrderedTree(n=new_node,
-                        children={i: tuple(cs) for i, cs in children.items() if cs})
-    witness = TreeDecomposition(tree=wtree, bags=bags)
+    witness = _grow_decomposition(
+        dec.tree, {i: frozenset(set(b) | {x1}) for i, b in dec.bags.items()},
+        [(dec.tree.root, frozenset({x0, x1}))])
     k_out = max(-(-witness.width() // ceil_log2(graph.n)), 1)
     target = LogTwGraphInstance(graph=graph, decomposition=witness,
                                 target_weight=instance.target_weight + 1,

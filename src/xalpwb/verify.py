@@ -8,10 +8,11 @@ solutions they come with are carried across the reduction by its lift
 maps.  The logtw families are solved by the witness-producing
 decomposition DP; subset enumeration stays the oracles' small-n
 cross-check.  Trials are deterministic in (name, profile, seed);
-disagreements carry a replayable serialized counterexample, skips (an
-oracle's size cap reached before it starts, or a chain's instance leaving
-a stage's domain) are reported separately with their reason as a note, and
-a report only passes when skips stay at or below 20% of the trials.
+disagreements carry a replayable serialized counterexample and their
+detail as a note, skips (an oracle's size cap reached before it starts, or
+a chain's instance leaving a stage's domain) are reported separately with
+their reason as a note, and a report only passes when skips stay at or
+below 20% of the trials.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ REDUCTION_TYPES = {
     "is-vc": ("logtw-is", "logtw-vc"),
     "vc-rbds": ("logtw-vc", "logtw-rbds"),
     "rbds-ds": ("logtw-rbds", "logtw-ds"),
+    # the fault fixture (FIXTURES) breaks negcnf-poscnf
+    "negcnf-poscnf!faulty": ("negcnf", "poscnf"),
 }
-
-assert set(REDUCTION_TYPES) == set(REDUCTION_NAMES)
 
 _PART_GENCNF_SOURCES = ("poscnf", "negcnf")
 
@@ -111,10 +112,11 @@ class VerificationReport:
     def serialize(self) -> str:
         lines = [f"report {self.name} seed {self.seed} trials {self.trials}"]
         bad = {i for i, _ in self.disagreements}
+        skipped = set(self.skips)
         for i in range(self.trials):
             if i in bad:
                 lines.append(f"trial {i} disagree counterexample-{i}")
-            elif i in self.skips:
+            elif i in skipped:
                 lines.append(f"trial {i} skip")
             else:
                 lines.append(f"trial {i} agree")
@@ -553,23 +555,23 @@ class TrialOutcome:
 
 def _lookup_reduction(name: str):
     if name in REDUCTIONS:
-        return name, REDUCTIONS[name]
+        return REDUCTIONS[name]
     if name in FIXTURES:
-        return name, FIXTURES[name]
+        return FIXTURES[name]
     raise InvariantViolation(f"unknown reduction {name!r}")
 
 
 def _apply(name: str, source) -> ReductionArtifact:
-    base, fn = _lookup_reduction(name)
-    return fn(*source) if base == "atm-tcmc" else fn(source)
+    fn = _lookup_reduction(name)
+    return fn(*source) if name == "atm-tcmc" else fn(source)
 
 
 def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
     """One verification step on a given source: reduce, solve both sides
     with the oracles, compare, and check lifts, witnesses, and parameter
     growth."""
-    base, _ = _lookup_reduction(name)
-    src, tgt = (FAMILIES[family] for family in REDUCTION_TYPES[base])
+    _lookup_reduction(name)
+    src, tgt = (FAMILIES[family] for family in REDUCTION_TYPES[name])
     notes: list[str] = []
     try:
         art = _apply(name, source)
@@ -580,15 +582,15 @@ def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
     if src_ok != tgt_ok:
         return TrialOutcome("disagree",
                             detail=f"source {src_ok} target {tgt_ok}")
-    problems = _resource_checks(base, source, art, notes)
+    problems = _resource_checks(name, source, art, notes)
     if not problems and src_ok:
-        problems = _lift_checks(base, source, art, src_sol, tgt_sol)
+        problems = _lift_checks(name, source, art, src_sol, tgt_sol)
     if problems:
         return TrialOutcome("disagree", detail="; ".join(problems), notes=notes)
     return TrialOutcome("agree", notes=notes)
 
 
-def _resource_checks(base: str, source, art: ReductionArtifact,
+def _resource_checks(name: str, source, art: ReductionArtifact,
                      notes: list[str]) -> list[str]:
     problems = []
     if art.witness is not None:
@@ -601,18 +603,18 @@ def _resource_checks(base: str, source, art: ReductionArtifact,
                 problems.append(f"witness invalid: {check.violation}")
             else:
                 notes.append(f"witness-width {check.width}")
-    if base == "tcmis-listcol":
+    if name == "tcmis-listcol":
         bound = 2 * art.parameter_in - 1
         width = art.witness.width()
         if width > bound:
             problems.append(f"witness width {width} > 2k-1 = {bound}")
         notes.append(f"listcol-width {width} bound {bound}")
-    if base in ("vc-rbds", "rbds-ds"):
+    if name in ("vc-rbds", "rbds-ds"):
         before = source.decomposition.width()
         after = art.witness.width()
         if after > max(before, 2) + 1:
             problems.append(f"witness width {after} grew past {before}+1")
-    if base == "poscnf-logtwis":
+    if name == "poscnf-logtwis":
         n = art.target.graph.n
         width = art.witness.width()
         expect_k = -(-width // ceil_log2(n))
@@ -622,7 +624,7 @@ def _resource_checks(base: str, source, art: ReductionArtifact,
         if art.target.target_weight != expect_w:
             problems.append(
                 f"size target {art.target.target_weight} != {expect_w}")
-    if base in ("tcmc-tcmis", "tcmis-negcnf", "negcnf-poscnf",
+    if name in ("tcmc-tcmis", "tcmis-negcnf", "negcnf-poscnf",
                 "part-gencnf", "is-vc", "atm-tcmc"):
         if art.parameter_out != art.parameter_in:
             problems.append("parameter changed under a k'=k reduction")
@@ -643,13 +645,13 @@ def _expected_logtw_weight(source: TreeChainedCnf) -> int:
     return total + sum(2 + ell for ell in lengths)
 
 
-def _lift_checks(base: str, source, art: ReductionArtifact,
+def _lift_checks(name: str, source, art: ReductionArtifact,
                  src_sol, tgt_sol) -> list[str]:
     """Carry the oracles' solutions of a solvable trial across the
     reduction both ways and check them on the other side."""
     problems = []
-    src, tgt = (FAMILIES[family] for family in REDUCTION_TYPES[base])
-    if base == "atm-tcmc":
+    src, tgt = (FAMILIES[family] for family in REDUCTION_TYPES[name])
+    if name == "atm-tcmc":
         run = shaped_run(*source[:3])
         forwarded = art.lift.forward(run)
         if not oracles.check_tcmc_solution(art.target, "clique", forwarded):
@@ -668,28 +670,37 @@ def _lift_checks(base: str, source, art: ReductionArtifact,
     return problems
 
 
-def verify_reduction(name: str, trials: int, seed: int,
-                     cap: int | None = None,
-                     profile: dict | None = None) -> VerificationReport:
-    """Seeded trials of one registered reduction (or fault fixture): for
-    each trial generate, reduce, solve both sides, compare, and check lift
-    round-trips, witness bounds, and parameter growth."""
-    base, _ = _lookup_reduction(name)
-    src_family = REDUCTION_TYPES[base][0]
+def _run_trials(name: str, src_family: str, run, trials: int, seed: int,
+                profile: dict | None) -> VerificationReport:
+    """The seeded trial loop both verifiers share: generate trial t's source
+    at seed * 100003 + t, run it, and book an agreement, a skip or a
+    disagreement, each skip and disagreement with its detail as a note."""
     report = VerificationReport(name=name, seed=seed, trials=trials)
     for t in range(trials):
         source = generate_instance(src_family, profile, seed=seed * 100003 + t)
-        outcome = run_trial(name, source, cap=cap)
+        outcome = run(source)
         if outcome.status == "agree":
             report.agreements += 1
         elif outcome.status == "skip":
             report.skips.append(t)
             report.resource_notes.append(f"trial {t} skip: {outcome.detail}")
         else:
-            cex = serialize_counterexample(name, source)
-            report.disagreements.append((t, cex))
+            report.disagreements.append((t, serialize_counterexample(name, source)))
+            report.resource_notes.append(f"trial {t} disagree: {outcome.detail}")
         report.resource_notes.extend(f"trial {t} {n}" for n in outcome.notes)
     return report.finish()
+
+
+def verify_reduction(name: str, trials: int, seed: int,
+                     cap: int | None = None,
+                     profile: dict | None = None) -> VerificationReport:
+    """Seeded trials of one registered reduction (or fault fixture): for
+    each trial generate, reduce, solve both sides, compare, and check lift
+    round-trips, witness bounds, and parameter growth."""
+    _lookup_reduction(name)
+    return _run_trials(name, REDUCTION_TYPES[name][0],
+                       lambda source: run_trial(name, source, cap=cap),
+                       trials, seed, profile)
 
 
 def check_chain(chain: list[str]) -> tuple[str, str]:
@@ -735,19 +746,9 @@ def verify_chain(chain: list[str], trials: int, seed: int,
     """End-to-end solvability preservation across a composed chain, checked
     at the two endpoints per trial."""
     src_family, _ = check_chain(chain)
-    name = "chain:" + ",".join(chain)
-    report = VerificationReport(name=name, seed=seed, trials=trials)
-    for t in range(trials):
-        source = generate_instance(src_family, profile, seed=seed * 100003 + t)
-        outcome = run_chain_trial(chain, source, cap=cap)
-        if outcome.status == "agree":
-            report.agreements += 1
-        elif outcome.status == "skip":
-            report.skips.append(t)
-            report.resource_notes.append(f"trial {t} skip: {outcome.detail}")
-        else:
-            report.disagreements.append((t, serialize_counterexample(name, source)))
-    return report.finish()
+    return _run_trials("chain:" + ",".join(chain), src_family,
+                       lambda source: run_chain_trial(chain, source, cap=cap),
+                       trials, seed, profile)
 
 
 def verify_machine_equivalences(corpus: dict[str, MachineSpec],
@@ -832,4 +833,4 @@ FIXTURES = {
     "negcnf-poscnf!faulty": _faulty_negcnf_poscnf,
 }
 
-REDUCTION_TYPES["negcnf-poscnf!faulty"] = REDUCTION_TYPES["negcnf-poscnf"]
+assert set(REDUCTION_TYPES) == set(REDUCTION_NAMES) | set(FIXTURES)

@@ -2,24 +2,17 @@
 pass/fail line per criterion.  Run with `pytest tests/test_acceptance.py -s`
 to see the lines on success."""
 
-import math
 import pathlib
 import time
 
 import pytest
 
 from conftest import make_machine
-from xalpwb.corpus import CORPUS_BUDGET, corpus_inputs, load_corpus
+from xalpwb.corpus import CORPUS_BUDGET, load_corpus
 from xalpwb.instances import Graph, OrderedTree, validate_decomposition
-from xalpwb.machines import (
-    eval_alternating,
-    eval_balanced,
-    eval_stack,
-    eval_stack_via_alternation,
-    run_with_tree_shape,
-)
+from xalpwb.machines import run_with_tree_shape
 from xalpwb.oracles import (
-    is_independent_set,
+    independent_sets,
     optimum_subset,
     solve_cnf_bruteforce,
     solve_is_treedp,
@@ -32,7 +25,7 @@ from xalpwb.reductions import (
     reduce_rbds_to_ds,
     reduce_tcmis_to_listcoloring,
 )
-from xalpwb.verify import generate_instance, verify_reduction
+from xalpwb.verify import generate_instance, verify_machine_equivalences, verify_reduction
 
 TRIALS = 50
 BIGCAP = 1 << 44
@@ -110,10 +103,8 @@ def test_criterion_3_clause_gadget_law():
         graph, lits = _isolated_clause_gadget(ell)
         best_with = 0
         all_max_have_lit = True
-        for mask in range(1 << graph.n):
-            s = frozenset(i + 1 for i in range(graph.n) if mask >> i & 1)
-            if not is_independent_set(graph, s):
-                continue
+        for mask in independent_sets(graph):
+            s = frozenset(v for v in graph.vertices() if mask >> v & 1)
             if s & lits:
                 best_with = max(best_with, len(s))
             if len(s) >= ell + 2 and not (s & lits):
@@ -166,34 +157,14 @@ def test_criterion_6_machine_equivalence_suite():
                 "palindrome"}
     ok = len(corpus) >= 10 and required <= set(corpus)
     ratio_c = 8
-    co_bound = 2 * math.log2(CORPUS_BUDGET.tree_size) + 4
-    pairs = disagreements = ratio_viol = co_viol = 0
-    for name in sorted(corpus):
-        m = corpus[name]
-        has_univ = any(m.mode[q] == "univ" for q in m.states)
-        for x in corpus_inputs(m, 6):
-            pairs += 1
-            verdicts = set()
-            if not has_univ:
-                st = eval_stack(m, x, CORPUS_BUDGET)
-                via = eval_stack_via_alternation(m, x, CORPUS_BUDGET)
-                verdicts |= {st.accepted, via.accepted}
-                if st.accepted and via.tree_nodes > ratio_c * st.steps_used + ratio_c:
-                    ratio_viol += 1
-            if not m.uses_stack:
-                alt = eval_alternating(m, x, CORPUS_BUDGET)
-                bal = eval_balanced(m, x, CORPUS_BUDGET)
-                verdicts |= {alt.accepted, bal.accepted}
-                if bal.accepted and bal.max_co_nondet_on_path > co_bound:
-                    co_viol += 1
-            if len(verdicts) > 1:
-                disagreements += 1
-    ok = ok and disagreements == 0 and ratio_viol == 0 and co_viol == 0
+    rep = verify_machine_equivalences(corpus, CORPUS_BUDGET, max_len=6, ratio_c=ratio_c)
+    ok = ok and rep.ok
     report("6 (machine equivalence suite)", ok,
-           f"{len(corpus)} machines, {pairs} machine/input pairs, "
-           f"{disagreements} disagreements, tree-size ratio C={ratio_c} "
-           f"violations {ratio_viol}, co-nondet bound 2*log2({CORPUS_BUDGET.tree_size})+4 "
-           f"violations {co_viol}")
+           f"{len(corpus)} machines, {rep.trials} machine/input pairs, "
+           f"{len(rep.disagreements)} failing (evaluators disagree, tree-size "
+           f"ratio C={ratio_c} or co-nondet bound 2*log2({CORPUS_BUDGET.tree_size})+4 "
+           "violated)"
+           + "".join(f"; {detail}" for _, detail in rep.disagreements[:3]))
 
 
 def _hand_written_cases():

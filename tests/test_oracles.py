@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -21,6 +22,8 @@ from xalpwb.oracles import (
     check_coloring,
     check_subset_solution,
     check_tcmc_solution,
+    independent_sets,
+    is_independent_set,
     optimum_subset,
     optimum_treedp,
     solve_cnf_bruteforce,
@@ -201,6 +204,95 @@ def test_rbds_only_blue_choices():
     ok, w = solve_is_ds_vc(g, "rbds", 1)
     assert ok and w <= {1, 2}
     assert check_subset_solution(g, "rbds", w)
+
+
+def _reference_subset_check(graph, problem, s):
+    """The set-based checker the mask one replaced."""
+    adj = graph.adjacency()
+    labelled = lambda label: frozenset(v for v in graph.vertices()
+                                       if graph.labels.get(v) == label)
+    dominated = lambda v: v in s or bool(adj[v] & s)
+    if problem == "is":
+        return not any(u in s and v in s for u, v in graph.edges)
+    if problem == "vc":
+        return all(u in s or v in s for u, v in graph.edges)
+    if problem == "ds":
+        return all(dominated(v) for v in graph.vertices())
+    return s <= labelled("blue") and all(dominated(v) for v in labelled("red"))
+
+
+def _reference_optimum_subset(graph, problem, cap):
+    """The frozenset enumeration the mask one replaced: the first strictly
+    better set in increasing mask order over the allowed vertices."""
+    if problem == "rbds":
+        ground = sorted(v for v in graph.vertices() if graph.labels.get(v) == "blue")
+    else:
+        ground = sorted(graph.vertices())
+    if 1 << len(ground) > cap:
+        raise CapExceeded("reference")
+    best = None
+    for mask in range(1 << len(ground)):
+        s = frozenset(ground[i] for i in range(len(ground)) if mask >> i & 1)
+        if not _reference_subset_check(graph, problem, s):
+            continue
+        if best is None or (len(s) > len(best) if problem == "is" else len(s) < len(best)):
+            best = s
+    return (float("inf"), None) if best is None else (len(best), best)
+
+
+def _subset_reference_graphs():
+    for seed in range(15):
+        yield generate_instance("logtw-vc", {"tree_nodes": 4, "n": 10, "max_bag": 4},
+                                seed=seed).graph
+        rbds = generate_instance("logtw-rbds", None, seed=seed)
+        yield rbds.graph
+        yield reduce_rbds_to_ds(rbds).target.graph
+    rng = random.Random(9)
+    for i in range(30):
+        n = rng.randint(0, 9)
+        edges = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                 if rng.random() < 0.3}
+        labels = ({v: rng.choice(("red", "blue", "green")) for v in range(1, n + 1)}
+                  if i % 2 else {})
+        yield Graph(n=n, edges=frozenset(edges), labels=labels)
+
+
+def test_subset_masks_match_the_frozenset_reference():
+    rng = random.Random(3)
+    seen = set()
+    for graph in _subset_reference_graphs():
+        for problem in ("is", "vc", "ds", "rbds"):
+            space = 1 << (len([v for v in graph.vertices() if graph.labels.get(v) == "blue"])
+                          if problem == "rbds" else graph.n)
+            with pytest.raises(CapExceeded):
+                optimum_subset(graph, problem, cap=space - 1)
+            with pytest.raises(CapExceeded):
+                _reference_optimum_subset(graph, problem, space - 1)
+            got = optimum_subset(graph, problem, cap=space)
+            assert got == _reference_optimum_subset(graph, problem, space), (graph, problem)
+            seen.add((problem, got[1] is None, bool(graph.labels)))
+            witness = got[1] or frozenset()
+            for _ in range(8):
+                # ids outside 1..n as well as vertices
+                x = rng.randint(-1, graph.n + 2)
+                some = frozenset(v for v in range(-1, graph.n + 3) if rng.random() < 0.5)
+                for s in (witness, witness | {x}, witness - {x}, some):
+                    verdict = check_subset_solution(graph, problem, s)
+                    assert verdict == _reference_subset_check(graph, problem, s), (
+                        graph, problem, s)
+                    seen.add((problem, verdict))
+    assert ("rbds", True, True) in seen  # an infeasible rbds instance
+    assert all((p, v) in seen for p in ("is", "vc", "ds", "rbds") for v in (True, False))
+    assert all((p, False, labels) in seen
+               for p in ("is", "vc", "ds") for labels in (True, False))
+
+
+def test_independent_sets_in_increasing_mask_order():
+    g = Graph(n=4, edges=frozenset({(1, 2), (2, 3), (3, 4)}))
+    every = [m for m in range(0, 1 << 5, 2)
+             if is_independent_set(g, frozenset(v for v in g.vertices() if m >> v & 1))]
+    assert independent_sets(g) == every
+    assert independent_sets(Graph(n=0)) == [0]
 
 
 def test_tree_dp_agrees_with_subset_oracle():

@@ -20,6 +20,7 @@ from xalpwb.oracles import (
     check_coloring,
     check_subset_solution,
     check_tcmc_solution,
+    independent_sets,
     is_independent_set,
     optimum_subset,
     solve_cnf_bruteforce,
@@ -322,10 +323,8 @@ def test_clause_gadget_law(ell):
     graph, lit_vertices = isolated_clause_gadget(ell)
     best_with = 0
     best_without = 0
-    for mask in range(1 << graph.n):
-        s = frozenset(i + 1 for i in range(graph.n) if mask >> i & 1)
-        if not is_independent_set(graph, s):
-            continue
+    for mask in independent_sets(graph):
+        s = frozenset(v for v in graph.vertices() if mask >> v & 1)
         if s & lit_vertices:
             best_with = max(best_with, len(s))
         else:

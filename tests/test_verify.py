@@ -134,6 +134,16 @@ def test_faulty_chain_detected_with_replay():
     assert replay_counterexample(cex)
 
 
+def test_faulty_chain_report_names_each_disagreement():
+    chain = ["tcmis-negcnf", "negcnf-poscnf!faulty", "part-gencnf"]
+    report = verify_chain(chain, trials=20, seed=5)
+    text = report.serialize()
+    assert report.disagreements
+    for i, _ in report.disagreements:
+        assert f"trial {i} disagree counterexample-{i}\n" in text
+        assert f"note trial {i} disagree: source False end True\n" in text
+
+
 def test_machine_equivalence_report(corpus):
     from xalpwb.corpus import CORPUS_BUDGET
 
