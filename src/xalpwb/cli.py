@@ -15,8 +15,8 @@ from . import verify
 from .corpus import CORPUS_BUDGET, load_corpus
 from .formats import parse_instance, serialize_instance
 from .instances import CapExceeded, ResourceBudget, XalpwbError
-from .machines import EVALUATORS, run_with_tree_shape
-from .reductions import REDUCTION_NAMES, REDUCTIONS, reduce_atm_to_tcmc
+from .machines import EVALUATORS, AtmInstance, run_with_tree_shape
+from .reductions import REDUCTION_NAMES, REDUCTIONS
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -49,14 +49,13 @@ def cmd_reduce(args) -> int:
     if args.name == "atm-tcmc":
         if args.blocks is None or args.beta is None or args.shape is None:
             raise UsageError("atm-tcmc needs --blocks, --beta and --shape")
-        machine = parse_instance("machine", text)
-        shape = parse_instance("tree", _read(args.shape))
-        x = args.input_string or ""
-        artifact = reduce_atm_to_tcmc(machine, x, shape, args.blocks, args.beta)
+        instance = AtmInstance(parse_instance("machine", text), args.input_string or "",
+                               parse_instance("tree", _read(args.shape)),
+                               args.blocks, args.beta)
     else:
         source = verify.REDUCTION_TYPES[args.name][0]
         instance = parse_instance(verify.FAMILIES[source].format, text)
-        artifact = REDUCTIONS[args.name](instance)
+    artifact = REDUCTIONS[args.name](instance)
     _write(args.output, serialize_instance(artifact.target))
     if args.lift:
         _write(args.lift, artifact.lift.serialize())

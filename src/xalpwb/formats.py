@@ -22,12 +22,13 @@ from .instances import (
     TreeDecomposition,
     normalize_edge,
 )
-from .machines import Action, MachineSpec
+from .machines import Action, AtmInstance, MachineSpec
 
 HEADER = "xalpwb 1"
 
 _GRAPH_TOKENS = ("p", "e", "label")
 _TREE_TOKENS = ("t", "a")
+_MACHINE_TOKENS = ("m", "init", "accept", "mode", "work", "tr")
 
 
 class Format(NamedTuple):
@@ -520,6 +521,32 @@ def _parse_machine(recs) -> MachineSpec:
     )
 
 
+# ----------------------------------------------------------------- atm
+
+def _atm_lines(inst: AtmInstance) -> list[str]:
+    if any(ch.isspace() for ch in inst.x):
+        raise FormatError(f"input string {inst.x!r} holds whitespace")
+    return [f"atm {inst.blocks} {inst.beta} {inst.x}".rstrip(),
+            *_machine_lines(inst.machine), *_tree_lines(inst.shape)]
+
+
+def _parse_atm(recs) -> AtmInstance:
+    head = None
+    machine_recs = []
+    tree_recs = []
+    for lineno, toks in _route(recs, "atm", ("atm",),
+                               (_MACHINE_TOKENS, machine_recs), (_TREE_TOKENS, tree_recs)):
+        if len(toks) not in (3, 4):
+            raise FormatError("expected 'atm <blocks> <beta> [<x>]'", lineno)
+        head = (_int(toks[1], lineno, "blocks"), _int(toks[2], lineno, "beta"),
+                toks[3] if len(toks) == 4 else "")
+    if head is None:
+        raise FormatError("missing 'atm <blocks> <beta> [<x>]' record")
+    blocks, beta, x = head
+    return AtmInstance(machine=_parse_machine(machine_recs), x=x,
+                       shape=_parse_tree_records(tree_recs), blocks=blocks, beta=beta)
+
+
 # --------------------------------------------------------------- table
 
 FORMATS = {
@@ -532,6 +559,7 @@ FORMATS = {
     "listcol": Format(ListColoringInstance, _listcol_lines, _parse_listcol),
     "logtw": Format(LogTwGraphInstance, _logtw_lines, _parse_logtw),
     "machine": Format(MachineSpec, _machine_lines, _parse_machine),
+    "atm": Format(AtmInstance, _atm_lines, _parse_atm),
 }
 
 _FORMAT_OF_TYPE = {fmt.type: fmt for fmt in FORMATS.values()}

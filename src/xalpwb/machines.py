@@ -393,63 +393,98 @@ def eval_alternating(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats
 # ------------------------------------------------------------ shaped runs
 
 
+class AtmInstance(NamedTuple):
+    """Source of atm-tcmc: a stack-free machine, its input, the shape its
+    accepting run must take, and the layout of its work tape as blocks
+    blocks of beta cells each."""
+
+    machine: MachineSpec
+    x: str
+    shape: OrderedTree
+    blocks: int
+    beta: int
+
+
+def _shaped_steps(m: MachineSpec, x: str, part: Part, arity: int) -> tuple[tuple[Part, ...], ...]:
+    """The tuples of child parts a shaped run may give a node holding part
+    with arity shape children, in table order.
+
+    Accepting states sit exactly at leaves, a 1-child node takes one
+    deterministic or existential step, and a 2-child node takes the first
+    and second universal transition toward its first and second child.
+    """
+    accepting = part[0] in m.accepting
+    if accepting or arity == 0:
+        return ((),) if accepting and arity == 0 else ()
+    acts = _applicable(m, part, x)
+    universal = m.mode[part[0]] == "univ"
+    if arity == 1 and not universal:
+        return tuple((_apply(part, a),) for a in acts)
+    if arity == 2 and universal and len(acts) == 2:
+        return ((_apply(part, acts[0]), _apply(part, acts[1])),)
+    return ()
+
+
 def shaped_run(m: MachineSpec, x: str, shape: OrderedTree) -> dict[int, Part] | None:
     """An accepting run whose computation tree is exactly the shape tree,
     as a map from shape node to configuration, or None.
 
-    Universal steps happen exactly at 2-child nodes, accepting states exactly
-    at leaves, and the first/second universal transition goes to the
-    first/second child.
+    Each node takes the first step of _shaped_steps, in table order, whose
+    child parts all have accepting runs of their subtrees.  One pass down
+    the shape collects the parts a run may put at each node, one pass up
+    keeps those whose subtree accepts, and a last pass down picks the run.
     """
     _require_stack_free(m, "run_with_tree_shape")
     shape.validate_binary()
-    memo: dict[tuple[Part, int], bool] = {}
-
-    def ok(part: Part, node: int) -> bool:
-        key = (part, node)
-        if key in memo:
-            return memo[key]
-        kids = shape.child_list(node)
-        accepting = part[0] in m.accepting
-        if not kids:
-            res = accepting
-        elif accepting:
-            res = False
-        else:
-            acts = _applicable(m, part, x)
-            mode = m.mode[part[0]]
-            if len(kids) == 1:
-                res = mode != "univ" and any(
-                    ok(_apply(part, a), kids[0]) for a in acts)
-            else:
-                res = (mode == "univ" and len(acts) == 2
-                       and ok(_apply(part, acts[0]), kids[0])
-                       and ok(_apply(part, acts[1]), kids[1]))
-        memo[key] = res
-        return res
-
+    order = shape.preorder()
     init = initial_part(m, x)
-    if not ok(init, shape.root):
+    reach: dict[int, set[Part]] = {shape.root: {init}}
+    steps: dict[tuple[Part, int], tuple[tuple[Part, ...], ...]] = {}
+    for node in order:
+        kids = shape.child_list(node)
+        for part in reach.get(node, ()):
+            steps[part, node] = _shaped_steps(m, x, part, len(kids))
+            for step in steps[part, node]:
+                for kid, child in zip(kids, step):
+                    reach.setdefault(kid, set()).add(child)
+    good: set[tuple[Part, int]] = set()
+
+    def first_good(part: Part, node: int) -> tuple[Part, ...] | None:
+        kids = shape.child_list(node)
+        return next((step for step in steps[part, node]
+                     if all((child, kid) in good for kid, child in zip(kids, step))), None)
+
+    for node in reversed(order):
+        good.update((part, node) for part in reach.get(node, ())
+                    if first_good(part, node) is not None)
+    if (init, shape.root) not in good:
         return None
     run: dict[int, Part] = {}
-
-    def build(part: Part, node: int):
+    todo = [(shape.root, init)]
+    while todo:
+        node, part = todo.pop()
         run[node] = part
-        kids = shape.child_list(node)
-        if not kids:
-            return
-        acts = _applicable(m, part, x)
-        if len(kids) == 1:
-            for a in acts:
-                if ok(_apply(part, a), kids[0]):
-                    build(_apply(part, a), kids[0])
-                    return
-            raise AssertionError("shaped run vanished")
-        build(_apply(part, acts[0]), kids[0])
-        build(_apply(part, acts[1]), kids[1])
-
-    build(init, shape.root)
+        todo.extend(reversed(tuple(zip(shape.child_list(node), first_good(part, node)))))
     return run
+
+
+def check_shaped_run(instance: AtmInstance, run) -> bool:
+    """Whether run maps the shape's nodes to configurations that form an
+    accepting run of exactly that shape: the initial configuration at the
+    root, and at each node's children a step _shaped_steps allows."""
+    m, x, shape = instance.machine, instance.x, instance.shape
+    _require_stack_free(m, "check_shaped_run")
+    shape.validate_binary()
+    if not isinstance(run, dict) or set(run) != set(shape.nodes()):
+        return False
+    if run[shape.root] != initial_part(m, x):
+        return False
+    # in preorder, each part checked was produced by its parent's step
+    for node in shape.preorder():
+        kids = shape.child_list(node)
+        if tuple(run[kid] for kid in kids) not in _shaped_steps(m, x, run[node], len(kids)):
+            return False
+    return True
 
 
 def run_with_tree_shape(m: MachineSpec, x: str, shape: OrderedTree) -> bool:

@@ -9,6 +9,7 @@ directions as callables plus desk-scale record tables that serialize as
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +26,7 @@ from .instances import (
     ceil_log2,
     normalize_edge,
 )
-from .machines import MachineSpec, input_symbol
+from .machines import AtmInstance, input_symbol
 
 BEFORE = "before"
 AFTER = "after"
@@ -126,8 +127,7 @@ def _intra_edge(a, b, beta: int) -> bool:
     return False
 
 
-def reduce_atm_to_tcmc(machine: MachineSpec, x: str, shape: OrderedTree,
-                       blocks: int, beta: int) -> ReductionArtifact:
+def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
     """Encode shaped acceptance of a stack-free machine as a tree-chained
     multicolor clique instance.
 
@@ -140,6 +140,7 @@ def reduce_atm_to_tcmc(machine: MachineSpec, x: str, shape: OrderedTree,
     second universal transition toward the first or second child), and the
     remaining non-constraining pairs are completed into cliques.
     """
+    machine, x, shape, blocks, beta = source
     if machine.uses_stack:
         raise InvariantViolation("atm-tcmc requires a stack-free machine")
     if blocks < 1 or beta < 1:
@@ -304,7 +305,7 @@ def reduce_atm_to_tcmc(machine: MachineSpec, x: str, shape: OrderedTree,
         (f"{lab[0]}@{lab[1]}/{lab[2]}/{lab[3]}", (f"v{v}",))
         for v, (node, color, lab) in sorted(label_of_vertex.items()))
     return ReductionArtifact(
-        name="atm-tcmc", source=(machine, x, shape, blocks, beta), target=target,
+        name="atm-tcmc", source=source, target=target,
         parameter_in=blocks, parameter_out=blocks, growth_bound="k'=k",
         lift=LiftMap(records=records, forward=forward, backward=backward))
 
@@ -561,7 +562,8 @@ def reduce_partitioned_to_general_cnf(instance: TreeChainedCnf) -> ReductionArti
 # ==================================== independent set at logarithmic width
 
 
-def _ladder_completion(ell: int, pos: int | None) -> tuple[list, int]:
+@functools.cache  # a few (ell, pos) pairs, met once per gadget per lift
+def _ladder_completion(ell: int, pos: int | None) -> tuple[tuple, int]:
     """Best choice of path vertices of one clause gadget given that literal
     vertex pos (or none) is in the independent set.
 
@@ -599,7 +601,7 @@ def _ladder_completion(ell: int, pos: int | None) -> tuple[list, int]:
                         nxt[(p_in, pp_in)] = cand
         best = nxt
     val, chosen = max(best.values(), key=lambda it: it[0])
-    return list(chosen), val
+    return chosen, val
 
 
 def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:

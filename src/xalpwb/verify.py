@@ -2,10 +2,12 @@
 certifying every reduction and evaluator-equivalence claim.
 
 Each problem family's format, exact oracle, solution checker and CLI
-solvers sit in one registry, FAMILIES, which the CLI reads too.  Each trial
-solves its source and its target once; the verdicts are compared and the
-solutions they come with are carried across the reduction by its lift
-maps.  The logtw families are solved by the witness-producing
+solvers sit in one registry, FAMILIES, which the CLI reads too; the atm
+source of atm-tcmc is one more family, decided by its shaped run.  Each
+trial solves its source and its target once; the verdicts are compared and
+the solutions they come with are carried across the reduction by its lift
+maps: forward, backward, and backward then forward again, each checked on
+the side it lands on.  The logtw families are solved by the witness-producing
 decomposition DP; subset enumeration stays the oracles' small-n
 cross-check.  Trials are deterministic in (name, profile, seed);
 disagreements carry a replayable serialized counterexample and their
@@ -39,13 +41,14 @@ from .instances import (
 )
 from .machines import (
     Action,
+    AtmInstance,
     MachineSpec,
+    check_shaped_run,
     eval_alternating,
     eval_alternating_as_stack,
     eval_balanced,
     eval_stack,
     eval_stack_via_alternation,
-    run_with_tree_shape,
     shaped_run,
 )
 from .reductions import (
@@ -270,7 +273,7 @@ def _generate_logtw(rng: random.Random, profile: dict, problem: str) -> LogTwGra
                               target_weight=target, k=k, problem=problem)
 
 
-def _generate_atm(rng: random.Random, profile: dict):
+def _generate_atm(rng: random.Random, profile: dict) -> AtmInstance:
     """A small stack-free machine plus shape tree, input, and block layout.
 
     Half of the shapes are taken from an actual accepting computation tree
@@ -319,7 +322,7 @@ def _generate_atm(rng: random.Random, profile: dict):
             shape = None
     if shape is None:
         shape = _random_binary_tree(rng, rng.randint(low, profile["shape_nodes"]))
-    return machine, x, shape, blocks, beta
+    return AtmInstance(machine, x, shape, blocks, beta)
 
 
 def _accepting_run_shape(machine: MachineSpec, x: str, max_nodes: int):
@@ -393,20 +396,19 @@ def generate_instance(family: str, size_profile: dict | None = None, seed: int =
 class Family:
     """One problem family: its CLI --problem name (None when the CLI does not
     solve it), its parse_instance format tag, the exact oracle verify
-    decides it by, its solution checker (None for atm, whose shaped run is
-    checked through the reduction's re-encoding) and the CLI solvers.
+    decides it by, its solution checker and the CLI solvers.
 
     decide(instance, cap, witness) and every solver(instance, cap,
     threshold) return (solvable, solution or None).  witness=False lets the
     logtw DP skip its solution, which a chain, comparing verdicts alone,
     does not need.  Every callable looks its oracle up in the oracles
-    module when called, so rebinding an oracle there reaches the
-    registry."""
+    module (atm's decide: this module's shaped_run) when called, so
+    rebinding an oracle there reaches the registry."""
 
     problem: str | None
     format: str
     decide: Callable
-    check: Callable | None
+    check: Callable
     solvers: dict[str, Callable] = field(default_factory=dict)
 
 
@@ -457,6 +459,11 @@ def _listcol_decide(instance, cap, witness=True):
     return oracles.solve_listcoloring(instance, cap=cap)
 
 
+def _atm_decide(instance: AtmInstance, cap, witness=True):
+    run = shaped_run(instance.machine, instance.x, instance.shape)
+    return run is not None, run
+
+
 _CNF = Family(
     "cnf", "cnf", _cnf_decide,
     lambda instance, true_vars: oracles.check_cnf_solution(instance, frozenset(true_vars)),
@@ -465,11 +472,7 @@ _CNF = Family(
 # family name -> Family; the source and target of every reduction in
 # REDUCTION_TYPES has an entry
 FAMILIES = {
-    # an atm source is (machine, input, shape, blocks, beta)
-    "atm": Family(None, "machine",
-                  lambda source, cap, witness=True:
-                      (run_with_tree_shape(*source[:3]), None),
-                  None),
+    "atm": Family(None, "atm", _atm_decide, check_shaped_run),
     "tcmc": _tcmc_family("tcmc", "clique"),
     "tcmis": _tcmc_family("tcmis", "independent-set"),
     "listcol": Family(
@@ -486,51 +489,35 @@ FAMILIES = {
 # -------------------------------------------------------- counterexamples
 
 
+def _source_format(name: str) -> str:
+    """The format tag of the source of a reduction or "chain:a,b,c" name."""
+    first = name.split(",")[0].removeprefix("chain:")
+    _lookup_reduction(first)
+    return FAMILIES[REDUCTION_TYPES[first][0]].format
+
+
 def serialize_counterexample(name: str, source) -> str:
     """Self-contained replayable record: the failing reduction (or chain)
     plus its serialized source instance."""
-    lines = ["xalpwb 1", f"counterexample {name}"]
-    first = name.split(",")[0].removeprefix("chain:")
-    if first == "atm-tcmc":
-        machine, x, shape, blocks, beta = source
-        lines.append(f"atmparams {blocks} {beta} {x if x else '-'}")
-        lines.append("section machine")
-        lines.extend(serialize_instance(machine).splitlines()[1:])
-        lines.append("section shape")
-        lines.extend(serialize_instance(shape).splitlines()[1:])
-    else:
-        tag = FAMILIES[REDUCTION_TYPES[first][0]].format
-        lines.append(f"section instance {tag}")
-        lines.extend(serialize_instance(source).splitlines()[1:])
-    return "\n".join(lines) + "\n"
+    return "\n".join(["xalpwb 1", f"counterexample {name}",
+                      f"section instance {_source_format(name)}",
+                      *serialize_instance(source).splitlines()[1:]]) + "\n"
 
 
 def parse_counterexample(text: str):
     """Returns (name, source object) parsed from a serialized
     counterexample; name is a reduction name or "chain:a,b,c"."""
     lines = text.splitlines()
-    if not lines or lines[0].strip() != "xalpwb 1":
+    header, head, section = (lines + ["", "", ""])[:3]
+    if header.strip() != "xalpwb 1":
         raise InvariantViolation("counterexample must start with the header")
-    head = lines[1].split()
+    head, section = head.split(), section.split()
     if len(head) != 2 or head[0] != "counterexample":
         raise InvariantViolation("missing 'counterexample <name>' record")
-    name = head[1]
-    first = name.split(",")[0].removeprefix("chain:")
-    if first == "atm-tcmc":
-        params = lines[2].split()
-        blocks, beta = int(params[1]), int(params[2])
-        x = "" if params[3] == "-" else params[3]
-        m_start = lines.index("section machine") + 1
-        s_start = lines.index("section shape")
-        machine = parse_instance(
-            "machine", "xalpwb 1\n" + "\n".join(lines[m_start:s_start]))
-        shape = parse_instance(
-            "tree", "xalpwb 1\n" + "\n".join(lines[s_start + 1:]))
-        return name, (machine, x, shape, blocks, beta)
-    section = lines[2].split()
-    tag = section[2]
-    instance = parse_instance(tag, "xalpwb 1\n" + "\n".join(lines[3:]))
-    return name, instance
+    tag = _source_format(head[1])
+    if section != ["section", "instance", tag]:
+        raise InvariantViolation(f"missing 'section instance {tag}' record")
+    return head[1], parse_instance(tag, "xalpwb 1\n" + "\n".join(lines[3:]))
 
 
 def replay_counterexample(text: str, cap: int | None = None) -> bool:
@@ -561,20 +548,15 @@ def _lookup_reduction(name: str):
     raise InvariantViolation(f"unknown reduction {name!r}")
 
 
-def _apply(name: str, source) -> ReductionArtifact:
-    fn = _lookup_reduction(name)
-    return fn(*source) if name == "atm-tcmc" else fn(source)
-
-
 def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
     """One verification step on a given source: reduce, solve both sides
     with the oracles, compare, and check lifts, witnesses, and parameter
     growth."""
-    _lookup_reduction(name)
+    reduce = _lookup_reduction(name)
     src, tgt = (FAMILIES[family] for family in REDUCTION_TYPES[name])
     notes: list[str] = []
     try:
-        art = _apply(name, source)
+        art = reduce(source)
         src_ok, src_sol = src.decide(source, cap)
         tgt_ok, tgt_sol = tgt.decide(art.target, cap)
     except CapExceeded as exc:
@@ -612,7 +594,7 @@ def _resource_checks(name: str, source, art: ReductionArtifact,
     if name in ("vc-rbds", "rbds-ds"):
         before = source.decomposition.width()
         after = art.witness.width()
-        if after > max(before, 2) + 1:
+        if after > before + 1:
             problems.append(f"witness width {after} grew past {before}+1")
     if name == "poscnf-logtwis":
         n = art.target.graph.n
@@ -648,25 +630,18 @@ def _expected_logtw_weight(source: TreeChainedCnf) -> int:
 def _lift_checks(name: str, source, art: ReductionArtifact,
                  src_sol, tgt_sol) -> list[str]:
     """Carry the oracles' solutions of a solvable trial across the
-    reduction both ways and check them on the other side."""
+    reduction both ways and check them on the other side; a valid
+    backward-lifted solution must also lift forward again to a valid
+    target solution."""
     problems = []
     src, tgt = (FAMILIES[family] for family in REDUCTION_TYPES[name])
-    if name == "atm-tcmc":
-        run = shaped_run(*source[:3])
-        forwarded = art.lift.forward(run)
-        if not oracles.check_tcmc_solution(art.target, "clique", forwarded):
-            problems.append("lifted run is not a tree-chained clique")
-        back = art.lift.backward(tgt_sol)
-        again = art.lift.forward(back)
-        if not oracles.check_tcmc_solution(art.target, "clique", again):
-            problems.append("decoded run does not re-encode validly")
-        return problems
-    forwarded = art.lift.forward(src_sol)
-    if not tgt.check(art.target, forwarded):
+    if not tgt.check(art.target, art.lift.forward(src_sol)):
         problems.append("forward-lifted solution invalid on target")
     back = art.lift.backward(tgt_sol)
     if not src.check(source, back):
         problems.append("backward-lifted solution invalid on source")
+    elif not tgt.check(art.target, art.lift.forward(back)):
+        problems.append("round-tripped solution invalid on target")
     return problems
 
 
@@ -726,7 +701,7 @@ def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOu
         current = source
         for nm in chain:
             try:
-                current = _apply(nm, current).target
+                current = _lookup_reduction(nm)(current).target
             except InvariantViolation as exc:
                 # the intermediate instance left this stage's domain (e.g. an
                 # unsolvable empty class reaching a partition-based stage)

@@ -10,7 +10,7 @@ import pytest
 from conftest import make_machine
 from xalpwb.corpus import CORPUS_BUDGET, load_corpus
 from xalpwb.instances import Graph, OrderedTree, validate_decomposition
-from xalpwb.machines import run_with_tree_shape
+from xalpwb.machines import AtmInstance, run_with_tree_shape
 from xalpwb.oracles import (
     independent_sets,
     optimum_subset,
@@ -214,7 +214,7 @@ def test_criterion_7_atm_end_to_end():
     for tag, machine, x, shape, blocks, beta in _hand_written_cases():
         assert shape.n <= 5 and beta <= 2 and blocks <= 2
         machines.add(tag.split("/")[0])
-        art = reduce_atm_to_tcmc(machine, x, shape, blocks, beta)
+        art = reduce_atm_to_tcmc(AtmInstance(machine, x, shape, blocks, beta))
         brute, _ = solve_tcmc_bruteforce(art.target, "clique", cap=BIGCAP)
         shaped = run_with_tree_shape(machine, x, shape)
         total += 1

@@ -265,6 +265,27 @@ def test_machine_shaped_mismatch_rejects(workdir, corpus, capsys):
     assert capsys.readouterr().out.strip() == "ACCEPT"
 
 
+def test_machine_shaped_accepts_a_3000_node_path(workdir, capsys):
+    # an existential state that stays put or accepts: the only accepting run
+    # of a path shape stays in e down to the leaf
+    from xalpwb.machines import AtmInstance, check_shaped_run, shaped_run
+
+    machine_text = ("xalpwb 1\nm states e acc\ninit e\naccept acc\n"
+                    "mode e exist\nmode acc det\nwork 1 0\n"
+                    "tr e # 0 -> e 0 0 0 none\ntr e # 0 -> acc 0 0 0 none\n")
+    shape_text = "xalpwb 1\nt 3000\n" + "".join(f"a {i} {i + 1} 1\n" for i in range(1, 3000))
+    pathlib.Path("e.mach").write_text(machine_text)
+    pathlib.Path("path.tree").write_text(shape_text)
+    assert main(["machine", "eval", "--semantics", "shaped", "-m", "e.mach",
+                 "--shape", "path.tree"]) == 0
+    assert capsys.readouterr().out.strip() == "ACCEPT"
+    source = AtmInstance(parse_instance("machine", machine_text), "",
+                         parse_instance("tree", shape_text), 1, 1)
+    run = shaped_run(source.machine, source.x, source.shape)
+    assert len(run) == 3000 and run[3000][0] == "acc"
+    assert check_shaped_run(source, run)
+
+
 def test_parse_failure_exit_2(workdir):
     pathlib.Path("junk.tcmc").write_text("not a header\n")
     assert main(["solve", "--problem", "tcmc", "-i", "junk.tcmc"]) == 2

@@ -277,13 +277,15 @@ def test_every_format_tag_round_trips(corpus):
     cases += [(tag, generate_instance(family, None, seed=0))
               for family, tag in (("graph", "graph"), ("tcmc", "tcmc"), ("negcnf", "cnf"),
                                   ("listcol", "listcol"), ("logtw-is", "logtw"))]
+    cases += [("atm", generate_instance("atm", None, seed=seed)) for seed in range(8)]
+    assert any(inst.x for tag, inst in cases if tag == "atm")
     assert {tag for tag, _ in cases} == set(FORMATS)
     for tag, inst in cases:
         assert FORMATS[tag].type is type(inst)
         assert parse_instance(tag, serialize_instance(inst)) == inst
 
 
-@pytest.mark.parametrize("tag", ["decomposition", "tcmc", "cnf", "listcol", "logtw"])
+@pytest.mark.parametrize("tag", ["decomposition", "tcmc", "cnf", "listcol", "logtw", "atm"])
 def test_composite_format_reports_foreign_record_at_its_line(tag):
     with pytest.raises(FormatError, match=f"line 2: unexpected record 'zzz' in {tag}"):
         parse_instance(tag, "xalpwb 1\nzzz 1\n")

@@ -7,12 +7,15 @@ from conftest import make_machine
 from xalpwb.corpus import CORPUS_BUDGET, corpus_inputs
 from xalpwb.instances import InvariantViolation, OrderedTree, ResourceBudget
 from xalpwb.machines import (
+    AtmInstance,
     SemanticsMismatch,
+    check_shaped_run,
     eval_alternating,
     eval_alternating_as_stack,
     eval_balanced,
     eval_stack,
     eval_stack_via_alternation,
+    initial_part,
     run_with_tree_shape,
     shaped_run,
 )
@@ -181,6 +184,22 @@ def test_shaped_respects_child_order():
     assert run_with_tree_shape(m, "", shape)
     run = shaped_run(m, "", shape)
     assert run[2][0] == "l" and run[3][0] == "r"
+
+
+def test_check_shaped_run_rejects_what_is_not_the_run(toys):
+    shape = OrderedTree(n=3, children={1: (2, 3)})
+    source = AtmInstance(toys["univ"], "", shape, 1, 1)
+    run = shaped_run(source.machine, source.x, shape)
+    assert check_shaped_run(source, run)
+    assert not check_shaped_run(source, {**run, 2: run[3], 3: run[2]})  # children swapped
+    assert not check_shaped_run(source, {1: run[1], 2: run[2]})  # a node missing
+    assert not check_shaped_run(source, {**run, 1: run[2]})  # not the initial part
+    assert not check_shaped_run(source, None)
+    # an accepting configuration sits at a leaf only
+    init = initial_part(toys["acc"], "")
+    assert check_shaped_run(AtmInstance(toys["acc"], "", OrderedTree(n=1), 1, 1), {1: init})
+    assert not check_shaped_run(AtmInstance(toys["acc"], "", shape, 1, 1),
+                                {1: init, 2: init, 3: init})
 
 
 # ------------------------------------------------- corpus-wide properties

@@ -42,7 +42,7 @@ from xalpwb.reductions import (
     reduce_tcmis_to_negcnf,
     reduce_vc_to_rbds,
 )
-from xalpwb.machines import run_with_tree_shape
+from xalpwb.machines import AtmInstance, run_with_tree_shape
 from xalpwb.verify import generate_instance
 
 BIGCAP = 1 << 44
@@ -66,7 +66,7 @@ def two_node_tcmc(edges=()):
 def test_atm_tcmc_immediate_accept_single_node():
     m = make_machine(["a"], "a", ["a"], {"a": "det"}, 1, "01", {})
     shape = OrderedTree(n=1)
-    art = reduce_atm_to_tcmc(m, "", shape, 1, 1)
+    art = reduce_atm_to_tcmc(AtmInstance(m, "", shape, 1, 1))
     # the only class holds the root-compatible accepting vertex
     assert all(len(vs) == 1 for vs in art.target.classes.values())
     ok, _ = solve_tcmc_bruteforce(art.target, "clique", cap=BIGCAP)
@@ -77,14 +77,14 @@ def test_atm_tcmc_two_step_existential_path():
     m = make_machine(["s", "t"], "s", ["t"], {"s": "exist", "t": "det"}, 2, "01",
                      {("s", "0", "0"): [("t", "0", 0, 0, None)]})
     shape = OrderedTree(n=2, children={1: (2,)})
-    art = reduce_atm_to_tcmc(m, "0", shape, 2, 1)
+    art = reduce_atm_to_tcmc(AtmInstance(m, "0", shape, 2, 1))
     ok, sol = solve_tcmc_bruteforce(art.target, "clique", cap=BIGCAP)
     assert ok == run_with_tree_shape(m, "0", shape) == True
     run = art.lift.backward(sol)
     assert check_tcmc_solution(art.target, "clique", art.lift.forward(run))
     # same machine on a mismatching shape: both sides reject
     single = OrderedTree(n=1)
-    art2 = reduce_atm_to_tcmc(m, "0", single, 2, 1)
+    art2 = reduce_atm_to_tcmc(AtmInstance(m, "0", single, 2, 1))
     ok2, _ = solve_tcmc_bruteforce(art2.target, "clique", cap=BIGCAP)
     assert ok2 == run_with_tree_shape(m, "0", single) == False
 
@@ -99,7 +99,7 @@ def test_atm_tcmc_per_class_size_cap():
     x = "0"
     shape = OrderedTree(n=5, children={1: (2, 3), 2: (4,), 3: (5,)})
     beta = 1
-    art = reduce_atm_to_tcmc(m, x, shape, 2, beta)
+    art = reduce_atm_to_tcmc(AtmInstance(m, x, shape, 2, beta))
     cap = len(m.states) * (len(x) + 2) * (beta + 2) * (1 << beta)
     assert all(len(vs) <= cap for vs in art.target.classes.values())
 
@@ -107,11 +107,11 @@ def test_atm_tcmc_per_class_size_cap():
 def test_atm_tcmc_rejects_bad_layout():
     m = make_machine(["a"], "a", ["a"], {"a": "det"}, 3, "01", {})
     with pytest.raises(InvariantViolation, match="blocks"):
-        reduce_atm_to_tcmc(m, "", OrderedTree(n=1), 2, 2)
+        reduce_atm_to_tcmc(AtmInstance(m, "", OrderedTree(n=1), 2, 2))
     stacky = make_machine(["a", "b"], "a", ["b"], {"a": "det", "b": "det"}, 1, "01",
                           {("a", "#", "0"): [("b", "0", 0, 0, ("push", "z"))]})
     with pytest.raises(InvariantViolation, match="stack-free"):
-        reduce_atm_to_tcmc(stacky, "", OrderedTree(n=1), 1, 1)
+        reduce_atm_to_tcmc(AtmInstance(stacky, "", OrderedTree(n=1), 1, 1))
 
 
 # --------------------------------------------------------- tcmc complement
@@ -499,7 +499,7 @@ def test_atm_tcmc_beta2_blocks2_cross_block_movement():
          ("c", "#", "0"): [("d", "1", -1, 0, None)],   # cell 3 -> 2 (back)
          ("d", "#", "1"): [("acc", "1", 0, 0, None)]})
     shape = OrderedTree(n=5, children={1: (2,), 2: (3,), 3: (4,), 4: (5,)})
-    art = reduce_atm_to_tcmc(m, "", shape, 2, 2)
+    art = reduce_atm_to_tcmc(AtmInstance(m, "", shape, 2, 2))
     ok, sol = solve_tcmc_bruteforce(art.target, "clique", cap=1 << 52)
     assert ok == run_with_tree_shape(m, "", shape) == True
     run = art.lift.backward(sol)
@@ -511,6 +511,6 @@ def test_atm_tcmc_beta2_blocks2_cross_block_movement():
         ["a", "acc"], "a", ["acc"], {"a": "exist", "acc": "det"}, 2, "01",
         {("a", "#", "0"): [("acc", "1", -1, 0, None)]})  # off the left edge
     shape2 = OrderedTree(n=2, children={1: (2,)})
-    art2 = reduce_atm_to_tcmc(off, "", shape2, 2, 1)
+    art2 = reduce_atm_to_tcmc(AtmInstance(off, "", shape2, 2, 1))
     ok2, _ = solve_tcmc_bruteforce(art2.target, "clique", cap=BIGCAP)
     assert ok2 == run_with_tree_shape(off, "", shape2) == False

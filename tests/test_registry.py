@@ -11,8 +11,7 @@ from xalpwb.instances import CapExceeded
 from xalpwb.reductions import reduce_rbds_to_ds
 from xalpwb.verify import FAMILIES, REDUCTION_TYPES, generate_instance
 
-# atm sources are (machine, input, shape, blocks, beta) tuples, not one instance
-GENERATED = [f for f in FAMILIES if f in verify._DEFAULT_PROFILES and f != "atm"]
+GENERATED = [f for f in FAMILIES if f in verify._DEFAULT_PROFILES]
 
 # --problem name -> a family of that problem
 PROBLEM_FAMILY = {e.problem: f for f, e in reversed(FAMILIES.items()) if e.problem}

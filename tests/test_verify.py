@@ -3,7 +3,7 @@
 import pytest
 
 from xalpwb import oracles, verify
-from xalpwb.instances import InvariantViolation
+from xalpwb.instances import FormatError, InvariantViolation, TreeDecomposition
 from xalpwb.reductions import REDUCTION_NAMES, REDUCTIONS
 from xalpwb.verify import (
     REDUCTION_TYPES,
@@ -98,10 +98,37 @@ def test_fault_fixture_detected_and_replayable():
 def test_counterexample_round_trip_atm():
     source = generate_instance("atm", None, seed=3)
     text = serialize_counterexample("atm-tcmc", source)
+    assert text.splitlines()[2] == "section instance atm"
     name, parsed = parse_counterexample(text)
     assert name == "atm-tcmc"
     machine, x, shape, blocks, beta = parsed
     assert (machine, x, shape, blocks, beta) == source
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "xalpwb 1\n",
+    "xalpwb 1\ncounterexample\n",
+    "xalpwb 1\ncounterexample atm-tcmc\n",
+    "xalpwb 1\ncounterexample atm-tcmc\nsection instance\n",
+    "xalpwb 1\ncounterexample atm-tcmc\nsection instance nosuch\n",
+    "xalpwb 1\ncounterexample nosuch\nsection instance graph\np graph 1 0\n",
+    # a graph is not the source of atm-tcmc, so it could not be replayed
+    "xalpwb 1\ncounterexample atm-tcmc\nsection instance graph\np graph 1 0\n",
+    "xalpwb 1\ncounterexample atm-tcmc\nsection instance atm\n",
+    "xalpwb 1\ncounterexample atm-tcmc\nsection instance atm\natm two 1\n",
+    # the earlier atm layout, with its own parameter record and sections
+    "xalpwb 1\ncounterexample atm-tcmc\natmparams 2 1 -\nsection machine\n",
+])
+def test_malformed_counterexample_raises_a_documented_error(text):
+    with pytest.raises((FormatError, InvariantViolation)):
+        parse_counterexample(text)
+
+
+def test_truncated_atm_counterexample_raises_a_format_error():
+    text = serialize_counterexample("atm-tcmc", generate_instance("atm", None, seed=3))
+    with pytest.raises(FormatError, match="missing 't' record"):
+        parse_counterexample(text[:text.index("\nt ")])
 
 
 def test_chain_type_compatibility():
@@ -249,7 +276,7 @@ def test_capped_atm_trial_runs_the_backward_lift_check(monkeypatch):
     # the brute force exceeds the default cap on this accepting trial's
     # target, so the traversal decides it and its choice is decoded back
     source = generate_instance("atm", None, seed=100044)
-    real_apply, real_traversal = verify._apply, oracles.solve_tcmc_traversal
+    real_reduce, real_traversal = REDUCTIONS["atm-tcmc"], oracles.solve_tcmc_traversal
     traversed, decoded = [], []
 
     def traversal(*args, **kwargs):
@@ -257,14 +284,14 @@ def test_capped_atm_trial_runs_the_backward_lift_check(monkeypatch):
         traversed.append(result)
         return result
 
-    def apply(name, src):
-        art = real_apply(name, src)
+    def reduce(src):
+        art = real_reduce(src)
         backward = art.lift.backward
         art.lift.backward = lambda sol: decoded.append(sol) or backward(sol)
         return art
 
     monkeypatch.setattr(oracles, "solve_tcmc_traversal", traversal)
-    monkeypatch.setattr(verify, "_apply", apply)
+    monkeypatch.setitem(REDUCTIONS, "atm-tcmc", reduce)
     assert run_trial("atm-tcmc", source).status == "agree"
     assert len(traversed) == 1 and traversed[0][0]
     assert decoded == [traversed[0][1]]
@@ -297,3 +324,59 @@ def test_trial_solves_each_side_once(monkeypatch, name, solver):
         assert run_trial(name, source).status == "agree", seed
         assert len(solved) == 2 and solved[0] is source and solved[1] is not source, seed
     assert lifted  # some trials were solvable, so their lifts were checked
+
+
+def test_atm_trial_runs_shaped_run_once(monkeypatch):
+    # the run the source oracle found is the one the forward lift carries
+    from xalpwb import machines
+
+    real, calls = verify.shaped_run, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "shaped_run", counted)
+    monkeypatch.setattr(machines, "shaped_run", counted)
+    solvable = 0
+    for seed in range(30):
+        source = generate_instance("atm", None, seed=seed)
+        calls.clear()
+        assert run_trial("atm-tcmc", source).status == "agree", seed
+        assert len(calls) == 1, seed
+        solvable += real(source.machine, source.x, source.shape) is not None
+    assert solvable
+
+
+def _widened(dec: TreeDecomposition, vertices, width: int) -> TreeDecomposition:
+    """dec with vertices outside a widest bag added to every bag (which
+    keeps it valid) until it reaches the given width."""
+    widest = max(dec.bags.values(), key=len)
+    extra = frozenset(sorted(set(vertices) - widest)[:width - dec.width()])
+    return TreeDecomposition(tree=dec.tree, bags={i: b | extra for i, b in dec.bags.items()})
+
+
+@pytest.mark.parametrize("name", ["vc-rbds", "rbds-ds"])
+def test_witness_grown_by_two_is_a_disagreement(monkeypatch, name):
+    # both reductions declare width+<=1; a source of width at most 1 shows
+    # that the bound is the source width plus one, with no floor
+    real_reduce = REDUCTIONS[name]
+
+    def grown(src):
+        art = real_reduce(src)
+        art.witness = _widened(art.witness, art.target.graph.vertices(),
+                               src.decomposition.width() + 2)
+        return art
+
+    source = next(
+        s for s in (generate_instance(REDUCTION_TYPES[name][0], None, seed=t)
+                    for t in range(100))
+        if s.decomposition.width() <= 1
+        and grown(s).witness.width() == s.decomposition.width() + 2)
+    before = source.decomposition.width()
+    assert run_trial(name, source).status == "agree"
+    monkeypatch.setitem(REDUCTIONS, name, grown)
+    outcome = run_trial(name, source)
+    assert outcome.status == "disagree"
+    assert f"witness-width {before + 2}" in outcome.notes
+    assert outcome.detail == f"witness width {before + 2} grew past {before}+1"
