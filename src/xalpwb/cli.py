@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import verify
+from . import oracles, verify
 from .corpus import CORPUS_BUDGET, load_corpus
 from .formats import parse_instance, serialize_instance
 from .instances import CapExceeded, ResourceBudget, XalpwbError
@@ -91,6 +91,9 @@ def cmd_solve(args) -> int:
                          + ", ".join(p for p, f in _PROBLEMS.items() if f.format == "logtw"))
     instance = parse_instance(family.format, _read(args.input))
     threshold = instance.target_weight if logtw and args.threshold is None else args.threshold
+    if args.solver == "treedp":
+        _, width = oracles.dp_decomposition(instance, args.problem)
+        print(f"dp width {width} (witness {instance.width})", file=sys.stderr)
     ok, sol = solve(instance, args.cap, threshold)
     print("YES" if ok else "NO")
     if ok and sol is not None and args.output:

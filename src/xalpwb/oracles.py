@@ -1,19 +1,22 @@
 """Ground-truth solvers: exhaustive deciders for every problem family, the
 tree-traversal solver that cross-checks the tcmc one, and the
-witness-producing decomposition DP for the logtw families (IS, VC, DS and
-RBDS over the instance's own decomposition).  The DP is the verification
-harness's oracle for those families; subset enumeration (optimum_subset)
-is its independent small-n cross-check.
+witness-producing decomposition DP for the logtw families.  The DP solves
+IS and VC on the instance's own decomposition, and DS and RBDS on a
+validated min-degree elimination of the graph when that is narrower
+(dp_decomposition picks).  The DP is the verification harness's oracle
+for those families; subset enumeration (optimum_subset) is its
+independent small-n cross-check.
 The four subset problems are described once, on vertex masks, in
 SUBSET_PROBLEMS, which the subset checker, enumeration and DP all read.
 
-Every solver enforces its size cap before doing any work and raises
+Every solver enforces its size cap before its exponential work and raises
 CapExceeded past it.  Solutions returned always satisfy the instance's own
 constraints; callers can re-validate with the check_* helpers.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 from dataclasses import dataclass
@@ -24,10 +27,11 @@ from .instances import (
     InvariantViolation,
     ListColoringInstance,
     LogTwGraphInstance,
+    OrderedTree,
     TcmcInstance,
     TreeChainedCnf,
     TreeDecomposition,
-    validate_decomposition,  # verify checks reduction witnesses through this name
+    validate_decomposition,  # verify checks reduction witnesses through this name too
 )
 
 DEFAULT_CAP = 1 << 20
@@ -293,8 +297,10 @@ def check_coloring(instance: ListColoringInstance, coloring: dict[int, int]) -> 
 
 
 def solve_listcoloring(instance: ListColoringInstance, cap: int | None = None):
-    """Exact backtracking decision; honors precolorings.
-    Returns (colorable, coloring or None).
+    """Exact backtracking decision on an explicit stack; honors
+    precolorings.  Free vertices are coloured in increasing order, each
+    trying its colours in increasing order.  Returns (colorable, coloring or
+    None).
 
     Precolored vertices are assigned first (they never branch), so the cap
     is the product over free vertices of the colors that survive their
@@ -316,20 +322,26 @@ def solve_listcoloring(instance: ListColoringInstance, cap: int | None = None):
         if u in coloring and w in coloring and coloring[u] == coloring[w]:
             return False, None
 
-    def backtrack(pos: int) -> bool:
-        if pos == len(free):
-            return True
-        v = free[pos]
-        for c in options[v]:
-            if all(coloring.get(u) != c for u in adj[v]):
-                coloring[v] = c
-                if backtrack(pos + 1):
-                    return True
-                del coloring[v]
-        return False
+    def fitting(v: int):
+        # v's options in order, each read when reached, that no coloured
+        # neighbour holds
+        return (c for c in options[v] if all(coloring.get(u) != c for u in adj[v]))
 
-    if backtrack(0):
+    if not free:
         return True, dict(coloring)
+    # one option iterator per free vertex coloured so far, and one for the next
+    todo = [fitting(free[0])]
+    while todo:
+        v = free[len(todo) - 1]
+        c = next(todo[-1], None)
+        if c is None:
+            coloring.pop(v, None)
+            todo.pop()
+            continue
+        coloring[v] = c
+        if len(todo) == len(free):
+            return True, dict(coloring)
+        todo.append(fitting(free[len(todo)]))
     return False, None
 
 
@@ -608,35 +620,98 @@ def _ds_steps(nbr: list[int], shift: int, track: int, allowed: int, must: int):
     return {(0, 0): 0}, introduce, forget, join
 
 
+def min_degree_decomposition(graph: Graph) -> TreeDecomposition:
+    """A tree decomposition from the min-degree elimination of graph
+    (Bodlaender and Koster, "Treewidth computations I. Upper bounds", 2010).
+
+    Vertices are eliminated least degree first, ties to the least id, from a
+    lazy heap: a vertex is pushed again each time its degree changes, and a
+    popped entry counts only if it still holds the vertex's degree.
+    Eliminating v joins its remaining neighbours into a clique.  Tree node v
+    holds the bag of v and those neighbours, and hangs under the node of the
+    first of them to be eliminated, whose bag holds them all.  The last
+    vertex eliminated is the root, and the root of every other component
+    hangs under it.  A graph without vertices has no decomposition
+    (InvariantViolation)."""
+    adj = list(graph.neighbour_masks)
+    heap = [(mask.bit_count(), v) for v, mask in enumerate(adj) if v]
+    heapq.heapify(heap)
+    place: dict[int, int] = {}  # vertex -> its place in the elimination
+    bags: dict[int, list[int]] = {}  # in elimination order
+    while heap:
+        degree, v = heapq.heappop(heap)
+        around = adj[v]
+        if v in place or degree != around.bit_count():
+            continue
+        place[v] = len(place)
+        bags[v] = bag = [v]
+        for u in _bits(around):
+            bag.append(u)
+            fill = (adj[u] | around) & ~(1 << u | 1 << v)
+            if fill != adj[u]:
+                adj[u] = fill
+                heapq.heappush(heap, (fill.bit_count(), u))
+    root = next(reversed(bags), None)
+    children: dict[int, list[int]] = {}
+    for v, bag in bags.items():
+        if v != root:
+            up = min(bag[1:], key=place.__getitem__, default=root)
+            children.setdefault(up, []).append(v)
+    return TreeDecomposition(
+        tree=OrderedTree(n=len(bags), children={p: tuple(cs) for p, cs in children.items()}),
+        bags=bags)
+
+
+def dp_decomposition(instance: LogTwGraphInstance,
+                     problem: str) -> tuple[TreeDecomposition, int]:
+    """The decomposition optimum_treedp solves the problem on, and its
+    width.  IS and VC keep 2^|bag| states per bag and solve on the
+    instance's own decomposition.  DS and RBDS keep 3^|bag|, so there the
+    min-degree elimination of the graph, validated here, replaces it when
+    it is narrower."""
+    if SUBSET_PROBLEMS[problem].condition == "dominate":
+        dec = min_degree_decomposition(instance.graph)
+        check = validate_decomposition(instance.graph, dec)
+        if not check.ok:
+            raise InvariantViolation(f"invalid min-degree decomposition: {check.violation}")
+        if check.width < instance.width:
+            return dec, check.width
+    # the instance's decomposition was validated with it
+    return instance.decomposition, instance.width
+
+
 def optimum_treedp(instance: LogTwGraphInstance, problem: str,
                    cap: int | None = None, witness: bool = True):
     """Optimal size and one witness, as optimum_subset gives them (max IS,
     min VC, min DS or min RBDS; infinity and None when no feasible set
-    exists), by dynamic programming over the instance's own decomposition,
+    exists), by dynamic programming over the decomposition dp_decomposition
+    picks: the instance's own for IS and VC, and for DS and RBDS the
+    min-degree elimination of the graph when it is narrower.  The DP is
     walked iteratively in introduce/forget/join form (Cygan et al.,
-    Parameterized Algorithms, ch. 7).
+    Parameterized Algorithms, ch. 7), and the cap applies to the width it
+    runs on.
 
     Table keys are int masks with bit 1 << v for bag vertex v.  A value
     packs a partial solution as size << S | chosen_mask with S = n + 1, so
     an introduce adds (1 << S) + bit, a join subtracts what the two sides
     share on the bag, and min/max on the int picks an optimum, breaking ties
-    by the chosen mask.  VC is solved as the complement of IS.  With
-    witness False the values are plain sizes, which is cheaper, and the
-    witness returned is None."""
+    by the chosen mask.  So the witness is the optimal set of least mask,
+    whichever decomposition the DP runs on.  VC is solved as the complement
+    of IS.  With witness False the values are plain sizes, which is cheaper,
+    and the witness returned is None."""
     graph = instance.graph
     rule, allowed, must = _subset_rule(graph, problem)
-    max_bag = instance.width + 1  # the decomposition was validated with the instance
+    dec, width = dp_decomposition(instance, problem)
     nbr = graph.neighbour_masks
     shift, track = (graph.n + 1, -1) if witness else (0, 0)
     if rule.condition == "dominate":
-        _guard(3 ** max_bag, cap, "bag state space")
-        best = _run_dp(instance.decomposition,
-                       *_ds_steps(nbr, shift, track, allowed, must)).get((0, 0))
+        _guard(3 ** (width + 1), cap, "bag state space")
+        best = _run_dp(dec, *_ds_steps(nbr, shift, track, allowed, must)).get((0, 0))
         if best is None:
             return float("inf"), None
     else:
-        _guard(1 << max_bag, cap, "bag mask space")
-        best = _run_dp(instance.decomposition, *_is_steps(nbr, shift, track))[0]
+        _guard(1 << width + 1, cap, "bag mask space")
+        best = _run_dp(dec, *_is_steps(nbr, shift, track))[0]
         if rule.condition == "cover":
             # the least cover of least size is the complement of the greatest
             # independent set of greatest size: take its packed value from

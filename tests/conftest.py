@@ -1,6 +1,6 @@
 import pytest
 
-from xalpwb.instances import Graph, OrderedTree, TcmcInstance
+from xalpwb.instances import Graph, ListColoringInstance, OrderedTree, TcmcInstance
 from xalpwb.machines import Action, MachineSpec
 
 
@@ -28,6 +28,33 @@ def deep_path_tcmc(n: int) -> TcmcInstance:
         tree=OrderedTree(n=n, children={i: (i + 1,) for i in range(1, n)}), k=1,
         classes={(i, 1): frozenset({i}) for i in range(1, n + 1)},
         graph=Graph(n=n, edges=frozenset((i, i + 1) for i in range(1, n))))
+
+
+def path_coloring(n: int, clash: bool = False) -> ListColoringInstance:
+    """A path on n vertices whose lists hold one colour each, 1 and 2 in
+    turn; with clash the last vertex takes its predecessor's colour."""
+    colour = {v: 2 - v % 2 for v in range(1, n + 1)}
+    if clash:
+        colour[n] = colour[n - 1]
+    return ListColoringInstance(
+        graph=Graph(n=n, edges=frozenset((v, v + 1) for v in range(1, n))),
+        palette=frozenset({1, 2}), lists={v: frozenset({c}) for v, c in colour.items()})
+
+
+DS_CHAIN = ["tcmis-negcnf", "negcnf-poscnf", "poscnf-logtwis", "is-vc", "vc-rbds", "rbds-ds"]
+
+
+def ds_chain_target(seed: int):
+    """The dominating-set end of the tcmis-to-DS chain, from a source drawn
+    at the benchmark's ds-chain profile."""
+    from xalpwb.reductions import REDUCTIONS
+    from xalpwb.verify import generate_instance
+
+    target = generate_instance("tcmis", {"tree_nodes": 2, "max_class": 1, "max_edges": 4},
+                               seed=seed)
+    for name in DS_CHAIN:
+        target = REDUCTIONS[name](target).target
+    return target
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import deep_path_tcmc
+from conftest import deep_path_tcmc, ds_chain_target, path_coloring
 from xalpwb import oracles
 from xalpwb.cli import main
 from xalpwb.formats import parse_instance, serialize_instance
@@ -161,6 +161,24 @@ def test_solve_listcol_conflict_no(workdir, capsys):
     pathlib.Path("c.lc").write_text(text)
     assert main(["solve", "--problem", "listcol", "-i", "c.lc"]) == 0
     assert capsys.readouterr().out.strip() == "NO"
+
+
+@pytest.mark.parametrize("clash, verdict", [(False, "YES"), (True, "NO")])
+def test_solve_listcol_on_a_deep_path(workdir, capsys, clash, verdict):
+    pathlib.Path("p.lc").write_text(serialize_instance(path_coloring(1500, clash)))
+    assert main(["solve", "--problem", "listcol", "-i", "p.lc"]) == 0
+    assert capsys.readouterr() == (verdict + "\n", "")
+
+
+@pytest.mark.parametrize("problem, line", [("ds", "dp width 3 (witness 5)\n"),
+                                           ("is", "dp width 5 (witness 5)\n")])
+def test_solve_treedp_reports_the_width_it_solves_on(workdir, capsys, problem, line):
+    target = ds_chain_target(0)
+    pathlib.Path("d.logtw").write_text(serialize_instance(target))
+    best, _ = oracles.optimum_treedp(target, problem, witness=False)
+    verdict = "YES" if oracles.meets_target(problem, best, target.target_weight) else "NO"
+    assert main(["solve", "--problem", problem, "-i", "d.logtw", "--solver", "treedp"]) == 0
+    assert capsys.readouterr() == (verdict + "\n", line)
 
 
 def test_solve_cap_exit_3(workdir, capsys):

@@ -6,24 +6,29 @@ import random
 
 import pytest
 
-from conftest import deep_path_tcmc
+from conftest import deep_path_tcmc, ds_chain_target, path_coloring
+from xalpwb import oracles
 from xalpwb.instances import (
     CapExceeded,
     Graph,
+    InvariantViolation,
     LogTwGraphInstance,
     OrderedTree,
     TcmcInstance,
     TreeChainedCnf,
     TreeDecomposition,
     ListColoringInstance,
+    validate_decomposition,
 )
 from xalpwb.oracles import (
     check_cnf_solution,
     check_coloring,
     check_subset_solution,
     check_tcmc_solution,
+    dp_decomposition,
     independent_sets,
     is_independent_set,
+    min_degree_decomposition,
     optimum_subset,
     optimum_treedp,
     solve_cnf_bruteforce,
@@ -187,6 +192,14 @@ def test_listcoloring_examples():
                                     lists={1: frozenset({1}), 2: frozenset({1})})
     ok, _ = solve_listcoloring(conflict)
     assert not ok
+
+
+def test_listcoloring_on_a_deep_path():
+    # one free vertex after another, 1500 deep, without recursion
+    n = 1500
+    assert solve_listcoloring(path_coloring(n)) == (
+        True, {v: 2 - v % 2 for v in range(1, n + 1)})
+    assert solve_listcoloring(path_coloring(n, clash=True)) == (False, None)
 
 
 def test_subset_problem_examples():
@@ -382,6 +395,76 @@ def test_witness_dp_cap_enforced_before_work():
     with pytest.raises(CapExceeded, match="bag state space"):
         optimum_treedp(inst, "ds", cap=8)
     assert optimum_treedp(inst, "vc", cap=4) == (2, frozenset({1, 3}))
+
+
+def _path_graph(n: int) -> Graph:
+    return Graph(n=n, edges=frozenset((v, v + 1) for v in range(1, n)))
+
+
+def _complete_graph(n: int) -> Graph:
+    return Graph(n=n, edges=frozenset(itertools.combinations(range(1, n + 1), 2)))
+
+
+@pytest.mark.parametrize("graph, width", [
+    (Graph(n=5), 0),
+    (Graph(n=1), 0),
+    (Graph(n=7, edges=frozenset({(1, 2), (2, 3), (1, 3), (5, 6)})), 2),
+    *[(_complete_graph(n), n - 1) for n in (2, 4, 6)],
+    (_path_graph(9), 1),
+    (_path_graph(5000), 1),  # 5000 bags deep, built without recursion
+])
+def test_min_degree_decomposition_is_valid(graph, width):
+    dec = min_degree_decomposition(graph)
+    check = validate_decomposition(graph, dec)
+    assert check.ok and check.width == width
+    assert min_degree_decomposition(graph) == dec
+
+
+def test_dominate_dp_on_the_elimination_matches_the_witness_dp(monkeypatch):
+    rbds = [generate_instance("logtw-rbds", None, seed=seed) for seed in range(150)]
+    cases = [(ds_chain_target(seed), "ds") for seed in range(150)]
+    cases += [(inst, "rbds") for inst in rbds]
+    cases += [(reduce_rbds_to_ds(inst).target, "ds") for inst in rbds]
+    narrower = subset_checked = 0
+    for pos, (inst, problem) in enumerate(cases):
+        elimination = validate_decomposition(inst.graph, min_degree_decomposition(inst.graph))
+        assert elimination.width <= inst.width, pos
+        assert dp_decomposition(inst, problem)[1] == min(elimination.width, inst.width)
+        got = optimum_treedp(inst, problem)
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "min_degree_decomposition",
+                      lambda graph, dec=inst.decomposition: dec)
+            assert dp_decomposition(inst, problem) == (inst.decomposition, inst.width)
+            assert optimum_treedp(inst, problem) == got, pos
+        if inst.graph.n <= 20:
+            assert optimum_subset(inst.graph, problem) == got, pos
+            subset_checked += 1
+        narrower += elimination.width < inst.width
+    assert narrower >= 400 and subset_checked == 300
+
+
+def test_is_and_vc_dps_keep_the_witness():
+    inst = ds_chain_target(0)
+    assert min_degree_decomposition(inst.graph).width() < inst.width
+    for problem in ("is", "vc"):
+        assert dp_decomposition(inst, problem) == (inst.decomposition, inst.width)
+
+
+def test_dominate_dp_is_capped_on_the_width_it_solves_on():
+    inst = ds_chain_target(0)
+    assert (inst.width, dp_decomposition(inst, "ds")[1]) == (5, 3)
+    # the witness needs 3^6 = 729 states per bag, the elimination 3^4 = 81
+    assert optimum_treedp(inst, "ds", cap=81) == optimum_treedp(inst, "ds")
+    with pytest.raises(CapExceeded, match="bag state space 81 > cap 80"):
+        optimum_treedp(inst, "ds", cap=80)
+
+
+def test_an_invalid_elimination_is_never_solved_on(monkeypatch):
+    inst = ds_chain_target(0)
+    short = TreeDecomposition(tree=OrderedTree(n=1), bags={1: frozenset({1})})
+    monkeypatch.setattr(oracles, "min_degree_decomposition", lambda graph: short)
+    with pytest.raises(InvariantViolation, match="invalid min-degree decomposition"):
+        optimum_treedp(inst, "ds")
 
 
 def test_caps_enforced_before_work():

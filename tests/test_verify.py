@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import ds_chain_target
 from xalpwb import oracles, verify
 from xalpwb.instances import FormatError, InvariantViolation, TreeDecomposition
 from xalpwb.reductions import REDUCTION_NAMES, REDUCTIONS
@@ -242,16 +243,21 @@ def _count_validations(monkeypatch, *modules) -> list:
 
 def test_chain_trial_validates_each_decomposition_once(monkeypatch):
     # one validation per LogTwGraphInstance built along the chain (the four
-    # logtw targets); the DP reads the width its instance kept
+    # logtw targets), whose width the DP reads, and one of the min-degree
+    # elimination the DS endpoint's DP builds
     from xalpwb import instances
     from xalpwb.verify import run_chain_trial
 
-    calls = _count_validations(monkeypatch, instances, oracles)
+    # counted apart, each wrapping the unpatched validator
+    eliminations = _count_validations(monkeypatch, oracles)
+    built = _count_validations(monkeypatch, instances)
     chain = ["tcmis-negcnf", "negcnf-poscnf", "poscnf-logtwis", "is-vc", "vc-rbds", "rbds-ds"]
     source = generate_instance("tcmis", {"tree_nodes": 2, "max_class": 1, "max_edges": 4},
                                seed=0)
     assert run_chain_trial(chain, source).status == "agree"
-    assert len(calls) == 4
+    assert len(built) == 4
+    # ds_chain_target(0) runs the same source down the same chain
+    assert eliminations == [oracles.min_degree_decomposition(ds_chain_target(0).graph)]
 
 
 @pytest.mark.parametrize("name, validations", [("is-vc", 0), ("tcmis-listcol", 1)])
