@@ -43,8 +43,7 @@ def _write(path: str, text: str):
 
 
 def cmd_reduce(args) -> int:
-    if args.name not in REDUCTION_NAMES:
-        raise UsageError(f"unknown reduction {args.name!r}")
+    contract = verify.CONTRACTS[args.name]
     text = _read(args.input)
     if args.name == "atm-tcmc":
         if args.blocks is None or args.beta is None or args.shape is None:
@@ -53,8 +52,7 @@ def cmd_reduce(args) -> int:
                                parse_instance("tree", _read(args.shape)),
                                args.blocks, args.beta)
     else:
-        source = verify.REDUCTION_TYPES[args.name][0]
-        instance = parse_instance(verify.FAMILIES[source].format, text)
+        instance = parse_instance(verify.FAMILIES[contract.sources[0]].format, text)
     artifact = REDUCTIONS[args.name](instance)
     _write(args.output, serialize_instance(artifact.target))
     if args.lift:
@@ -63,8 +61,8 @@ def cmd_reduce(args) -> int:
         if artifact.witness is None:
             raise UsageError(f"{args.name} emits no decomposition witness")
         _write(args.witness, serialize_instance(artifact.witness))
-    print(f"k={artifact.parameter_in} k'={artifact.parameter_out} "
-          f"bound={artifact.growth_bound}")
+    k, k_out = contract.parameters(instance, artifact)
+    print(f"k={k} k'={k_out} bound={', '.join(contract.rules)}")
     return EXIT_OK
 
 

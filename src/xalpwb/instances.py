@@ -20,6 +20,10 @@ class InvariantViolation(XalpwbError):
     """A constructed instance violates one of its structural invariants."""
 
 
+class DomainError(InvariantViolation):
+    """A reduction was given an instance outside the domain it is defined on."""
+
+
 class FormatError(XalpwbError):
     """Instance text does not match the expected line format."""
 

@@ -1,10 +1,13 @@
-"""Instance-to-instance reductions with parameter accounting, solution
-lifting and, where claimed, tree-decomposition witnesses.
+"""Instance-to-instance reductions with solution lifting and, where
+claimed, tree-decomposition witnesses.
 
 Each reduction is addressable by a stable name (REDUCTION_NAMES) and emits a
 ReductionArtifact.  Lift maps carry solutions across the reduction in both
 directions as callables plus desk-scale record tables that serialize as
-"lift <source-item> <target-items...>" lines.
+"lift <source-item> <target-items...>" lines.  A source outside a
+reduction's domain raises DomainError.  Parameter accounting is done by
+verify: each reduction's contract there names its parameter rule, and k and
+k' are measured on the source, the target and the witness.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable
 
 from .instances import (
     Graph,
-    InvariantViolation,
+    DomainError,
     ListColoringInstance,
     LogTwGraphInstance,
     OrderedTree,
@@ -51,12 +54,7 @@ class LiftMap:
 
 @dataclass
 class ReductionArtifact:
-    name: str
-    source: object
     target: object
-    parameter_in: int
-    parameter_out: int
-    growth_bound: str
     lift: LiftMap
     witness: TreeDecomposition | None = None
 
@@ -79,7 +77,7 @@ def _grow_decomposition(tree: OrderedTree, bags: dict[int, frozenset[int]],
 def _require_nonempty_classes(instance: TcmcInstance, what: str):
     for key in sorted(instance.classes):
         if not instance.classes[key]:
-            raise InvariantViolation(f"{what} requires nonempty classes, {key} is empty")
+            raise DomainError(f"{what} requires nonempty classes, {key} is empty")
 
 
 # ==================================== shaped machine acceptance to cliques
@@ -142,14 +140,14 @@ def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
     """
     machine, x, shape, blocks, beta = source
     if machine.uses_stack:
-        raise InvariantViolation("atm-tcmc requires a stack-free machine")
+        raise DomainError("atm-tcmc requires a stack-free machine")
     if blocks < 1 or beta < 1:
-        raise InvariantViolation("blocks and beta must be >= 1")
+        raise DomainError("blocks and beta must be >= 1")
     if machine.work_cells != blocks * beta:
-        raise InvariantViolation(
+        raise DomainError(
             f"work tape has {machine.work_cells} cells, need blocks*beta = {blocks * beta}")
     if tuple(machine.work_alphabet) != ("0", "1") and tuple(machine.work_alphabet) != ("0",):
-        raise InvariantViolation(
+        raise DomainError(
             "atm-tcmc requires the binary work alphabet '01' with blank 0")
     shape.validate_binary()
 
@@ -305,9 +303,7 @@ def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
         (f"{lab[0]}@{lab[1]}/{lab[2]}/{lab[3]}", (f"v{v}",))
         for v, (node, color, lab) in sorted(label_of_vertex.items()))
     return ReductionArtifact(
-        name="atm-tcmc", source=source, target=target,
-        parameter_in=blocks, parameter_out=blocks, growth_bound="k'=k",
-        lift=LiftMap(records=records, forward=forward, backward=backward))
+        target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 
 
 # ======================================== clique/independent-set complement
@@ -329,9 +325,7 @@ def complement_tcmc_to_tcmis(instance: TcmcInstance) -> ReductionArtifact:
     identity = lambda sol: dict(sol)
     records = tuple((f"v{v}", (f"v{v}",)) for v in instance.graph.vertices())
     return ReductionArtifact(
-        name="tcmc-tcmis", source=instance, target=target,
-        parameter_in=instance.k, parameter_out=instance.k, growth_bound="k'=k",
-        lift=LiftMap(records=records, forward=identity, backward=identity))
+        target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
 
 
 # ============================================================ list coloring
@@ -404,10 +398,7 @@ def reduce_tcmis_to_listcoloring(instance: TcmcInstance) -> ReductionArtifact:
     records += tuple((f"edge:{u}:{w}", (f"v{cv}",))
                      for (u, w), cv in sorted(conflict_vertex.items()))
     return ReductionArtifact(
-        name="tcmis-listcol", source=instance, target=target,
-        parameter_in=instance.k, parameter_out=witness.width(),
-        growth_bound="k'<=2k-1",
-        lift=LiftMap(records=records, forward=forward, backward=backward),
+        target=target, lift=LiftMap(records=records, forward=forward, backward=backward),
         witness=witness)
 
 
@@ -455,12 +446,8 @@ def reduce_listcoloring_to_precoloring(
 
     records = tuple((f"forbid:{v}:{c}", (f"v{pv}",))
                     for (v, c), pv in sorted(pendants.items()))
-    p_in = witness.width() if witness is not None else 0
-    p_out = out_witness.width() if out_witness is not None else 0
     return ReductionArtifact(
-        name="listcol-precol", source=instance, target=target,
-        parameter_in=p_in, parameter_out=p_out, growth_bound="width+<=1",
-        lift=LiftMap(records=records, forward=forward, backward=backward),
+        target=target, lift=LiftMap(records=records, forward=forward, backward=backward),
         witness=out_witness)
 
 
@@ -495,9 +482,7 @@ def reduce_tcmis_to_negcnf(instance: TcmcInstance) -> ReductionArtifact:
     records = tuple((f"v{v}", (target.var_names[v],))
                     for v in instance.graph.vertices())
     return ReductionArtifact(
-        name="tcmis-negcnf", source=instance, target=target,
-        parameter_in=instance.k, parameter_out=instance.k, growth_bound="k'=k",
-        lift=LiftMap(records=records, forward=forward, backward=backward))
+        target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 
 
 def reduce_negcnf_to_poscnf(instance: TreeChainedCnf) -> ReductionArtifact:
@@ -506,7 +491,7 @@ def reduce_negcnf_to_poscnf(instance: TreeChainedCnf) -> ReductionArtifact:
     contributes nothing, so a clause of only such literals is emitted empty
     (unsatisfiable under the partition, mirroring the source semantics)."""
     if instance.variant != "negative-partitioned":
-        raise InvariantViolation("negcnf-poscnf needs a negative-partitioned instance")
+        raise DomainError("negcnf-poscnf needs a negative-partitioned instance")
     assert instance.partition is not None
     cell_of = {}
     for key, cell in instance.partition.items():
@@ -528,9 +513,7 @@ def reduce_negcnf_to_poscnf(instance: TreeChainedCnf) -> ReductionArtifact:
     records = tuple((instance.var_names[v], (instance.var_names[v],))
                     for v in instance.all_variables())
     return ReductionArtifact(
-        name="negcnf-poscnf", source=instance, target=target,
-        parameter_in=instance.k, parameter_out=instance.k, growth_bound="k'=k",
-        lift=LiftMap(records=records, forward=identity, backward=identity))
+        target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
 
 
 def reduce_partitioned_to_general_cnf(instance: TreeChainedCnf) -> ReductionArtifact:
@@ -538,7 +521,7 @@ def reduce_partitioned_to_general_cnf(instance: TreeChainedCnf) -> ReductionArti
     all-positive clause (pick at least one) and all pairwise negative
     clauses (pick at most one); weight k per node set."""
     if instance.variant not in ("positive-partitioned", "negative-partitioned"):
-        raise InvariantViolation("part-gencnf needs a partitioned instance")
+        raise DomainError("part-gencnf needs a partitioned instance")
     assert instance.partition is not None
     clauses = list(instance.clauses)
     for key in sorted(instance.partition):
@@ -554,9 +537,7 @@ def reduce_partitioned_to_general_cnf(instance: TreeChainedCnf) -> ReductionArti
     records = tuple((instance.var_names[v], (instance.var_names[v],))
                     for v in instance.all_variables())
     return ReductionArtifact(
-        name="part-gencnf", source=instance, target=target,
-        parameter_in=instance.k, parameter_out=instance.k, growth_bound="k'=k",
-        lift=LiftMap(records=records, forward=identity, backward=identity))
+        target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
 
 
 # ==================================== independent set at logarithmic width
@@ -614,11 +595,11 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
     variables), then clause lengths are padded to even with dummy literals
     that get path positions but no literal vertex."""
     if instance.variant != "positive-partitioned":
-        raise InvariantViolation("poscnf-logtwis needs a positive-partitioned instance")
+        raise DomainError("poscnf-logtwis needs a positive-partitioned instance")
     assert instance.partition is not None
     for key in sorted(instance.partition):
         if not instance.partition[key]:
-            raise InvariantViolation(f"cell {key} is empty")
+            raise DomainError(f"cell {key} is empty")
 
     cell_keys = sorted(instance.partition)
     cell_vars = {key: sorted(instance.partition[key]) for key in cell_keys}
@@ -728,10 +709,8 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
             extra.append((parent, frozenset(window | base[host])))
             parent = tree.n + len(extra)  # the window just added
     witness = _grow_decomposition(tree, {i: frozenset(base[i]) for i in tree.nodes()}, extra)
-    width = witness.width()
-    k_out = -(-width // ceil_log2(n))  # ceil division
-    target = LogTwGraphInstance(graph=graph, decomposition=witness,
-                                target_weight=weight, k=k_out, problem="is")
+    target = LogTwGraphInstance(graph=graph, decomposition=witness, target_weight=weight,
+                                k=-(-witness.width() // ceil_log2(n)), problem="is")
 
     def forward(true_vars: frozenset[int]) -> frozenset[int]:
         chosen: set[int] = set()
@@ -771,10 +750,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
                for alpha, b in enumerate(var_bits(v), start=1)))
         for v in sorted(cell_of))
     return ReductionArtifact(
-        name="poscnf-logtwis", source=instance, target=target,
-        parameter_in=instance.k, parameter_out=k_out,
-        growth_bound="k'=ceil(width/ceil(log2 n))",
-        lift=LiftMap(records=records, forward=forward, backward=backward),
+        target=target, lift=LiftMap(records=records, forward=forward, backward=backward),
         witness=witness)
 
 
@@ -785,7 +761,7 @@ def reduce_is_to_vc(instance: LogTwGraphInstance) -> ReductionArtifact:
     """Same graph and witness; a vertex cover of size n - W exists iff an
     independent set of size W does.  Lift is set complement."""
     if instance.problem != "is":
-        raise InvariantViolation("is-vc needs an independent-set instance")
+        raise DomainError("is-vc needs an independent-set instance")
     target = LogTwGraphInstance(
         graph=instance.graph, decomposition=instance.decomposition,
         target_weight=instance.graph.n - instance.target_weight,
@@ -794,9 +770,7 @@ def reduce_is_to_vc(instance: LogTwGraphInstance) -> ReductionArtifact:
     complement = lambda s: frozenset(allv - s)
     records = (("complement", ("complement",)),)
     return ReductionArtifact(
-        name="is-vc", source=instance, target=target,
-        parameter_in=instance.k, parameter_out=instance.k, growth_bound="k'=k",
-        lift=LiftMap(records=records, forward=complement, backward=complement),
+        target=target, lift=LiftMap(records=records, forward=complement, backward=complement),
         witness=instance.decomposition)
 
 
@@ -805,7 +779,7 @@ def reduce_vc_to_rbds(instance: LogTwGraphInstance) -> ReductionArtifact:
     red; a set of K blue vertices dominating all red vertices is exactly a
     vertex cover of size K."""
     if instance.problem != "vc":
-        raise InvariantViolation("vc-rbds needs a vertex-cover instance")
+        raise DomainError("vc-rbds needs a vertex-cover instance")
     n = instance.graph.n
     sub_vertex = {}
     edges = set()
@@ -835,9 +809,7 @@ def reduce_vc_to_rbds(instance: LogTwGraphInstance) -> ReductionArtifact:
     identity = lambda s: frozenset(s)
     records = tuple((f"e:{u}:{v}", (f"v{r}",)) for (u, v), r in sorted(sub_vertex.items()))
     return ReductionArtifact(
-        name="vc-rbds", source=instance, target=target,
-        parameter_in=instance.k, parameter_out=k_out, growth_bound="width+<=1",
-        lift=LiftMap(records=records, forward=identity, backward=identity),
+        target=target, lift=LiftMap(records=records, forward=identity, backward=identity),
         witness=witness)
 
 
@@ -846,7 +818,7 @@ def reduce_rbds_to_ds(instance: LogTwGraphInstance) -> ReductionArtifact:
     dominating set of the new graph is exactly one larger than the minimum
     red-blue dominating set."""
     if instance.problem != "rbds":
-        raise InvariantViolation("rbds-ds needs a red-blue dominating set instance")
+        raise DomainError("rbds-ds needs a red-blue dominating set instance")
     n = instance.graph.n
     x0, x1 = n + 1, n + 2
     edges = set(instance.graph.edges)
@@ -884,9 +856,7 @@ def reduce_rbds_to_ds(instance: LogTwGraphInstance) -> ReductionArtifact:
 
     records = (("x0", (f"v{x0}",)), ("x1", (f"v{x1}",)))
     return ReductionArtifact(
-        name="rbds-ds", source=instance, target=target,
-        parameter_in=instance.k, parameter_out=k_out, growth_bound="width+<=1",
-        lift=LiftMap(records=records, forward=forward, backward=backward),
+        target=target, lift=LiftMap(records=records, forward=forward, backward=backward),
         witness=witness)
 
 

@@ -9,18 +9,20 @@ the solutions they come with are carried across the reduction by its lift
 maps: forward, backward, and backward then forward again, each checked on
 the side it lands on.  The logtw families are solved by the witness-producing
 decomposition DP; subset enumeration stays the oracles' small-n
-cross-check.  Trials are deterministic in (name, profile, seed);
-disagreements carry a replayable serialized counterexample and their
-detail as a note, skips (an oracle's size cap reached before it starts, or
-a chain's instance leaving a stage's domain) are reported separately with
-their reason as a note, and a report only passes when skips stay at or
-below 20% of the trials.
+cross-check.  Each reduction's contract (CONTRACTS) names its families and
+the parameter rules its measured k and k' obey.  Trials are deterministic in
+(name, profile, seed); disagreements, any error a trial raises among them,
+carry a replayable serialized counterexample and their detail as a note.
+Skips (an oracle's cap reached, or a stage's source outside its domain) are
+reported separately with their reason as a note, and a report only passes
+when skips stay at or below 20% of the trials.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,6 +30,7 @@ from . import oracles
 from .formats import parse_instance, serialize_instance
 from .instances import (
     CapExceeded,
+    DomainError,
     Graph,
     InvariantViolation,
     ListColoringInstance,
@@ -36,6 +39,7 @@ from .instances import (
     TcmcInstance,
     TreeChainedCnf,
     TreeDecomposition,
+    XalpwbError,
     ceil_log2,
     normalize_edge,
 )
@@ -55,28 +59,9 @@ from .reductions import (
     REDUCTION_NAMES,
     REDUCTIONS,
     ReductionArtifact,
+    reduce_negcnf_to_poscnf,
     reduce_vc_to_rbds,
 )
-
-# (source family, target family) per reduction; chain composition checks
-# adjacency on these
-REDUCTION_TYPES = {
-    "atm-tcmc": ("atm", "tcmc"),
-    "tcmc-tcmis": ("tcmc", "tcmis"),
-    "tcmis-listcol": ("tcmis", "listcol"),
-    "listcol-precol": ("listcol", "listcol"),
-    "tcmis-negcnf": ("tcmis", "negcnf"),
-    "negcnf-poscnf": ("negcnf", "poscnf"),
-    "part-gencnf": ("poscnf", "gencnf"),
-    "poscnf-logtwis": ("poscnf", "logtw-is"),
-    "is-vc": ("logtw-is", "logtw-vc"),
-    "vc-rbds": ("logtw-vc", "logtw-rbds"),
-    "rbds-ds": ("logtw-rbds", "logtw-ds"),
-    # the fault fixture (FIXTURES) breaks negcnf-poscnf
-    "negcnf-poscnf!faulty": ("negcnf", "poscnf"),
-}
-
-_PART_GENCNF_SOURCES = ("poscnf", "negcnf")
 
 SKIP_BUDGET = 0.2  # reports fail past this fraction of skipped trials
 
@@ -396,7 +381,9 @@ def generate_instance(family: str, size_profile: dict | None = None, seed: int =
 class Family:
     """One problem family: its CLI --problem name (None when the CLI does not
     solve it), its parse_instance format tag, the exact oracle verify
-    decides it by, its solution checker and the CLI solvers.
+    decides it by, its solution checker, the CLI solvers, and
+    parameter(instance, witness), which measures the instance's parameter
+    given the decomposition witness that comes with it (or None).
 
     decide(instance, cap, witness) and every solver(instance, cap,
     threshold) return (solvable, solution or None).  witness=False lets the
@@ -410,6 +397,7 @@ class Family:
     decide: Callable
     check: Callable
     solvers: dict[str, Callable] = field(default_factory=dict)
+    parameter: Callable = lambda instance, witness: instance.k
 
 
 def _tcmc_family(problem: str, mode: str) -> Family:
@@ -469,20 +457,102 @@ _CNF = Family(
     lambda instance, true_vars: oracles.check_cnf_solution(instance, frozenset(true_vars)),
     {"brute": lambda instance, cap, threshold: _cnf_decide(instance, cap)})
 
-# family name -> Family; the source and target of every reduction in
-# REDUCTION_TYPES has an entry
+# family name -> Family; the families of every contract in CONTRACTS have
+# an entry
 FAMILIES = {
-    "atm": Family(None, "atm", _atm_decide, check_shaped_run),
+    "atm": Family(None, "atm", _atm_decide, check_shaped_run,
+                  parameter=lambda instance, witness: instance.blocks),
     "tcmc": _tcmc_family("tcmc", "clique"),
     "tcmis": _tcmc_family("tcmis", "independent-set"),
     "listcol": Family(
         "listcol", "listcol", _listcol_decide,
         lambda instance, coloring: oracles.check_coloring(instance, coloring),
-        {"brute": lambda instance, cap, threshold: _listcol_decide(instance, cap)}),
+        {"brute": lambda instance, cap, threshold: _listcol_decide(instance, cap)},
+        lambda instance, witness: witness.width() if witness is not None else 0),
     "negcnf": _CNF,
     "poscnf": _CNF,
     "gencnf": _CNF,
     **{f"logtw-{p}": _logtw_family(p) for p in ("is", "vc", "rbds", "ds")},
+}
+
+
+# ----------------------------------------------------- reduction contracts
+
+
+@dataclass(frozen=True)
+class Contract:
+    """What a reduction promises: the families it takes (trials generate
+    the first) and the one it builds, the _RULES its measured parameters
+    obey, and further checks(source, artifact), each returning a problem
+    text or None."""
+
+    sources: tuple[str, ...]
+    target: str
+    rules: tuple[str, ...]
+    checks: tuple[Callable, ...] = ()
+
+    def parameters(self, source, art: ReductionArtifact,
+                   witness: TreeDecomposition | None = None) -> tuple[int, int]:
+        """k and k' of one step, measured on the source (with its witness,
+        if it comes with one) and on the target with the emitted witness."""
+        return (FAMILIES[self.sources[0]].parameter(source, witness),
+                FAMILIES[self.target].parameter(art.target, art.witness))
+
+
+def _at_most_2k_minus_1(k, k_out, width_in, art, notes):
+    notes.append(f"listcol-width {k_out} bound {2 * k - 1}")
+    return f"witness width {k_out} > 2k-1 = {2 * k - 1}" if k_out > 2 * k - 1 else None
+
+
+def _width_plus_one(k, k_out, width_in, art, notes):
+    if width_in is None:
+        notes.append("width rule not checked: no witness")
+    elif art.witness.width() > width_in + 1:
+        return f"witness width {art.witness.width()} grew past {width_in}+1"
+    return None
+
+
+# parameter rule -> check(k, k_out, width_in, art, notes) on the measured k
+# and k', the width of the source's witness (None without one) and the
+# artifact; it returns a problem text or None, and may add notes
+_RULES = {
+    "k'=k": lambda k, k_out, width_in, art, notes:
+        None if k_out == k else "parameter changed under a k'=k reduction",
+    "k'<=2k-1": _at_most_2k_minus_1,
+    "width+<=1": _width_plus_one,
+    "k'=ceil(width/ceil(log2 n))": lambda k, k_out, width_in, art, notes:
+        None if k_out == -(-art.witness.width() // ceil_log2(art.target.graph.n))
+        else f"k' {k_out} does not match ceil(width/ceil(log2 n))",
+}
+
+
+def _size_target(source: TreeChainedCnf, art: ReductionArtifact) -> str | None:
+    """poscnf-logtwis's size target: the bits of every cell, and 2 plus the
+    length padded to even of every cell and clause."""
+    cells = source.partition.values()
+    lengths = [len(cell) for cell in cells] + [len(clause) for clause in source.clauses]
+    expect = (sum(max(len(cell) - 1, 0).bit_length() for cell in cells)
+              + sum(2 + ell + ell % 2 for ell in lengths))
+    weight = art.target.target_weight
+    return f"size target {weight} != {expect}" if weight != expect else None
+
+
+# reduction or fault fixture name -> its contract
+CONTRACTS = {
+    "atm-tcmc": Contract(("atm",), "tcmc", ("k'=k",)),
+    "tcmc-tcmis": Contract(("tcmc",), "tcmis", ("k'=k",)),
+    "tcmis-listcol": Contract(("tcmis",), "listcol", ("k'<=2k-1",)),
+    "listcol-precol": Contract(("listcol",), "listcol", ("width+<=1",)),
+    "tcmis-negcnf": Contract(("tcmis",), "negcnf", ("k'=k",)),
+    "negcnf-poscnf": Contract(("negcnf",), "poscnf", ("k'=k",)),
+    "part-gencnf": Contract(("poscnf", "negcnf"), "gencnf", ("k'=k",)),
+    "poscnf-logtwis": Contract(("poscnf",), "logtw-is", ("k'=ceil(width/ceil(log2 n))",),
+                               (_size_target,)),
+    "is-vc": Contract(("logtw-is",), "logtw-vc", ("k'=k",)),
+    "vc-rbds": Contract(("logtw-vc",), "logtw-rbds", ("width+<=1",)),
+    "rbds-ds": Contract(("logtw-rbds",), "logtw-ds", ("width+<=1",)),
+    # the fault fixture (FIXTURES) breaks negcnf-poscnf
+    "negcnf-poscnf!faulty": Contract(("negcnf",), "poscnf", ("k'=k",)),
 }
 
 
@@ -493,7 +563,7 @@ def _source_format(name: str) -> str:
     """The format tag of the source of a reduction or "chain:a,b,c" name."""
     first = name.split(",")[0].removeprefix("chain:")
     _lookup_reduction(first)
-    return FAMILIES[REDUCTION_TYPES[first][0]].format
+    return FAMILIES[CONTRACTS[first].sources[0]].format
 
 
 def serialize_counterexample(name: str, source) -> str:
@@ -541,39 +611,51 @@ class TrialOutcome:
 
 
 def _lookup_reduction(name: str):
-    if name in REDUCTIONS:
-        return REDUCTIONS[name]
-    if name in FIXTURES:
-        return FIXTURES[name]
-    raise InvariantViolation(f"unknown reduction {name!r}")
+    if name not in CONTRACTS:
+        raise InvariantViolation(f"unknown reduction {name!r}")
+    return REDUCTIONS[name] if name in REDUCTIONS else FIXTURES[name]
+
+
+def _booked(trial) -> TrialOutcome:
+    """Run a trial.  A source outside a stage's domain and an oracle over
+    its cap make it a skip; any other program error is a disagreement."""
+    try:
+        return trial()
+    except (DomainError, CapExceeded) as exc:
+        return TrialOutcome("skip", detail=str(exc))
+    except XalpwbError as exc:
+        return TrialOutcome("disagree", detail=f"{type(exc).__name__}: {exc}")
 
 
 def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
     """One verification step on a given source: reduce, solve both sides
-    with the oracles, compare, and check lifts, witnesses, and parameter
-    growth."""
-    reduce = _lookup_reduction(name)
-    src, tgt = (FAMILIES[family] for family in REDUCTION_TYPES[name])
-    notes: list[str] = []
-    try:
+    with the oracles, compare, and check lifts, witnesses, and the
+    contract's parameter rules."""
+    reduce, contract = _lookup_reduction(name), CONTRACTS[name]
+    src, tgt = FAMILIES[contract.sources[0]], FAMILIES[contract.target]
+
+    def trial():
         art = reduce(source)
         src_ok, src_sol = src.decide(source, cap)
         tgt_ok, tgt_sol = tgt.decide(art.target, cap)
-    except CapExceeded as exc:
-        return TrialOutcome("skip", detail=str(exc))
-    if src_ok != tgt_ok:
-        return TrialOutcome("disagree",
-                            detail=f"source {src_ok} target {tgt_ok}")
-    problems = _resource_checks(name, source, art, notes)
-    if not problems and src_ok:
-        problems = _lift_checks(name, source, art, src_sol, tgt_sol)
-    if problems:
-        return TrialOutcome("disagree", detail="; ".join(problems), notes=notes)
-    return TrialOutcome("agree", notes=notes)
+        if src_ok != tgt_ok:
+            return TrialOutcome("disagree", detail=f"source {src_ok} target {tgt_ok}")
+        notes: list[str] = []
+        problems = _resource_checks(contract, source, art, notes)
+        if not problems and src_ok:
+            problems = _lift_checks(src, tgt, source, art, src_sol, tgt_sol)
+        if problems:
+            return TrialOutcome("disagree", detail="; ".join(problems), notes=notes)
+        return TrialOutcome("agree", notes=notes)
+
+    return _booked(trial)
 
 
-def _resource_checks(name: str, source, art: ReductionArtifact,
-                     notes: list[str]) -> list[str]:
+def _resource_checks(contract: Contract, source, art: ReductionArtifact, notes: list[str],
+                     witness: TreeDecomposition | None = None) -> list[str]:
+    """Validate the emitted witness, then check the contract's rules and
+    further checks.  witness is the source's decomposition when it comes
+    apart from the instance."""
     problems = []
     if art.witness is not None:
         if art.witness is getattr(art.target, "decomposition", None):
@@ -585,56 +667,22 @@ def _resource_checks(name: str, source, art: ReductionArtifact,
                 problems.append(f"witness invalid: {check.violation}")
             else:
                 notes.append(f"witness-width {check.width}")
-    if name == "tcmis-listcol":
-        bound = 2 * art.parameter_in - 1
-        width = art.witness.width()
-        if width > bound:
-            problems.append(f"witness width {width} > 2k-1 = {bound}")
-        notes.append(f"listcol-width {width} bound {bound}")
-    if name in ("vc-rbds", "rbds-ds"):
-        before = source.decomposition.width()
-        after = art.witness.width()
-        if after > before + 1:
-            problems.append(f"witness width {after} grew past {before}+1")
-    if name == "poscnf-logtwis":
-        n = art.target.graph.n
-        width = art.witness.width()
-        expect_k = -(-width // ceil_log2(n))
-        if art.parameter_out != expect_k or art.target.k != expect_k:
-            problems.append("declared k does not match recomputed width ratio")
-        expect_w = _expected_logtw_weight(source)
-        if art.target.target_weight != expect_w:
-            problems.append(
-                f"size target {art.target.target_weight} != {expect_w}")
-    if name in ("tcmc-tcmis", "tcmis-negcnf", "negcnf-poscnf",
-                "part-gencnf", "is-vc", "atm-tcmc"):
-        if art.parameter_out != art.parameter_in:
-            problems.append("parameter changed under a k'=k reduction")
-    return problems
+    if witness is None:
+        witness = getattr(source, "decomposition", None)
+    k, k_out = contract.parameters(source, art, witness)
+    width_in = witness.width() if witness is not None else None
+    found = [_RULES[rule](k, k_out, width_in, art, notes) for rule in contract.rules]
+    found += [check(source, art) for check in contract.checks]
+    return problems + [problem for problem in found if problem]
 
 
-def _expected_logtw_weight(source: TreeChainedCnf) -> int:
-    assert source.partition is not None
-    total = 0
-    lengths = []
-    for key in sorted(source.partition):
-        size = len(source.partition[key])
-        total += max(size - 1, 0).bit_length()
-        lengths.append(size + (size % 2))
-    for clause in source.clauses:
-        ell = len(clause)
-        lengths.append(ell + (ell % 2))
-    return total + sum(2 + ell for ell in lengths)
-
-
-def _lift_checks(name: str, source, art: ReductionArtifact,
+def _lift_checks(src: Family, tgt: Family, source, art: ReductionArtifact,
                  src_sol, tgt_sol) -> list[str]:
     """Carry the oracles' solutions of a solvable trial across the
     reduction both ways and check them on the other side; a valid
     backward-lifted solution must also lift forward again to a valid
     target solution."""
     problems = []
-    src, tgt = (FAMILIES[family] for family in REDUCTION_TYPES[name])
     if not tgt.check(art.target, art.lift.forward(src_sol)):
         problems.append("forward-lifted solution invalid on target")
     back = art.lift.backward(tgt_sol)
@@ -671,9 +719,9 @@ def verify_reduction(name: str, trials: int, seed: int,
                      profile: dict | None = None) -> VerificationReport:
     """Seeded trials of one registered reduction (or fault fixture): for
     each trial generate, reduce, solve both sides, compare, and check lift
-    round-trips, witness bounds, and parameter growth."""
+    round-trips, witnesses, and the contract's parameter rules."""
     _lookup_reduction(name)
-    return _run_trials(name, REDUCTION_TYPES[name][0],
+    return _run_trials(name, CONTRACTS[name].sources[0],
                        lambda source: run_trial(name, source, cap=cap),
                        trials, seed, profile)
 
@@ -685,34 +733,27 @@ def check_chain(chain: list[str]) -> tuple[str, str]:
     for nm in chain:
         _lookup_reduction(nm)
     for left, right in zip(chain, chain[1:]):
-        out_family = REDUCTION_TYPES[left][1]
-        in_family = REDUCTION_TYPES[right][0]
-        compatible = (out_family == in_family
-                      or (right == "part-gencnf" and out_family in _PART_GENCNF_SOURCES))
-        if not compatible:
-            raise InvariantViolation(
-                f"chain breaks between {left} ({out_family}) and {right} ({in_family})")
-    return REDUCTION_TYPES[chain[0]][0], REDUCTION_TYPES[chain[-1]][1]
+        out_family, takes = CONTRACTS[left].target, CONTRACTS[right].sources
+        if out_family not in takes:
+            raise InvariantViolation(f"chain breaks between {left} ({out_family}) "
+                                     f"and {right} ({'/'.join(takes)})")
+    return CONTRACTS[chain[0]].sources[0], CONTRACTS[chain[-1]].target
 
 
 def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOutcome:
     src_family, end_family = check_chain(chain)
-    try:
+
+    def trial():
         current = source
         for nm in chain:
-            try:
-                current = _lookup_reduction(nm)(current).target
-            except InvariantViolation as exc:
-                # the intermediate instance left this stage's domain (e.g. an
-                # unsolvable empty class reaching a partition-based stage)
-                return TrialOutcome("skip", detail=str(exc))
+            current = _lookup_reduction(nm)(current).target
         src_ok = FAMILIES[src_family].decide(source, cap, witness=False)[0]
         tgt_ok = FAMILIES[end_family].decide(current, cap, witness=False)[0]
-    except CapExceeded as exc:
-        return TrialOutcome("skip", detail=str(exc))
-    if src_ok != tgt_ok:
-        return TrialOutcome("disagree", detail=f"source {src_ok} end {tgt_ok}")
-    return TrialOutcome("agree")
+        if src_ok != tgt_ok:
+            return TrialOutcome("disagree", detail=f"source {src_ok} end {tgt_ok}")
+        return TrialOutcome("agree")
+
+    return _booked(trial)
 
 
 def verify_chain(chain: list[str], trials: int, seed: int,
@@ -778,34 +819,16 @@ def _faulty_negcnf_poscnf(instance: TreeChainedCnf) -> ReductionArtifact:
     """Deliberately broken variant of negcnf-poscnf for harness validation:
     the replacement disjunction wrongly keeps the replaced variable, so
     every transformed clause becomes satisfiable under exactly-one."""
-    from .reductions import LiftMap
-
-    if instance.variant != "negative-partitioned":
-        raise InvariantViolation("fixture needs a negative-partitioned instance")
-    assert instance.partition is not None
-    cell_of = {}
-    for key, cell in instance.partition.items():
-        for v in cell:
-            cell_of[v] = key
-    clauses = []
-    for clause in instance.clauses:
-        out = []
-        for lit in clause:
-            out.extend(sorted(instance.partition[cell_of[-lit]]))
-        clauses.append(tuple(out))
-    target = TreeChainedCnf(
-        tree=instance.tree, variable_sets=dict(instance.variable_sets),
-        clauses=tuple(clauses), variant="positive-partitioned", k=instance.k,
-        partition=dict(instance.partition), var_names=dict(instance.var_names))
-    identity = lambda sol: frozenset(sol)
-    return ReductionArtifact(
-        name="negcnf-poscnf!faulty", source=instance, target=target,
-        parameter_in=instance.k, parameter_out=instance.k, growth_bound="k'=k",
-        lift=LiftMap(records=(), forward=identity, backward=identity))
+    art = reduce_negcnf_to_poscnf(instance)
+    cell = {v: sorted(vs) for vs in instance.partition.values() for v in vs}
+    clauses = tuple(tuple(u for lit in clause for u in cell[-lit])
+                    for clause in instance.clauses)
+    art.target = dataclasses.replace(art.target, clauses=clauses)
+    return art
 
 
 FIXTURES = {
     "negcnf-poscnf!faulty": _faulty_negcnf_poscnf,
 }
 
-assert set(REDUCTION_TYPES) == set(REDUCTION_NAMES) | set(FIXTURES)
+assert set(CONTRACTS) == set(REDUCTION_NAMES) | set(FIXTURES)

@@ -1,0 +1,185 @@
+"""Reduction contracts: the measured parameter rules, stage errors as skips
+or disagreements, and the generic mutants verify must catch."""
+
+import dataclasses
+import zlib
+
+import pytest
+
+from xalpwb import verify
+from xalpwb.cli import main
+from xalpwb.formats import serialize_instance
+from xalpwb.instances import InvariantViolation, TreeDecomposition
+from xalpwb.oracles import validate_decomposition
+from xalpwb.reductions import REDUCTIONS, reduce_listcoloring_to_precoloring
+from xalpwb.verify import (
+    generate_instance,
+    replay_counterexample,
+    run_trial,
+    verify_chain,
+    verify_reduction,
+)
+
+# ------------------------------------------------------------ stage errors
+
+
+def test_a_source_outside_the_domain_is_a_skip():
+    source = generate_instance("logtw-vc", None, seed=0)
+    outcome = run_trial("is-vc", source)
+    assert outcome.status == "skip"
+    assert outcome.detail == "is-vc needs an independent-set instance"
+
+
+def test_a_stage_error_is_a_replayable_disagreement(monkeypatch, capsys):
+    # a negcnf-poscnf that raises on about one source in six, always the same
+    real = REDUCTIONS["negcnf-poscnf"]
+
+    def flaky(source):
+        if zlib.crc32(serialize_instance(source).encode()) % 6 == 0:
+            raise InvariantViolation("flaky stage")
+        return real(source)
+
+    monkeypatch.setitem(REDUCTIONS, "negcnf-poscnf", flaky)
+    for report in (verify_reduction("negcnf-poscnf", 50, 1),
+                   verify_chain(["tcmis-negcnf", "negcnf-poscnf", "part-gencnf"], 50, 1)):
+        assert report.disagreements and not report.ok, report.name
+        for t, cex in report.disagreements:
+            assert f"trial {t} disagree: InvariantViolation: flaky stage" in report.resource_notes
+            assert replay_counterexample(cex), (report.name, t)
+    assert main(["verify", "--reduction", "negcnf-poscnf", "--trials", "50",
+                 "--seed", "1"]) == 1
+    assert "disagree: InvariantViolation: flaky stage" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------ the rules
+
+
+@pytest.mark.parametrize("name, attr, delta, problem", [
+    ("is-vc", "k", 1, "parameter changed under a k'=k reduction"),
+    ("poscnf-logtwis", "k", 1, "does not match ceil(width/ceil(log2 n))"),
+    # a smaller size target keeps the solvable targets solvable
+    ("poscnf-logtwis", "target_weight", -1, "size target"),
+])
+def test_a_target_that_breaks_its_contract_is_a_disagreement(monkeypatch, name, attr,
+                                                              delta, problem):
+    real = REDUCTIONS[name]
+
+    def broken(source):
+        art = real(source)
+        changed = getattr(art.target, attr) + delta
+        art.target = dataclasses.replace(art.target, **{attr: changed})
+        return art
+
+    monkeypatch.setitem(REDUCTIONS, name, broken)
+    report = verify_reduction(name, 20, 1)
+    assert any(problem in note for note in report.resource_notes if " disagree: " in note)
+
+
+# ------------------------------------------------------ the width+<=1 rule
+
+
+def test_listcol_precol_grows_a_given_witness_by_at_most_one():
+    for seed in range(50):
+        step = REDUCTIONS["tcmis-listcol"](generate_instance("tcmis", None, seed=seed))
+        listcol, witness = step.target, step.witness
+        art = reduce_listcoloring_to_precoloring(listcol, witness)
+        check = validate_decomposition(art.target.graph, art.witness)
+        assert check.ok, seed
+        assert check.width <= witness.width() + 1, seed
+        notes = []
+        contract = verify.CONTRACTS["listcol-precol"]
+        assert verify._resource_checks(contract, listcol, art, notes, witness) == [], seed
+        assert notes == [f"witness-width {check.width}"], seed
+
+
+def test_the_width_rule_says_when_it_has_no_witness():
+    report = verify_reduction("listcol-precol", 3, 1)
+    assert report.ok
+    assert [note for note in report.resource_notes if "width rule" in note] == [
+        f"trial {t} width rule not checked: no witness" for t in range(3)]
+
+
+# ---------------------------------------------------------------- mutants
+
+
+def _drop_least(solution):
+    least = min(solution)
+    if isinstance(solution, dict):
+        return {key: value for key, value in solution.items() if key != least}
+    return frozenset(solution) - {least}
+
+
+def _lift_drops_one(direction):
+    def mutate(art, hit):
+        lift = getattr(art.lift, direction)
+
+        def dropped(solution):
+            lifted = lift(solution)
+            if not lifted:
+                return lifted
+            hit.append(direction)
+            return _drop_least(lifted)
+
+        setattr(art.lift, direction, dropped)
+
+    return mutate
+
+
+def _target_loses_first_edge(art, hit):
+    target = art.target
+    if hasattr(target, "clauses"):
+        if target.clauses:
+            art.target = dataclasses.replace(target, clauses=target.clauses[1:])
+            hit.append("clause")
+    elif target.graph.edges:
+        edges = target.graph.edges
+        graph = dataclasses.replace(target.graph, edges=edges - {min(edges)})
+        art.target = dataclasses.replace(target, graph=graph)
+        hit.append("edge")
+
+
+def _largest_bag_loses_a_vertex(art, hit):
+    witness = art.witness
+    if witness is not None:
+        node = max(sorted(witness.bags), key=lambda i: len(witness.bags[i]))
+        bag = witness.bags[node]
+        art.witness = TreeDecomposition(tree=witness.tree,
+                                        bags={**witness.bags, node: bag - {min(bag)}})
+        hit.append("bag")
+
+
+MUTANTS = {
+    "forward-lift": _lift_drops_one("forward"),
+    "backward-lift": _lift_drops_one("backward"),
+    "target-edge": _target_loses_first_edge,
+    "witness-bag": _largest_bag_loses_a_vertex,
+}
+
+# these reductions emit no witness in verify's trials
+NOT_APPLICABLE = {(name, "witness-bag") for name in (
+    "atm-tcmc", "tcmc-tcmis", "listcol-precol", "tcmis-negcnf", "negcnf-poscnf",
+    "part-gencnf")}
+
+# Open: 50 seeded trials do not tell this mutant from the reduction, and no
+# argument shows that it is equivalent to it.
+SURVIVORS = {("poscnf-logtwis", "target-edge")}
+
+
+def test_generic_mutants_are_caught(monkeypatch):
+    outcomes = {}
+    for name, reduce in list(REDUCTIONS.items()):
+        for mutant, mutate in MUTANTS.items():
+            hit = []
+
+            def mutated(source, reduce=reduce, mutate=mutate, hit=hit):
+                art = reduce(source)
+                mutate(art, hit)
+                return art
+
+            monkeypatch.setitem(REDUCTIONS, name, mutated)
+            report = verify_reduction(name, 50, 1)
+            outcomes[name, mutant] = ("not applicable" if not hit
+                                      else "caught" if report.disagreements else "survived")
+        monkeypatch.setitem(REDUCTIONS, name, reduce)
+    assert {key for key, o in outcomes.items() if o == "not applicable"} == NOT_APPLICABLE
+    assert {key for key, o in outcomes.items() if o == "survived"} == SURVIVORS

@@ -9,7 +9,7 @@ from xalpwb.cli import main
 from xalpwb.formats import parse_instance, serialize_instance
 from xalpwb.instances import CapExceeded
 from xalpwb.reductions import reduce_rbds_to_ds
-from xalpwb.verify import FAMILIES, REDUCTION_TYPES, generate_instance
+from xalpwb.verify import CONTRACTS, FAMILIES, _RULES, generate_instance
 
 GENERATED = [f for f in FAMILIES if f in verify._DEFAULT_PROFILES]
 
@@ -37,10 +37,13 @@ def _read_solution(text):
     return {key(k): int(v) for k, v in (item.split("=") for item in items)}
 
 
-@pytest.mark.parametrize("name", sorted(REDUCTION_TYPES))
+@pytest.mark.parametrize("name", sorted(CONTRACTS))
 def test_every_reduction_family_has_an_entry(name):
-    for family in REDUCTION_TYPES[name]:
+    contract = CONTRACTS[name]
+    for family in (*contract.sources, contract.target):
         assert family in FAMILIES, (name, family)
+    for rule in contract.rules:
+        assert rule in _RULES, (name, rule)
 
 
 @pytest.mark.parametrize("family", GENERATED)

@@ -7,7 +7,7 @@ from xalpwb import oracles, verify
 from xalpwb.instances import FormatError, InvariantViolation, TreeDecomposition
 from xalpwb.reductions import REDUCTION_NAMES, REDUCTIONS
 from xalpwb.verify import (
-    REDUCTION_TYPES,
+    CONTRACTS,
     FIXTURES,
     VerificationReport,
     check_chain,
@@ -23,10 +23,10 @@ from xalpwb.verify import (
 
 
 def test_registry_coverage_duty():
-    # every registered reduction has a type entry and vice versa (fixtures
+    # every registered reduction has a contract and vice versa (fixtures
     # live in their own registry and never shadow the real list)
     assert set(REDUCTIONS) == set(REDUCTION_NAMES)
-    assert set(REDUCTION_NAMES) <= set(REDUCTION_TYPES)
+    assert set(REDUCTION_NAMES) <= set(CONTRACTS)
     assert not (set(FIXTURES) & set(REDUCTIONS))
 
 
@@ -264,7 +264,7 @@ def test_chain_trial_validates_each_decomposition_once(monkeypatch):
 def test_only_foreign_witnesses_are_revalidated(monkeypatch, name, validations):
     # a witness that is the target's own decomposition was validated with it
     calls = _count_validations(monkeypatch, oracles)
-    source = generate_instance(REDUCTION_TYPES[name][0], None, seed=1)
+    source = generate_instance(CONTRACTS[name].sources[0], None, seed=1)
     outcome = run_trial(name, source)
     assert outcome.status == "agree"
     assert len(calls) == validations
@@ -323,7 +323,7 @@ def test_trial_solves_each_side_once(monkeypatch, name, solver):
     monkeypatch.setattr(oracles, solver, counted_solve)
     monkeypatch.setattr(oracles, "optimum_subset", no_enumeration)
     monkeypatch.setattr(verify, "_lift_checks", counted_lift)
-    src_family = REDUCTION_TYPES[name][0]
+    src_family = CONTRACTS[name].sources[0]
     for seed in range(10):
         source = generate_instance(src_family, None, seed=seed)
         solved.clear()
@@ -375,7 +375,7 @@ def test_witness_grown_by_two_is_a_disagreement(monkeypatch, name):
         return art
 
     source = next(
-        s for s in (generate_instance(REDUCTION_TYPES[name][0], None, seed=t)
+        s for s in (generate_instance(CONTRACTS[name].sources[0], None, seed=t)
                     for t in range(100))
         if s.decomposition.width() <= 1
         and grown(s).witness.width() == s.decomposition.width() + 2)
