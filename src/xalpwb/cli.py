@@ -9,6 +9,7 @@ per-run flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import oracles, verify
@@ -90,8 +91,10 @@ def cmd_solve(args) -> int:
     instance = parse_instance(family.format, _read(args.input))
     threshold = instance.target_weight if logtw and args.threshold is None else args.threshold
     if args.solver == "treedp":
-        _, width = oracles.dp_decomposition(instance, args.problem)
-        print(f"dp width {width} (witness {instance.width})", file=sys.stderr)
+        # built once: the width line reports it, and the DP solves on it
+        on = oracles.dp_decomposition(instance, args.problem)
+        print(f"dp width {on[1]} (witness {instance.width})", file=sys.stderr)
+        solve = functools.partial(solve, on=on)
     ok, sol = solve(instance, args.cap, threshold)
     print("YES" if ok else "NO")
     if ok and sol is not None and args.output:

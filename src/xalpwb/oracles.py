@@ -414,11 +414,6 @@ def check_subset_solution(graph: Graph, problem: str, s: frozenset[int]) -> bool
                                             chosen, must)
 
 
-def is_independent_set(graph: Graph, s: frozenset[int]) -> bool:
-    """No two members adjacent.  Ids outside the graph have no edges."""
-    return check_subset_solution(graph, "is", s)
-
-
 def independent_sets(graph: Graph) -> list[int]:
     """Every independent set of graph as a vertex mask, in increasing order:
     each vertex in turn joins every set listed so far that misses its
@@ -681,7 +676,8 @@ def dp_decomposition(instance: LogTwGraphInstance,
 
 
 def optimum_treedp(instance: LogTwGraphInstance, problem: str,
-                   cap: int | None = None, witness: bool = True):
+                   cap: int | None = None, witness: bool = True,
+                   on: tuple[TreeDecomposition, int] | None = None):
     """Optimal size and one witness, as optimum_subset gives them (max IS,
     min VC, min DS or min RBDS; infinity and None when no feasible set
     exists), by dynamic programming over the decomposition dp_decomposition
@@ -698,10 +694,11 @@ def optimum_treedp(instance: LogTwGraphInstance, problem: str,
     by the chosen mask.  So the witness is the optimal set of least mask,
     whichever decomposition the DP runs on.  VC is solved as the complement
     of IS.  With witness False the values are plain sizes, which is cheaper,
-    and the witness returned is None."""
+    and the witness returned is None.  on is dp_decomposition's result for
+    this instance and problem when the caller has it already."""
     graph = instance.graph
     rule, allowed, must = _subset_rule(graph, problem)
-    dec, width = dp_decomposition(instance, problem)
+    dec, width = on or dp_decomposition(instance, problem)
     nbr = graph.neighbour_masks
     shift, track = (graph.n + 1, -1) if witness else (0, 0)
     if rule.condition == "dominate":

@@ -4,18 +4,21 @@ certifying every reduction and evaluator-equivalence claim.
 Each problem family's format, exact oracle, solution checker and CLI
 solvers sit in one registry, FAMILIES, which the CLI reads too; the atm
 source of atm-tcmc is one more family, decided by its shaped run.  Each
-trial solves its source and its target once; the verdicts are compared and
-the solutions they come with are carried across the reduction by its lift
-maps: forward, backward, and backward then forward again, each checked on
-the side it lands on.  The logtw families are solved by the witness-producing
-decomposition DP; subset enumeration stays the oracles' small-n
-cross-check.  Each reduction's contract (CONTRACTS) names its families and
-the parameter rules its measured k and k' obey.  Trials are deterministic in
-(name, profile, seed); disagreements, any error a trial raises among them,
-carry a replayable serialized counterexample and their detail as a note.
-Skips (an oracle's cap reached, or a stage's source outside its domain) are
-reported separately with their reason as a note, and a report only passes
-when skips stay at or below 20% of the trials.
+reduction trial solves its source and its target once; the verdicts are
+compared and the solutions they come with are carried across the reduction
+by its lift maps: forward, backward, and backward then forward again, each
+checked on the side it lands on.  A chain trial solves its source and
+carries a solvable source's solution forward through every stage, checked
+on each stage's target; only when no carried solution reaches the end does
+the end's oracle decide it.  The logtw families are solved by the
+witness-producing decomposition DP; subset enumeration stays the oracles'
+small-n cross-check.  Each reduction's contract (CONTRACTS) names its
+families and the parameter rules its measured k and k' obey.  Trials are
+deterministic in (name, profile, seed); disagreements, any error a trial
+raises among them, carry a replayable serialized counterexample and their
+detail as a note.  Skips (an oracle's cap reached, or a stage's source
+outside its domain) are reported separately with their reason as a note,
+and a report only passes when skips stay at or below 20% of the trials.
 """
 
 from __future__ import annotations
@@ -387,10 +390,11 @@ class Family:
 
     decide(instance, cap, witness) and every solver(instance, cap,
     threshold) return (solvable, solution or None).  witness=False lets the
-    logtw DP skip its solution, which a chain, comparing verdicts alone,
-    does not need.  Every callable looks its oracle up in the oracles
-    module (atm's decide: this module's shaped_run) when called, so
-    rebinding an oracle there reaches the registry."""
+    logtw DP skip its solution, which a chain's end, decided by its oracle
+    only when no carried solution reached it, does not need.  Every
+    callable looks its oracle up in the oracles module (atm's decide: this
+    module's shaped_run) when called, so rebinding an oracle there reaches
+    the registry."""
 
     problem: str | None
     format: str
@@ -418,9 +422,9 @@ def _tcmc_family(problem: str, mode: str) -> Family:
 
 
 def _logtw_family(problem: str) -> Family:
-    def treedp(instance, cap, threshold, witness=True):
+    def treedp(instance, cap, threshold, witness=True, on=None):
         best, solution = oracles.optimum_treedp(instance, problem, cap=cap,
-                                                witness=witness)
+                                                witness=witness, on=on)
         ok = oracles.meets_target(problem, best, threshold)
         return ok, solution if ok else None
 
@@ -741,19 +745,36 @@ def check_chain(chain: list[str]) -> tuple[str, str]:
 
 
 def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOutcome:
+    """One chain trial: reduce through every stage and compare the
+    endpoints' verdicts.  A solvable source's solution is carried through
+    the stages' forward lifts; when every stage accepts it, it proves the
+    end solvable, and only otherwise does the end's oracle decide."""
     src_family, end_family = check_chain(chain)
 
     def trial():
-        current = source
+        artifacts, current = [], source
         for nm in chain:
-            current = _lookup_reduction(nm)(current).target
-        src_ok = FAMILIES[src_family].decide(source, cap, witness=False)[0]
-        tgt_ok = FAMILIES[end_family].decide(current, cap, witness=False)[0]
+            artifacts.append(_lookup_reduction(nm)(current))
+            current = artifacts[-1].target
+        src_ok, solution = FAMILIES[src_family].decide(source, cap)
+        tgt_ok = src_ok and _carried(chain, artifacts, solution)
+        if not tgt_ok:
+            tgt_ok = FAMILIES[end_family].decide(current, cap, witness=False)[0]
         if src_ok != tgt_ok:
             return TrialOutcome("disagree", detail=f"source {src_ok} end {tgt_ok}")
         return TrialOutcome("agree")
 
     return _booked(trial)
+
+
+def _carried(chain: list[str], artifacts: list[ReductionArtifact], solution) -> bool:
+    """Whether a source solution, lifted forward stage by stage, is valid on
+    every stage's target; it is checked before the next lift receives it."""
+    for nm, art in zip(chain, artifacts):
+        solution = art.lift.forward(solution)
+        if not FAMILIES[CONTRACTS[nm].target].check(art.target, solution):
+            return False
+    return True
 
 
 def verify_chain(chain: list[str], trials: int, seed: int,

@@ -42,6 +42,7 @@ def path_coloring(n: int, clash: bool = False) -> ListColoringInstance:
 
 
 DS_CHAIN = ["tcmis-negcnf", "negcnf-poscnf", "poscnf-logtwis", "is-vc", "vc-rbds", "rbds-ds"]
+DS_PROFILE = {"tree_nodes": 2, "max_class": 1, "max_edges": 4}  # the benchmark's ds-chain
 
 
 def ds_chain_target(seed: int):
@@ -50,8 +51,7 @@ def ds_chain_target(seed: int):
     from xalpwb.reductions import REDUCTIONS
     from xalpwb.verify import generate_instance
 
-    target = generate_instance("tcmis", {"tree_nodes": 2, "max_class": 1, "max_edges": 4},
-                               seed=seed)
+    target = generate_instance("tcmis", DS_PROFILE, seed=seed)
     for name in DS_CHAIN:
         target = REDUCTIONS[name](target).target
     return target

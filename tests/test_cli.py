@@ -181,6 +181,18 @@ def test_solve_treedp_reports_the_width_it_solves_on(workdir, capsys, problem, l
     assert capsys.readouterr() == (verdict + "\n", line)
 
 
+@pytest.mark.parametrize("problem", ["ds", "rbds"])
+def test_solve_treedp_builds_the_elimination_once(workdir, monkeypatch, problem):
+    # the width line and the DP share one min-degree elimination
+    real, built = oracles.min_degree_decomposition, []
+    monkeypatch.setattr(oracles, "min_degree_decomposition",
+                        lambda graph: built.append(graph) or real(graph))
+    target = ds_chain_target(0) if problem == "ds" else generate_instance("logtw-rbds")
+    pathlib.Path("d.logtw").write_text(serialize_instance(target))
+    assert main(["solve", "--problem", problem, "-i", "d.logtw", "--solver", "treedp"]) == 0
+    assert len(built) == 1
+
+
 def test_solve_cap_exit_3(workdir, capsys):
     _write_instance("g.logtw", "logtw-is", seed=3)
     assert main(["solve", "--problem", "is", "-i", "g.logtw",

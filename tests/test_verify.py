@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import ds_chain_target
+from conftest import DS_CHAIN, DS_PROFILE, ds_chain_target
 from xalpwb import oracles, verify
 from xalpwb.instances import FormatError, InvariantViolation, TreeDecomposition
 from xalpwb.reductions import REDUCTION_NAMES, REDUCTIONS
@@ -244,20 +244,24 @@ def _count_validations(monkeypatch, *modules) -> list:
 def test_chain_trial_validates_each_decomposition_once(monkeypatch):
     # one validation per LogTwGraphInstance built along the chain (the four
     # logtw targets), whose width the DP reads, and one of the min-degree
-    # elimination the DS endpoint's DP builds
+    # elimination the DS endpoint's DP builds when it decides the end
     from xalpwb import instances
     from xalpwb.verify import run_chain_trial
 
     # counted apart, each wrapping the unpatched validator
     eliminations = _count_validations(monkeypatch, oracles)
     built = _count_validations(monkeypatch, instances)
-    chain = ["tcmis-negcnf", "negcnf-poscnf", "poscnf-logtwis", "is-vc", "vc-rbds", "rbds-ds"]
-    source = generate_instance("tcmis", {"tree_nodes": 2, "max_class": 1, "max_edges": 4},
-                               seed=0)
-    assert run_chain_trial(chain, source).status == "agree"
-    assert len(built) == 4
-    # ds_chain_target(0) runs the same source down the same chain
-    assert eliminations == [oracles.min_degree_decomposition(ds_chain_target(0).graph)]
+    # the seed-0 source is solvable, so its carried solution decides the
+    # end and no DP runs; the seed-5 source is not, so the DP decides it
+    for seed, dp_runs in ((0, False), (5, True)):
+        eliminations.clear()
+        built.clear()
+        source = generate_instance("tcmis", DS_PROFILE, seed=seed)
+        assert run_chain_trial(DS_CHAIN, source).status == "agree"
+        assert len(built) == 4
+        # ds_chain_target(seed) runs the same source down the same chain
+        expect = [oracles.min_degree_decomposition(ds_chain_target(seed).graph)]
+        assert eliminations == (expect if dp_runs else [])
 
 
 @pytest.mark.parametrize("name, validations", [("is-vc", 0), ("tcmis-listcol", 1)])
@@ -386,3 +390,106 @@ def test_witness_grown_by_two_is_a_disagreement(monkeypatch, name):
     assert outcome.status == "disagree"
     assert f"witness-width {before + 2}" in outcome.notes
     assert outcome.detail == f"witness width {before + 2} grew past {before}+1"
+
+
+# ------------------------------------------------- carried chain solutions
+
+
+def _with(monkeypatch, family: str, **fields):
+    """Replace fields of one FAMILIES entry for the test."""
+    import dataclasses
+
+    monkeypatch.setitem(verify.FAMILIES, family,
+                        dataclasses.replace(verify.FAMILIES[family], **fields))
+
+
+def _counted_end(monkeypatch, family: str, raises=None) -> list:
+    """Record each call of the family's oracle; with raises, the oracle
+    raises it instead of deciding."""
+    real, calls = verify.FAMILIES[family].decide, []
+
+    def decide(instance, cap, witness=True):
+        calls.append(instance)
+        if raises is not None:
+            raise raises
+        return real(instance, cap, witness)
+
+    _with(monkeypatch, family, decide=decide)
+    return calls
+
+
+def _ds_source(solvable: bool):
+    return generate_instance("tcmis", DS_PROFILE, seed=0 if solvable else 5)
+
+
+def test_carried_solution_decides_a_solvable_end(monkeypatch):
+    from xalpwb.verify import run_chain_trial
+
+    checked = []
+
+    def counted(family, check):
+        return lambda instance, solution: checked.append(family) or check(instance, solution)
+
+    for stage in DS_CHAIN:
+        family = CONTRACTS[stage].target
+        _with(monkeypatch, family, check=counted(family, verify.FAMILIES[family].check))
+    ends = _counted_end(monkeypatch, "logtw-ds")
+    assert run_chain_trial(DS_CHAIN, _ds_source(True)).status == "agree"
+    assert ends == []
+    assert checked == [CONTRACTS[stage].target for stage in DS_CHAIN]
+    # an unsolvable source has nothing to carry: the end's oracle decides
+    checked.clear()
+    assert run_chain_trial(DS_CHAIN, _ds_source(False)).status == "agree"
+    assert len(ends) == 1 and checked == []
+
+
+def test_rejected_carry_falls_back_to_the_end_oracle(monkeypatch):
+    # a stage lifting to an invalid solution (an empty dominating set of a
+    # nonempty graph) is noticed by its checker, and the end's oracle
+    # decides with the verdict the carry would have given
+    from xalpwb.verify import run_chain_trial
+
+    source = _ds_source(True)
+    expect = run_chain_trial(DS_CHAIN, source)
+    real_reduce = REDUCTIONS["rbds-ds"]
+
+    def invalid_lift(src):
+        art = real_reduce(src)
+        art.lift.forward = lambda sol: frozenset()
+        return art
+
+    monkeypatch.setitem(REDUCTIONS, "rbds-ds", invalid_lift)
+    ends = _counted_end(monkeypatch, "logtw-ds")
+    assert run_chain_trial(DS_CHAIN, source) == expect
+    assert expect.status == "agree" and len(ends) == 1
+
+
+def test_capped_end_oracle_skips_only_without_a_carried_solution(monkeypatch):
+    from xalpwb.instances import CapExceeded
+    from xalpwb.verify import run_chain_trial
+
+    _counted_end(monkeypatch, "logtw-ds", raises=CapExceeded("end over the cap"))
+    assert run_chain_trial(DS_CHAIN, _ds_source(True)).status == "agree"
+    outcome = run_chain_trial(DS_CHAIN, _ds_source(False))
+    assert (outcome.status, outcome.detail) == ("skip", "end over the cap")
+
+
+def _bench_chains():
+    import json
+    import pathlib
+
+    spec = json.loads((pathlib.Path(__file__).parents[1] / "bench" / "config.json")
+                      .read_text())["workloads"]["chain-sweep"]
+    return [(c["chain"], c["profile"]) for c in [*spec["chains"].values(), spec["fault"]]]
+
+
+@pytest.mark.parametrize("chain, profile", _bench_chains())
+def test_carried_reports_match_end_oracle_reports(monkeypatch, chain, profile):
+    # every checker rejecting forces the end's oracle on every trial, as
+    # before solutions were carried; the reports must not tell them apart
+    carried = [verify_chain(chain, 20, seed, profile=profile).serialize()
+               for seed in range(3)]
+    for family in verify.FAMILIES:
+        _with(monkeypatch, family, check=lambda instance, solution: False)
+    assert carried == [verify_chain(chain, 20, seed, profile=profile).serialize()
+                       for seed in range(3)]
