@@ -16,7 +16,7 @@ from . import oracles, verify
 from .corpus import CORPUS_BUDGET, load_corpus
 from .formats import parse_instance, serialize_instance
 from .instances import CapExceeded, ResourceBudget, XalpwbError
-from .machines import EVALUATORS, AtmInstance, run_with_tree_shape
+from .machines import EVALUATORS, run_with_tree_shape
 from .reductions import REDUCTION_NAMES, REDUCTIONS
 
 EXIT_OK = 0
@@ -45,15 +45,7 @@ def _write(path: str, text: str):
 
 def cmd_reduce(args) -> int:
     contract = verify.CONTRACTS[args.name]
-    text = _read(args.input)
-    if args.name == "atm-tcmc":
-        if args.blocks is None or args.beta is None or args.shape is None:
-            raise UsageError("atm-tcmc needs --blocks, --beta and --shape")
-        instance = AtmInstance(parse_instance("machine", text), args.input_string or "",
-                               parse_instance("tree", _read(args.shape)),
-                               args.blocks, args.beta)
-    else:
-        instance = parse_instance(verify.FAMILIES[contract.sources[0]].format, text)
+    instance = parse_instance(verify.FAMILIES[contract.sources[0]].format, _read(args.input))
     artifact = REDUCTIONS[args.name](instance)
     _write(args.output, serialize_instance(artifact.target))
     if args.lift:
@@ -173,10 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--lift")
     p.add_argument("--witness")
-    p.add_argument("--beta", type=int)
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--shape")
-    p.add_argument("-x", "--input-string", default="")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("solve", help="run an exact oracle")

@@ -8,17 +8,20 @@ machines that use the stack are nondeterministic only, and acceptance for
 them means reaching an accepting state with an empty stack, which halts the
 run.  For stack-free machines reaching an accepting state halts the branch.
 
-The four evaluators decide acceptance of the same machines through the four
-equivalent resource-bounded views: direct stack search, minimal computation
-tree, advice-rebalanced computation tree, and depth-first stack replay.
-All evaluators are pure and deterministic: guessing is realized by
-exhaustive enumeration in a fixed order.
+The five EVALUATORS decide acceptance of the same machines through the four
+equivalent resource-bounded views: direct stack search (stack), minimal
+computation tree (alt), advice-rebalanced computation tree (balanced), and
+depth-first stack replay (altstack); stackalt decides the stack semantics a
+second way, through alternation.  Shaped runs, which fix the shape of the
+computation tree in advance, are separate from them.  All evaluators are
+pure and deterministic: guessing is realized by exhaustive enumeration in a
+fixed order.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .instances import (
@@ -367,8 +370,30 @@ def _tree_depth_and_co(succ, cost, root) -> tuple[int, int]:
     raise AssertionError("root has no accepting tree")
 
 
+def _smallest_run(succ, cost, root) -> tuple[list[Part], list[tuple[int, ...]], list[int | None]]:
+    """The recovered minimal tree below root, listed breadth-first from the
+    root at 0: each node's part, its children's indices in table order (the
+    _pick_child choice at an existential node) and its parent's index."""
+    parts: list[Part] = [root]
+    kids: list[tuple[int, ...]] = []
+    parent: list[int | None] = [None]
+    for i, part in enumerate(parts):  # parts grows as the loop runs
+        kind = succ[part][0]
+        if kind == "leaf":
+            step = ()
+        elif kind == "or":
+            step = (_pick_child(succ, cost, part),)
+        else:
+            step = succ[part][1]
+        kids.append(tuple(range(len(parts), len(parts) + len(step))))
+        parts.extend(step)
+        parent.extend([i] * len(step))
+    return parts, kids, parent
+
+
 def _smallest_tree(m: MachineSpec, x: str, budget: ResourceBudget, what: str):
-    """Shared front of eval_alternating and eval_balanced: the alternating
+    """Shared front of eval_alternating, eval_balanced and
+    smallest_tree_shape: the alternating
     RunStats of the smallest accepting tree, with the (succ, cost, root)
     tables it was read from."""
     _require_stack_free(m, what)
@@ -388,6 +413,22 @@ def eval_alternating(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats
     """Alternating semantics: accepted iff an accepting computation tree with
     at most budget.tree_size nodes exists; reports the smallest such tree."""
     return _smallest_tree(m, x, budget, "eval_alternating")[0]
+
+
+def smallest_tree_shape(m: MachineSpec, x: str, max_nodes: int) -> OrderedTree | None:
+    """Shape of the smallest accepting computation tree, numbered
+    breadth-first from 1, or None when it has more than max_nodes nodes,
+    none exists, or the configuration space is too large to explore."""
+    try:
+        stats, succ, cost, init = _smallest_tree(
+            m, x, ResourceBudget(tree_size=max_nodes), "smallest_tree_shape")
+    except CapExceeded:
+        return None
+    if not stats.accepted:
+        return None
+    _, kids, _ = _smallest_run(succ, cost, init)
+    return OrderedTree(n=len(kids), children={i + 1: tuple(k + 1 for k in ks)
+                                              for i, ks in enumerate(kids) if ks})
 
 
 # ------------------------------------------------------------ shaped runs
@@ -830,46 +871,11 @@ def eval_alternating_as_stack(m: MachineSpec, x: str, budget: ResourceBudget) ->
 # ------------------------------------------------ advice-rebalanced runs
 
 
-@dataclass
-class _TreeNode:
-    part: Part
-    kids: list = field(default_factory=list)
-    parent: object = None
-    size: int = 1
-
-
-def _build_min_tree(succ, cost, root_part: Part) -> _TreeNode:
-    """The minimal accepting tree as nodes; a part's subtree has cost[part]
-    nodes."""
-    root = _TreeNode(root_part, size=cost[root_part])
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        kind = succ[node.part][0]
-        if kind == "leaf":
-            continue
-        if kind == "or":
-            kids = (_pick_child(succ, cost, node.part),)
-        else:
-            kids = succ[node.part][1]
-        for kp in kids:
-            kid = _TreeNode(kp, parent=node, size=cost[kp])
-            node.kids.append(kid)
-            stack.append(kid)
-    return root
-
-
-def _in_subtree(node: _TreeNode, top: _TreeNode) -> bool:
-    while node is not None:
-        if node is top:
-            return True
-        node = node.parent
-    return False
-
-
-def _balanced_co_meter(root: _TreeNode, accepting: frozenset[str]) -> int:
+def _balanced_co_meter(kids: list[tuple[int, ...]], parent: list[int | None],
+                       size: list[int]) -> int:
     """Max co-nondeterministic steps per path of the advice-rebalanced
-    verification of the given accepting tree.
+    verification of an accepting tree given as child lists, parent indices
+    and subtree sizes, rooted at node 0.
 
     Regions are (top, hole): the subtree at top with the subtree at the
     stored advice configuration (hole) removed; a branch reaching the advice
@@ -878,77 +884,65 @@ def _balanced_co_meter(root: _TreeNode, accepting: frozenset[str]) -> int:
     ancestor case) or, when no balanced path cut exists, at the universal
     node whose off-path subtree absorbs the weight (the least-common-ancestor
     case, realized as two binary splits around that node's universal step).
+    A hole, when given, lies in the subtree of the region's top.
     """
 
-    def region_size(top: _TreeNode, hole: _TreeNode | None) -> int:
-        return top.size - (hole.size if hole is not None else 0)
-
-    def route(node: _TreeNode, hole: _TreeNode | None):
+    def route(node: int, hole: int | None) -> list[int | None]:
         """Pass the advice to whichever child subtree contains it."""
-        return [hole if hole is not None and _in_subtree(hole, kid) else None
-                for kid in node.kids]
+        above = hole
+        while above is not None and parent[above] != node:
+            above = parent[above]
+        return [hole if kid == above else None for kid in kids[node]]
 
-    def walk(top: _TreeNode, hole: _TreeNode | None) -> int:
-        if top is hole:
-            return 0  # current configuration equals the advice: accept
-        if not top.kids:
-            assert top.part[0] in accepting, "leaf of an accepting tree must accept"
-            return 0
-        if len(top.kids) == 1:
-            return walk(top.kids[0], hole)
-        sides = route(top, hole)
-        return 1 + max(walk(k, s) for k, s in zip(top.kids, sides))
+    def walk(top: int, hole: int | None) -> int:
+        if top == hole or not kids[top]:
+            return 0  # the advice, or a leaf: accept
+        if len(kids[top]) == 1:
+            return walk(kids[top][0], hole)
+        return 1 + max(walk(k, s) for k, s in zip(kids[top], route(top, hole)))
 
-    def hole_path(top: _TreeNode, hole: _TreeNode) -> list[_TreeNode]:
+    def hole_path(top: int, hole: int) -> list[int]:
         out = []
-        node = hole.parent
-        while node is not top:
+        node = parent[hole]
+        while node != top:
             out.append(node)
-            node = node.parent
+            node = parent[node]
         out.append(top)
         return list(reversed(out))  # top first, parent of the hole last
 
-    def step_through(node: _TreeNode, hole: _TreeNode | None) -> int:
+    def step_through(node: int, hole: int | None) -> int:
         """Meter node's own step; its universal split separates the advice
         side from the fully checked side."""
-        if node is hole or not node.kids:
+        if node == hole or not kids[node]:
             return 0
-        if len(node.kids) == 1:
-            return meter(node.kids[0], hole)
-        return 1 + max(meter(k, s) for k, s in zip(node.kids, route(node, hole)))
+        if len(kids[node]) == 1:
+            return meter(kids[node][0], hole)
+        return 1 + max(meter(k, s) for k, s in zip(kids[node], route(node, hole)))
 
-    def meter(top: _TreeNode, hole: _TreeNode | None) -> int:
-        size = region_size(top, hole)
-        if size <= 3:
+    def meter(top: int, hole: int | None) -> int:
+        region = size[top] - (size[hole] if hole is not None else 0)
+        if region <= 3:
             return walk(top, hole)
         if hole is None:
-            # fresh advice: guess a separator configuration; one branch checks
-            # the region up to the advice, the other continues at the advice
+            # fresh advice: guess a separator configuration, descending into
+            # the first largest child until it weighs at most 2/3 of the
+            # region; one branch checks the region up to the advice, the
+            # other continues at the advice
             cur = top
-            pick = None
-            while True:
-                big = None
-                for kid in cur.kids:
-                    if big is None or kid.size > big.size:
-                        big = kid
-                if big is None:
+            while kids[cur]:
+                pick = max(kids[cur], key=size.__getitem__)
+                if size[pick] <= (2 * region) // 3:
                     break
-                pick = big
-                if big.size <= (2 * size) // 3:
-                    break
-                cur = big
-            assert pick is not None
+                cur = pick
             return 1 + max(meter(top, pick), meter(pick, None))
         path = hole_path(top, hole)
         # ancestor case: a balanced cut on the path to the stored advice
         best = None
         for w in path[1:]:
-            upper = top.size - w.size
-            lower = w.size - hole.size
-            score = max(upper, lower)
+            score = max(size[top] - size[w], size[w] - size[hole])
             if best is None or score < best[0]:
                 best = (score, w)
-        if best is not None and best[0] <= (2 * size) // 3 + 1:
+        if best is not None and best[0] <= (2 * region) // 3 + 1:
             w = best[1]
             return 1 + max(meter(top, w), meter(w, hole))
         # LCA case: the weight sits in an off-path subtree of a node J on the
@@ -956,16 +950,16 @@ def _balanced_co_meter(root: _TreeNode, accepting: frozenset[str]) -> int:
         # separates the full off-path subtree from the advice side
         j = top
         for w in path[1:]:
-            if top.size - w.size <= size // 2:
+            if size[top] - size[w] <= region // 2:
                 j = w
             else:
                 break
         co_at_j = step_through(j, hole)
-        if j is top:
+        if j == top:
             return co_at_j
         return 1 + max(meter(top, j), co_at_j)
 
-    return meter(root, None)
+    return meter(0, None)
 
 
 def eval_balanced(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
@@ -981,8 +975,9 @@ def eval_balanced(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
     stats, succ, cost, init = _smallest_tree(m, x, budget, "eval_balanced")
     if not stats.accepted:
         return stats
-    tree = _build_min_tree(succ, cost, init)
-    return replace(stats, max_co_nondet_on_path=_balanced_co_meter(tree, m.accepting))
+    parts, kids, parent = _smallest_run(succ, cost, init)
+    co = _balanced_co_meter(kids, parent, [cost[part] for part in parts])
+    return replace(stats, max_co_nondet_on_path=co)
 
 
 EVALUATORS = {

@@ -444,9 +444,13 @@ def solve_is_ds_vc(graph: Graph, problem: str, threshold: int,
 
 def optimum_subset(graph: Graph, problem: str, cap: int | None = None):
     """Optimal size and the optimal set of least vertex mask: max IS, min
-    VC (the complement of the greatest max IS), min DS or min RBDS, the
-    last two by a walk over the submasks of the allowed vertices, and
-    infinity (None witness) when labels leave no feasible set."""
+    VC (the complement of the greatest max IS), min DS or min RBDS, and
+    infinity (None witness) when labels leave no feasible set.
+
+    DS and RBDS walk the submasks of the allowed vertices in increasing
+    order, each joined with the forced ones: a vertex to dominate whose
+    closed neighbourhood holds one allowed vertex forces it, and one whose
+    neighbourhood holds none leaves no feasible set."""
     rule, allowed, must = _subset_rule(graph, problem)
     _guard(1 << allowed.bit_count(), cap, "subset space")
     if rule.condition == "independent":
@@ -455,14 +459,23 @@ def optimum_subset(graph: Graph, problem: str, cap: int | None = None):
         best = allowed & ~max(reversed(independent_sets(graph)), key=int.bit_count)
     else:
         nbr = graph.neighbour_masks
+        forced = 0
+        for v in _bits(must):
+            options = (nbr[v] | 1 << v) & allowed
+            if not options:
+                return float("inf"), None
+            if not options & (options - 1):
+                forced |= options
+        free = allowed & ~forced
         best, best_size = None, allowed.bit_count() + 1
         s = 0
         while True:
-            if s.bit_count() < best_size and _meets("dominate", nbr, s, must):
-                best, best_size = s, s.bit_count()
-            if s == allowed:
+            chosen = s | forced
+            if chosen.bit_count() < best_size and _meets("dominate", nbr, chosen, must):
+                best, best_size = chosen, chosen.bit_count()
+            if s == free:
                 break
-            s = (s - allowed) & allowed
+            s = (s - free) & free
         if best is None:
             return float("inf"), None
     return best.bit_count(), frozenset(_bits(best))

@@ -47,16 +47,14 @@ from .instances import (
     normalize_edge,
 )
 from .machines import (
+    EVALUATORS,
     Action,
     AtmInstance,
     MachineSpec,
+    SemanticsMismatch,
     check_shaped_run,
-    eval_alternating,
-    eval_alternating_as_stack,
-    eval_balanced,
-    eval_stack,
-    eval_stack_via_alternation,
     shaped_run,
+    smallest_tree_shape,
 )
 from .reductions import (
     REDUCTION_NAMES,
@@ -305,43 +303,12 @@ def _generate_atm(rng: random.Random, profile: dict) -> AtmInstance:
     low = profile["min_shape_nodes"]
     shape = None
     if rng.random() < 0.5:
-        shape = _accepting_run_shape(machine, x, profile["shape_nodes"])
+        shape = smallest_tree_shape(machine, x, profile["shape_nodes"])
         if shape is not None and shape.n < low:
             shape = None
     if shape is None:
         shape = _random_binary_tree(rng, rng.randint(low, profile["shape_nodes"]))
     return AtmInstance(machine, x, shape, blocks, beta)
-
-
-def _accepting_run_shape(machine: MachineSpec, x: str, max_nodes: int):
-    """Shape of the machine's smallest accepting computation tree, if it
-    fits max_nodes."""
-    from .machines import _build_min_tree, _explore_alternation, _min_tree_costs, initial_part
-
-    try:
-        succ, parents = _explore_alternation(machine, x)
-    except CapExceeded:
-        return None
-    cost = _min_tree_costs(succ, parents)
-    init = initial_part(machine, x)
-    best = cost.get(init)
-    if best is None or best > max_nodes:
-        return None
-    tree = _build_min_tree(succ, cost, init)
-    children: dict[int, list[int]] = {}
-    order = []
-    queue = [(tree, None)]
-    while queue:
-        node, parent = queue.pop(0)
-        order.append(node)
-        idx = len(order)
-        if parent is not None:
-            children.setdefault(parent, []).append(idx)
-        for kid in node.kids:
-            queue.append((kid, idx))
-    # renumber by BFS order; parent index recorded before children are seen
-    return OrderedTree(n=len(order),
-                       children={p: tuple(cs) for p, cs in children.items()})
 
 
 def generate_instance(family: str, size_profile: dict | None = None, seed: int = 0):
@@ -800,29 +767,22 @@ def verify_machine_equivalences(corpus: dict[str, MachineSpec],
     co_bound = 2 * math.log2(budget.tree_size) + 4
     for name in sorted(corpus):
         m = corpus[name]
-        has_univ = any(m.mode[q] == "univ" for q in m.states)
         for x in corpus_inputs(m, max_len):
             report.trials += 1
-            verdicts = {}
+            stats = {}
+            for sem, evaluate in EVALUATORS.items():
+                try:
+                    stats[sem] = evaluate(m, x, budget)
+                except SemanticsMismatch:
+                    continue  # the evaluator's guard: not a machine it decides
             problems = []
-            if not has_univ:
-                st = eval_stack(m, x, budget)
-                via = eval_stack_via_alternation(m, x, budget)
-                verdicts["stack"] = st.accepted
-                verdicts["stackalt"] = via.accepted
-                if st.accepted and via.tree_nodes > ratio_c * st.steps_used + ratio_c:
-                    problems.append(
-                        f"tree size {via.tree_nodes} > {ratio_c}*steps+{ratio_c}")
-            if not m.uses_stack:
-                alt = eval_alternating(m, x, budget)
-                bal = eval_balanced(m, x, budget)
-                als = eval_alternating_as_stack(m, x, budget)
-                verdicts["alt"] = alt.accepted
-                verdicts["balanced"] = bal.accepted
-                verdicts["altstack"] = als.accepted
-                if bal.accepted and bal.max_co_nondet_on_path > co_bound:
-                    problems.append(
-                        f"co-nondet {bal.max_co_nondet_on_path} > {co_bound:.2f}")
+            st, via = stats.get("stack"), stats.get("stackalt")
+            if st is not None and st.accepted and via.tree_nodes > ratio_c * (st.steps_used + 1):
+                problems.append(f"tree size {via.tree_nodes} > {ratio_c}*steps+{ratio_c}")
+            bal = stats.get("balanced")
+            if bal is not None and bal.accepted and bal.max_co_nondet_on_path > co_bound:
+                problems.append(f"co-nondet {bal.max_co_nondet_on_path} > {co_bound:.2f}")
+            verdicts = {sem: got.accepted for sem, got in stats.items()}
             if len(set(verdicts.values())) > 1:
                 problems.append(f"evaluators disagree: {verdicts}")
             if problems:

@@ -97,39 +97,45 @@ def test_balanced_agrees_with_alternating_on_stress_shapes(factory, arg):
         assert a.tree_nodes == b.tree_nodes
 
 
+def _meter(kids):
+    """The balanced meter of a tree given as child lists rooted at 0, each
+    child numbered after its parent."""
+    from xalpwb.machines import _balanced_co_meter
+
+    parent = [None] * len(kids)
+    for node, ks in enumerate(kids):
+        for kid in ks:
+            parent[kid] = node
+    size = [1] * len(kids)
+    for node in reversed(range(len(kids))):
+        size[node] += sum(size[kid] for kid in kids[node])
+    return _balanced_co_meter(kids, parent, size), size[0]
+
+
 def test_meter_on_random_synthetic_trees():
     """Drive the region calculus directly over random binary trees: the
     metered co-nondeterministic depth must stay within 2*log2(size) + 4
     regardless of shape."""
     import random
 
-    from xalpwb.machines import _TreeNode, _balanced_co_meter
-
     rng = random.Random(99)
 
     def random_tree(size):
-        root = _TreeNode(("acc", 1, ("0",), 1))
-        leaves = [root]
-        nodes = 1
-        while nodes < size and leaves:
+        kids = [[]]
+        leaves = [0]
+        while len(kids) < size and leaves:
             node = leaves.pop(rng.randrange(len(leaves)))
             fanout = 2 if rng.random() < 0.5 else 1
-            fanout = min(fanout, size - nodes)
+            fanout = min(fanout, size - len(kids))
             for _ in range(fanout):
-                kid = _TreeNode(("acc", 1, ("0",), 1), parent=node)
-                node.kids.append(kid)
-                leaves.append(kid)
-                nodes += 1
-        def fill(n):
-            n.size = 1 + sum(fill(k) for k in n.kids)
-            return n.size
-        fill(root)
-        return root, nodes
+                kids[node].append(len(kids))
+                leaves.append(len(kids))
+                kids.append([])
+        return kids
 
     for trial in range(150):
         size = rng.randint(1, 180)
-        tree, nodes = random_tree(size)
-        co = _balanced_co_meter(tree, frozenset({"acc"}))
+        co, nodes = _meter(random_tree(size))
         bound = 2 * math.log2(max(nodes, 2)) + 4
         assert co <= bound, (trial, nodes, co, bound)
 
@@ -137,31 +143,20 @@ def test_meter_on_random_synthetic_trees():
 def test_meter_on_pathological_combs():
     """Combs whose teeth grow geometrically force the off-path-weight case
     at several scales."""
-    from xalpwb.machines import _TreeNode, _balanced_co_meter
+    kids = [[]]
 
-    def chain_of(node, length):
-        cur = node
-        for _ in range(length):
-            kid = _TreeNode(("acc", 1, ("0",), 1), parent=cur)
-            cur.kids.append(kid)
-            cur = kid
-        return cur
+    def add_kid(node):
+        kids[node].append(len(kids))
+        kids.append([])
+        return len(kids) - 1
 
-    root = _TreeNode(("acc", 1, ("0",), 1))
-    spine = root
+    spine = 0
     for tooth in (1, 2, 4, 8, 16, 32, 64):
         # universal spine node: one big tooth, spine continues
-        tooth_root = _TreeNode(("acc", 1, ("0",), 1), parent=spine)
-        spine.kids.append(tooth_root)
-        chain_of(tooth_root, tooth)
-        nxt = _TreeNode(("acc", 1, ("0",), 1), parent=spine)
-        spine.kids.append(nxt)
-        spine = nxt
+        cur = add_kid(spine)
+        for _ in range(tooth):
+            cur = add_kid(cur)
+        spine = add_kid(spine)
 
-    def fill(n):
-        n.size = 1 + sum(fill(k) for k in n.kids)
-        return n.size
-
-    size = fill(root)
-    co = _balanced_co_meter(root, frozenset({"acc"}))
+    co, size = _meter(kids)
     assert co <= 2 * math.log2(size) + 4, (size, co)

@@ -46,6 +46,7 @@ def test_reduce_unknown_name_exits_2(workdir):
 
 
 def test_reduce_atm_needs_blocks(workdir, corpus):
+    # a bare machine file has no 'atm <blocks> <beta>' record
     pathlib.Path("m.mach").write_text(serialize_instance(corpus["accept_now"]))
     assert main(["reduce", "--name", "atm-tcmc", "-i", "m.mach", "-o", "t.tcmc"]) == 2
 
@@ -328,13 +329,14 @@ def test_reduce_witnessless_reduction_rejects_witness_flag(workdir):
 
 
 def test_reduce_atm_tcmc_via_files(workdir, corpus, capsys):
+    from xalpwb.machines import AtmInstance
     from xalpwb.oracles import solve_tcmc_bruteforce
 
-    pathlib.Path("m.mach").write_text(serialize_instance(corpus["universal_pair"]))
-    pathlib.Path("shape.tree").write_text("xalpwb 1\nt 3\na 1 2 1\na 1 3 2\n")
-    code = main(["reduce", "--name", "atm-tcmc", "-i", "m.mach",
-                 "--shape", "shape.tree", "--blocks", "1", "--beta", "1",
-                 "-x", "0", "-o", "out.tcmc", "--lift", "lift.txt"])
+    shape = parse_instance("tree", "xalpwb 1\nt 3\na 1 2 1\na 1 3 2\n")
+    source = AtmInstance(corpus["universal_pair"], "0", shape, blocks=1, beta=1)
+    pathlib.Path("src.atm").write_text(serialize_instance(source))
+    code = main(["reduce", "--name", "atm-tcmc", "-i", "src.atm",
+                 "-o", "out.tcmc", "--lift", "lift.txt"])
     assert code == 0
     assert capsys.readouterr().out.startswith("k=1 k'=1 bound=k'=k")
     target = parse_instance("tcmc", pathlib.Path("out.tcmc").read_text())

@@ -18,6 +18,7 @@ from xalpwb.machines import (
     initial_part,
     run_with_tree_shape,
     shaped_run,
+    smallest_tree_shape,
 )
 
 B = ResourceBudget(time_steps=24, tree_size=64)
@@ -200,6 +201,28 @@ def test_check_shaped_run_rejects_what_is_not_the_run(toys):
     assert check_shaped_run(AtmInstance(toys["acc"], "", OrderedTree(n=1), 1, 1), {1: init})
     assert not check_shaped_run(AtmInstance(toys["acc"], "", shape, 1, 1),
                                 {1: init, 2: init, 3: init})
+
+
+def test_smallest_tree_is_a_shaped_run_of_its_own_shape(corpus):
+    from xalpwb.verify import generate_instance
+
+    cases = [(m, x) for _, m in sorted(corpus.items()) if not m.uses_stack
+             for x in corpus_inputs(m)]
+    cases += [(inst.machine, inst.x) for inst in
+              (generate_instance("atm", None, seed=s) for s in range(300))]
+    shaped = 0
+    for m, x in cases:
+        stats = eval_alternating(m, x, CORPUS_BUDGET)
+        shape = smallest_tree_shape(m, x, CORPUS_BUDGET.tree_size)
+        assert (shape is not None) == stats.accepted, (m, x)
+        if shape is None:
+            continue
+        assert shape.n == stats.tree_nodes
+        run = shaped_run(m, x, shape)
+        assert run is not None, (m, x)
+        assert check_shaped_run(AtmInstance(m, x, shape, 1, 1), run)
+        shaped += 1
+    assert shaped >= 400  # 488 of the 1065 cases accept
 
 
 # ------------------------------------------------- corpus-wide properties

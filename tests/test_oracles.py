@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
@@ -297,6 +298,43 @@ def test_subset_masks_match_the_frozenset_reference():
     assert all((p, v) in seen for p in ("is", "vc", "ds", "rbds") for v in (True, False))
     assert all((p, False, labels) in seen
                for p in ("is", "vc", "ds") for labels in (True, False))
+
+
+def _reference_submask_walk(graph, problem):
+    """The DS/RBDS walk before forcing: every submask of the allowed
+    vertices in increasing order, keeping the first strictly smaller
+    dominating one."""
+    blue_only = problem == "rbds"
+    allowed = sum(1 << v for v in graph.vertices()
+                  if not blue_only or graph.labels.get(v) == "blue")
+    must = [v for v in graph.vertices() if not blue_only or graph.labels.get(v) == "red"]
+    nbr = graph.neighbour_masks
+    best, s = None, 0
+    while True:
+        if ((best is None or s.bit_count() < best.bit_count())
+                and all((nbr[v] | 1 << v) & s for v in must)):
+            best = s
+        if s == allowed:
+            break
+        s = (s - allowed) & allowed
+    if best is None:
+        return float("inf"), None
+    return best.bit_count(), frozenset(v for v in graph.vertices() if best >> v & 1)
+
+
+@pytest.mark.parametrize("problem,graph", [
+    # every vertex dominates only itself: all 20 are forced
+    ("ds", Graph(n=20)),
+    # the red vertex has no blue vertex in its closed neighbourhood
+    ("rbds", Graph(n=21, labels={**{v: "blue" for v in range(1, 21)}, 21: "red"})),
+])
+def test_forced_domination_skips_the_submask_walk(problem, graph):
+    with pytest.raises(CapExceeded):
+        optimum_subset(graph, problem, cap=(1 << 20) - 1)
+    started = time.perf_counter()
+    got = optimum_subset(graph, problem, cap=1 << 20)
+    assert time.perf_counter() - started < 0.2  # the full walk takes seconds
+    assert got == _reference_submask_walk(graph, problem)
 
 
 def test_independent_sets_in_increasing_mask_order():
