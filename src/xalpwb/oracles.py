@@ -5,7 +5,9 @@ IS and VC on the instance's own decomposition, and DS and RBDS on a
 validated min-degree elimination of the graph when that is narrower
 (dp_decomposition picks).  The DP is the verification harness's oracle
 for those families; subset enumeration (optimum_subset) is its
-independent small-n cross-check.
+independent small-n cross-check.  dominator_packing bounds DS and RBDS from
+below, which lets verify refute an instance before the DP and lets the
+subset walk stop at the first set that meets the bound.
 The four subset problems are described once, on vertex masks, in
 SUBSET_PROBLEMS, which the subset checker, enumeration and DP all read.
 
@@ -442,6 +444,42 @@ def solve_is_ds_vc(graph: Graph, problem: str, threshold: int,
     return (ok, best if ok else None)
 
 
+def dominator_packing(graph: Graph, problem: str):
+    """A lower bound on the least dominating set (DS) or red-blue dominating
+    set (RBDS): the size of a packing of vertices to dominate whose options,
+    the allowed vertices of their closed neighbourhoods, are pairwise
+    disjoint, so that each needs a member of its own.  Infinity when a vertex
+    to dominate has no option.  The packing is grown greedily, each step
+    taking the live vertex with the fewest live conflicts (ties to the least
+    id) and dropping it and its conflicts.  On trees the largest packing
+    equals the least dominating set (Meir and Moon, Pacific J. Math. 61,
+    1975)."""
+    _, allowed, must = _subset_rule(graph, problem)
+    nbr = graph.neighbour_masks
+    conflicts = {}
+    for v in _bits(must):
+        options = (nbr[v] | 1 << v) & allowed
+        if not options:
+            return float("inf")
+        # the vertices to dominate that share an option with v
+        around = 0
+        for a in _bits(options):
+            around |= nbr[a] | 1 << a
+        conflicts[v] = around & must & ~(1 << v)
+    live, packed = must, 0
+    while live:
+        pick, fewest = 0, graph.n + 1
+        for v in _bits(live):
+            count = (conflicts[v] & live).bit_count()
+            if count < fewest:
+                pick, fewest = v, count
+                if not count:
+                    break
+        live &= ~(conflicts[pick] | 1 << pick)
+        packed += 1
+    return packed
+
+
 def optimum_subset(graph: Graph, problem: str, cap: int | None = None):
     """Optimal size and the optimal set of least vertex mask: max IS, min
     VC (the complement of the greatest max IS), min DS or min RBDS, and
@@ -450,7 +488,9 @@ def optimum_subset(graph: Graph, problem: str, cap: int | None = None):
     DS and RBDS walk the submasks of the allowed vertices in increasing
     order, each joined with the forced ones: a vertex to dominate whose
     closed neighbourhood holds one allowed vertex forces it, and one whose
-    neighbourhood holds none leaves no feasible set."""
+    neighbourhood holds none leaves no feasible set.  The walk stops at the
+    first dominating set as small as dominator_packing's lower bound: no
+    later set is smaller, so it is the optimum of least mask."""
     rule, allowed, must = _subset_rule(graph, problem)
     _guard(1 << allowed.bit_count(), cap, "subset space")
     if rule.condition == "independent":
@@ -458,12 +498,13 @@ def optimum_subset(graph: Graph, problem: str, cap: int | None = None):
     elif rule.condition == "cover":
         best = allowed & ~max(reversed(independent_sets(graph)), key=int.bit_count)
     else:
+        bound = dominator_packing(graph, problem)
+        if bound == float("inf"):
+            return bound, None
         nbr = graph.neighbour_masks
         forced = 0
         for v in _bits(must):
             options = (nbr[v] | 1 << v) & allowed
-            if not options:
-                return float("inf"), None
             if not options & (options - 1):
                 forced |= options
         free = allowed & ~forced
@@ -473,6 +514,8 @@ def optimum_subset(graph: Graph, problem: str, cap: int | None = None):
             chosen = s | forced
             if chosen.bit_count() < best_size and _meets("dominate", nbr, chosen, must):
                 best, best_size = chosen, chosen.bit_count()
+                if best_size == bound:
+                    break
             if s == free:
                 break
             s = (s - free) & free

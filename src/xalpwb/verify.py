@@ -11,9 +11,11 @@ checked on the side it lands on.  A chain trial solves its source and
 carries a solvable source's solution forward through every stage, checked
 on each stage's target; only when no carried solution reaches the end does
 the end's oracle decide it.  The logtw families are solved by the
-witness-producing decomposition DP; subset enumeration stays the oracles'
-small-n cross-check.  Each reduction's contract (CONTRACTS) names its
-families and the parameter rules its measured k and k' obey.  Trials are
+witness-producing decomposition DP; a DS or RBDS instance is first tried
+against a dominator packing, which refutes it when larger than its
+threshold, and the DP decides the rest.  Subset enumeration stays the
+oracles' small-n cross-check.  Each reduction's contract (CONTRACTS) names
+its families and the parameter rules its measured k and k' obey.  Trials are
 deterministic in (name, profile, seed); disagreements, any error a trial
 raises among them, carry a replayable serialized counterexample and their
 detail as a note.  Skips (an oracle's cap reached, or a stage's source
@@ -358,7 +360,10 @@ class Family:
     decide(instance, cap, witness) and every solver(instance, cap,
     threshold) return (solvable, solution or None).  witness=False lets the
     logtw DP skip its solution, which a chain's end, decided by its oracle
-    only when no carried solution reached it, does not need.  Every
+    only when no carried solution reached it, does not need.  The DS and
+    RBDS decide returns (False, None) without the DP when a dominator
+    packing is larger than the threshold, and runs the DP otherwise; the
+    CLI's treedp solver always runs the DP.  Every
     callable looks its oracle up in the oracles module (atm's decide: this
     module's shaped_run) when called, so rebinding an oracle there reaches
     the registry."""
@@ -400,11 +405,16 @@ def _logtw_family(problem: str) -> Family:
         return (oracles.check_subset_solution(instance.graph, problem, s)
                 and oracles.meets_target(problem, len(s), instance.target_weight))
 
+    dominate = oracles.SUBSET_PROBLEMS[problem].condition == "dominate"
+
+    def decide(instance, cap, witness=True):
+        if dominate and (oracles.dominator_packing(instance.graph, problem)
+                         > instance.target_weight):
+            return False, None
+        return treedp(instance, cap, instance.target_weight, witness)
+
     return Family(
-        problem, "logtw",
-        lambda instance, cap, witness=True:
-            treedp(instance, cap, instance.target_weight, witness),
-        check,
+        problem, "logtw", decide, check,
         {"brute": lambda instance, cap, threshold:
             oracles.solve_is_ds_vc(instance.graph, problem, threshold, cap=cap),
          "treedp": treedp})

@@ -40,7 +40,7 @@ from xalpwb.oracles import (
     solve_tcmc_traversal,
 )
 from xalpwb.reductions import reduce_partitioned_to_general_cnf, reduce_rbds_to_ds
-from xalpwb.verify import generate_instance
+from xalpwb.verify import FAMILIES, generate_instance
 
 P3 = Graph(n=3, edges=frozenset({(1, 2), (2, 3)}))
 K3 = Graph(n=3, edges=frozenset({(1, 2), (2, 3), (1, 3)}))
@@ -335,6 +335,77 @@ def test_forced_domination_skips_the_submask_walk(problem, graph):
     got = optimum_subset(graph, problem, cap=1 << 20)
     assert time.perf_counter() - started < 0.2  # the full walk takes seconds
     assert got == _reference_submask_walk(graph, problem)
+
+
+def test_submask_walk_stops_at_the_packing_bound(monkeypatch):
+    # a star with centre 1 and 19 leaves: every pair of vertices shares the
+    # centre as an option, so the packing is 1, and {1} meets it
+    star = Graph(n=20, edges=frozenset((1, v) for v in range(2, 21)))
+    assert oracles.dominator_packing(star, "ds") == 1
+    real, calls = oracles._meets, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "_meets", counted)
+    assert optimum_subset(star, "ds") == (1, frozenset({1}))
+    assert len(calls) <= 4  # the full walk makes 2^20
+
+
+def _random_dominate_cases():
+    """600 (graph, problem) pairs of at most 12 vertices: each graph as DS,
+    and with random red/blue labels as RBDS."""
+    rng = random.Random(15)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.15, 0.3, 0.5))
+        edges = frozenset((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                          if rng.random() < p)
+        yield Graph(n=n, edges=edges), "ds"
+        labels = {v: rng.choice(("red", "blue")) for v in range(1, n + 1)}
+        yield Graph(n=n, edges=edges, labels=labels), "rbds"
+
+
+def _decided(graph, problem, threshold):
+    """verify's decide and the DP's verdict on graph at threshold."""
+    inst = LogTwGraphInstance(graph=graph, decomposition=min_degree_decomposition(graph),
+                              target_weight=threshold, k=graph.n, problem=problem)
+    dp = oracles.meets_target(problem, optimum_treedp(inst, problem)[0], threshold)
+    return FAMILIES[f"logtw-{problem}"].decide(inst, None)[0], dp
+
+
+def test_dominator_packing_bounds_the_optimum_and_decide_matches_the_dp():
+    lone_red = refuted = short = 0
+    for pos, (graph, problem) in enumerate(_random_dominate_cases()):
+        bound = oracles.dominator_packing(graph, problem)
+        best, _ = optimum_subset(graph, problem)
+        assert bound <= best, pos
+        assert (bound == float("inf")) == (best == float("inf")), pos
+        short += bound < best
+        lone_red += problem == "rbds" and any(
+            graph.labels[v] == "red" and not any(graph.labels[u] == "blue"
+                                                 for u in graph.adjacency()[v])
+            for v in graph.vertices())
+        thresholds = (best - 1, best, best + 1) if best < float("inf") else (0, graph.n)
+        for threshold in thresholds:
+            if threshold < 0:
+                continue
+            decided, dp = _decided(graph, problem, threshold)
+            assert decided == dp, (pos, threshold)
+            refuted += bound > threshold
+    assert lone_red >= 20 and refuted >= 300 and short >= 20
+
+
+def test_a_packing_short_of_the_optimum_leaves_the_dp_to_decide(monkeypatch):
+    c5 = Graph(n=5, edges=frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}))
+    assert oracles.dominator_packing(c5, "ds") == 1
+    assert optimum_subset(c5, "ds")[0] == 2
+    real, runs = optimum_treedp, []
+    monkeypatch.setattr(oracles, "optimum_treedp",
+                        lambda *args, **kwargs: runs.append(args) or real(*args, **kwargs))
+    assert _decided(c5, "ds", 1) == (False, False)
+    assert len(runs) == 1  # decide's; _decided's own DP calls the unpatched name
 
 
 def test_independent_sets_in_increasing_mask_order():

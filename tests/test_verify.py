@@ -251,13 +251,20 @@ def test_chain_trial_validates_each_decomposition_once(monkeypatch):
     # counted apart, each wrapping the unpatched validator
     eliminations = _count_validations(monkeypatch, oracles)
     built = _count_validations(monkeypatch, instances)
+    end = ds_chain_target(5)
+    assert oracles.dominator_packing(end.graph, "ds") > end.target_weight
     # the seed-0 source is solvable, so its carried solution decides the
-    # end and no DP runs; the seed-5 source is not, so the DP decides it
-    for seed, dp_runs in ((0, False), (5, True)):
+    # end and no DP runs; the seed-5 source is not, and its end is refuted
+    # by the packing, so no DP runs either unless the packing falls short
+    for seed, packing_short, dp_runs in ((0, False, False), (5, False, False),
+                                         (5, True, True)):
         eliminations.clear()
         built.clear()
-        source = generate_instance("tcmis", DS_PROFILE, seed=seed)
-        assert run_chain_trial(DS_CHAIN, source).status == "agree"
+        with monkeypatch.context() as m:
+            if packing_short:
+                m.setattr(oracles, "dominator_packing", lambda graph, problem: 0)
+            source = generate_instance("tcmis", DS_PROFILE, seed=seed)
+            assert run_chain_trial(DS_CHAIN, source).status == "agree"
         assert len(built) == 4
         # ds_chain_target(seed) runs the same source down the same chain
         expect = [oracles.min_degree_decomposition(ds_chain_target(seed).graph)]
@@ -310,30 +317,56 @@ def test_capped_atm_trial_runs_the_backward_lift_check(monkeypatch):
 @pytest.mark.parametrize("name, solver", [("tcmc-tcmis", "solve_tcmc_bruteforce"),
                                           ("rbds-ds", "optimum_treedp")])
 def test_trial_solves_each_side_once(monkeypatch, name, solver):
+    # each side is decided once: a dominate side by its packing, and by the
+    # DP only when the packing does not refute it
     real_solve, real_lift = getattr(oracles, solver), verify._lift_checks
-    solved, lifted = [], []
+    real_packing, real_reduce = oracles.dominator_packing, REDUCTIONS[name]
+    solved, packed, lifted, targets = [], [], [], []
 
     def counted_solve(instance, *args, **kwargs):
         solved.append(instance)
         return real_solve(instance, *args, **kwargs)
 
+    def counted_packing(graph, problem):
+        packed.append((graph, real_packing(graph, problem)))
+        return packed[-1][1]
+
     def counted_lift(*args):
         lifted.append(args)
         return real_lift(*args)
+
+    def reduce(source):
+        art = real_reduce(source)
+        targets.append(art.target)
+        return art
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("subset enumeration called")
 
     monkeypatch.setattr(oracles, solver, counted_solve)
+    monkeypatch.setattr(oracles, "dominator_packing", counted_packing)
     monkeypatch.setattr(oracles, "optimum_subset", no_enumeration)
     monkeypatch.setattr(verify, "_lift_checks", counted_lift)
+    monkeypatch.setitem(REDUCTIONS, name, reduce)
     src_family = CONTRACTS[name].sources[0]
+    dominate = CONTRACTS[name].target == "logtw-ds"
+    refuted = 0
     for seed in range(10):
         source = generate_instance(src_family, None, seed=seed)
         solved.clear()
+        packed.clear()
+        targets.clear()
         assert run_trial(name, source).status == "agree", seed
-        assert len(solved) == 2 and solved[0] is source and solved[1] is not source, seed
+        sides = [source, targets[0]]
+        assert [graph for graph, _ in packed] == (
+            [side.graph for side in sides] if dominate else []), seed
+        short = [side for side, (_, bound) in zip(sides, packed)
+                 if bound <= side.target_weight] if dominate else sides
+        refuted += len(sides) - len(short)
+        assert len(solved) == len(short), seed
+        assert all(got is side for got, side in zip(solved, short)), seed
     assert lifted  # some trials were solvable, so their lifts were checked
+    assert refuted if dominate else not refuted
 
 
 def test_atm_trial_runs_shaped_run_once(monkeypatch):
