@@ -116,34 +116,34 @@ class OrderedTree:
     children: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise InvariantViolation("tree needs at least one node")
-        nodes = set(range(1, self.n + 1))
         child_of: dict[int, int] = {}
         for p, cs in self.children.items():
-            if p not in nodes:
+            if not 0 < p <= n:
                 raise InvariantViolation(f"unknown tree node {p}")
             for c in cs:
-                if c not in nodes:
+                if not 0 < c <= n:
                     raise InvariantViolation(f"unknown tree node {c}")
                 if c in child_of:
                     raise InvariantViolation(f"node {c} has two parents")
                 child_of[c] = p
-        roots = nodes - set(child_of)
-        if len(roots) != 1:
+        if len(child_of) != n - 1:
+            roots = set(range(1, n + 1)) - set(child_of)
             raise InvariantViolation(
                 f"tree must have exactly one root, found {sorted(roots)}")
-        # reachability from the root rules out cycles among the child links
-        root = next(iter(roots))
-        seen = {root}
-        stack = [root]
+        # the n - 1 distinct children leave out exactly the root
+        root = n * (n + 1) // 2 - sum(child_of)
+        # each node has one parent and the root none, so the search from the
+        # root reaches each node at most once; a cycle among the child links
+        # is a part the root does not reach
+        reached, stack = 1, [root]
         while stack:
-            for c in self.children.get(stack.pop(), ()):
-                if c in seen:
-                    raise InvariantViolation(f"cycle through node {c}")
-                seen.add(c)
-                stack.append(c)
-        if seen != nodes:
+            cs = self.children.get(stack.pop(), ())
+            reached += len(cs)
+            stack.extend(cs)
+        if reached != n:
             raise InvariantViolation("tree is not connected")
         object.__setattr__(self, "_root", root)
         object.__setattr__(self, "_parent", child_of)
@@ -221,33 +221,54 @@ def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> Decompositio
     condition (vertex coverage, edge coverage, occurrence connectivity) with
     a witness.  The tree nodes whose bags hold v induce a forest, which is
     connected exactly when it has one node more than it has edges.
+
+    The result is remembered on dec together with the graph object it was
+    checked against: a later call with that same object (compared by
+    identity, as an equal graph built anew is checked again) returns it
+    without a second pass.
     """
-    occ = dict.fromkeys(graph.vertices(), 0)  # v -> its tree nodes as bits
+    memo = getattr(dec, "_checked", None)
+    if memo is not None and memo[0] is graph:
+        return memo[1]
+    check = _check_decomposition(graph, dec)
+    object.__setattr__(dec, "_checked", (graph, check))
+    return check
+
+
+def _check_decomposition(graph: Graph, dec: TreeDecomposition) -> DecompositionCheck:
+    n = graph.n
+    occ = [0] * (n + 1)  # v -> its tree nodes as bits
+    width = -1
     for i, bag in dec.bags.items():
+        bit = 1 << i
         for v in bag:
-            if v not in occ:
+            if not 0 < v <= n:
                 return DecompositionCheck(
                     False, violation=f"bag vertex out of range: {v}", witness=v)
-            occ[v] |= 1 << i
-    for v in graph.vertices():
-        if not occ[v]:
-            return DecompositionCheck(
-                False, violation=f"vertex uncovered: {v}", witness=v)
-    for u, v in sorted(graph.edges):
-        if not occ[u] & occ[v]:
-            return DecompositionCheck(
-                False, violation=f"edge uncovered: {{{u},{v}}}", witness=(u, v))
-    links = dict.fromkeys(graph.vertices(), 0)  # v -> tree edges inside occ[v]
+            occ[v] |= bit
+        if len(bag) > width:
+            width = len(bag)
+    if 0 in occ[1:]:
+        v = occ.index(0, 1)
+        return DecompositionCheck(
+            False, violation=f"vertex uncovered: {v}", witness=v)
+    uncovered = [e for e in graph.edges if not occ[e[0]] & occ[e[1]]]
+    if uncovered:
+        u, v = min(uncovered)
+        return DecompositionCheck(
+            False, violation=f"edge uncovered: {{{u},{v}}}", witness=(u, v))
+    links = [1] * (n + 1)  # v -> one more than the tree edges inside occ[v]
+    bags = dec.bags
     for p, cs in dec.tree.children.items():
-        up = dec.bags[p]
+        up = bags[p]
         for c in cs:
-            for v in dec.bags[c] & up:
+            for v in bags[c] & up:
                 links[v] += 1
-    for v in graph.vertices():
-        if occ[v].bit_count() != links[v] + 1:
+    for v in range(1, n + 1):
+        if occ[v].bit_count() != links[v]:
             return DecompositionCheck(
                 False, violation=f"occurrences disconnected: {v}", witness=v)
-    return DecompositionCheck(True, width=dec.width())
+    return DecompositionCheck(True, width=width - 1)
 
 
 @dataclass(frozen=True)
@@ -301,20 +322,27 @@ class TcmcInstance:
         return self._owner[v]  # type: ignore[attr-defined]
 
     def constrained_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """All class pairs whose chosen vertices are constrained: same tree
-        node or endpoints of a tree edge, excluding the identical class."""
-        pairs = []
-        ks = range(1, self.k + 1)
-        for i in self.tree.nodes():
-            for j1 in ks:
-                for j2 in ks:
-                    if j1 < j2:
-                        pairs.append(((i, j1), (i, j2)))
-        for p, c in self.tree.edge_list():
-            for j1 in ks:
-                for j2 in ks:
-                    pairs.append(((p, j1), (c, j2)))
-        return pairs
+        """All class pairs whose chosen vertices are constrained."""
+        return constrained_class_pairs(self.tree, self.k)
+
+
+def constrained_class_pairs(tree: OrderedTree, k: int
+                            ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The (node, color) class pairs of a tcmc instance on tree with k colors
+    whose chosen vertices are constrained: same tree node or endpoints of a
+    tree edge, excluding the identical class."""
+    pairs = []
+    ks = range(1, k + 1)
+    for i in tree.nodes():
+        for j1 in ks:
+            for j2 in ks:
+                if j1 < j2:
+                    pairs.append(((i, j1), (i, j2)))
+    for p, c in tree.edge_list():
+        for j1 in ks:
+            for j2 in ks:
+                pairs.append(((p, j1), (c, j2)))
+    return pairs
 
 
 CNF_VARIANTS = ("general", "positive-partitioned", "negative-partitioned")

@@ -453,29 +453,35 @@ def dominator_packing(graph: Graph, problem: str):
     taking the live vertex with the fewest live conflicts (ties to the least
     id) and dropping it and its conflicts.  On trees the largest packing
     equals the least dominating set (Meir and Moon, Pacific J. Math. 61,
-    1975)."""
+    1975).
+
+    The conflicts are built in O(n + m) big-int operations from the edge
+    list: v's options cover the union of their closed neighbourhoods, which
+    each edge uv adds to by the closed neighbourhood of u when u is allowed,
+    and of v in turn."""
     _, allowed, must = _subset_rule(graph, problem)
     nbr = graph.neighbour_masks
-    conflicts = {}
-    for v in _bits(must):
-        options = (nbr[v] | 1 << v) & allowed
-        if not options:
-            return float("inf")
-        # the vertices to dominate that share an option with v
-        around = 0
-        for a in _bits(options):
-            around |= nbr[a] | 1 << a
-        conflicts[v] = around & must & ~(1 << v)
+    closed = [nbr[a] | 1 << a if allowed >> a & 1 else 0 for a in range(graph.n + 1)]
+    around = closed[:]  # v -> union of the closed neighbourhoods of v's options
+    for u, v in graph.edges:
+        around[v] |= closed[u]
+        around[u] |= closed[v]
+    ids = [v for v in range(1, graph.n + 1) if must >> v & 1]
+    if not all(around[v] for v in ids):
+        return float("inf")  # a vertex to dominate with no option
+    # the vertices to dominate that share an option with v
+    conflicts = [around[v] & must & ~(1 << v) for v in range(graph.n + 1)]
     live, packed = must, 0
-    while live:
+    while ids:
         pick, fewest = 0, graph.n + 1
-        for v in _bits(live):
+        for v in ids:
             count = (conflicts[v] & live).bit_count()
             if count < fewest:
                 pick, fewest = v, count
                 if not count:
                     break
         live &= ~(conflicts[pick] | 1 << pick)
+        ids = [v for v in ids if live >> v & 1]
         packed += 1
     return packed
 

@@ -795,12 +795,15 @@ def reduce_vc_to_rbds(instance: LogTwGraphInstance) -> ReductionArtifact:
     graph = Graph(n=nxt - 1, edges=frozenset(edges), labels=labels)
 
     dec = instance.decomposition
+    occ = [0] * (n + 1)  # v -> the tree nodes whose bags hold it, as bits
+    for i, bag in dec.bags.items():
+        for v in bag:
+            occ[v] |= 1 << i
     extra = []
-    for e in sorted(sub_vertex):
-        u, v = e
-        host = next(i for i in sorted(dec.bags)
-                    if u in dec.bags[i] and v in dec.bags[i])
-        extra.append((host, frozenset({u, v, sub_vertex[e]})))
+    for (u, v), r in sub_vertex.items():
+        # the least tree node whose bag holds both ends
+        both = occ[u] & occ[v]
+        extra.append(((both & -both).bit_length() - 1, frozenset({u, v, r})))
     witness = _grow_decomposition(dec.tree, dec.bags, extra)
     k_out = max(-(-witness.width() // ceil_log2(graph.n)), 1)
     target = LogTwGraphInstance(graph=graph, decomposition=witness,
@@ -831,7 +834,7 @@ def reduce_rbds_to_ds(instance: LogTwGraphInstance) -> ReductionArtifact:
 
     dec = instance.decomposition
     witness = _grow_decomposition(
-        dec.tree, {i: frozenset(set(b) | {x1}) for i, b in dec.bags.items()},
+        dec.tree, {i: b | {x1} for i, b in dec.bags.items()},
         [(dec.tree.root, frozenset({x0, x1}))])
     k_out = max(-(-witness.width() // ceil_log2(graph.n)), 1)
     target = LogTwGraphInstance(graph=graph, decomposition=witness,
@@ -840,8 +843,9 @@ def reduce_rbds_to_ds(instance: LogTwGraphInstance) -> ReductionArtifact:
 
     red_ends = {}
     adj = instance.graph.adjacency()
+    blue_set = set(blues)
     for r in instance.red_vertices():
-        red_ends[r] = sorted(adj[r] & set(blues))
+        red_ends[r] = sorted(adj[r] & blue_set)
 
     def forward(s: frozenset[int]) -> frozenset[int]:
         return frozenset(s | {x1})

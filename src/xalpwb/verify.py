@@ -46,6 +46,7 @@ from .instances import (
     TreeDecomposition,
     XalpwbError,
     ceil_log2,
+    constrained_class_pairs,
     normalize_edge,
 )
 from .machines import (
@@ -163,9 +164,8 @@ def _generate_tcmc(rng: random.Random, profile: dict) -> TcmcInstance:
             classes[(i, j)] = frozenset(range(nxt, nxt + size))
             nxt += size
     n = nxt - 1
-    skeleton = TcmcInstance(tree=tree, k=k, classes=classes, graph=Graph(n=n))
     pairs = []
-    for a, b in skeleton.constrained_pairs():
+    for a, b in constrained_class_pairs(tree, k):
         for u in sorted(classes[a]):
             for v in sorted(classes[b]):
                 pairs.append((u, v))
@@ -501,8 +501,10 @@ _RULES = {
         None if k_out == k else "parameter changed under a k'=k reduction",
     "k'<=2k-1": _at_most_2k_minus_1,
     "width+<=1": _width_plus_one,
+    # on the width of the target's own decomposition, which its k bounds;
+    # at least 1, the least k a LogTwGraphInstance takes
     "k'=ceil(width/ceil(log2 n))": lambda k, k_out, width_in, art, notes:
-        None if k_out == -(-art.witness.width() // ceil_log2(art.target.graph.n))
+        None if k_out == max(-(-art.target.width // ceil_log2(art.target.graph.n)), 1)
         else f"k' {k_out} does not match ceil(width/ceil(log2 n))",
 }
 
@@ -530,8 +532,10 @@ CONTRACTS = {
     "poscnf-logtwis": Contract(("poscnf",), "logtw-is", ("k'=ceil(width/ceil(log2 n))",),
                                (_size_target,)),
     "is-vc": Contract(("logtw-is",), "logtw-vc", ("k'=k",)),
-    "vc-rbds": Contract(("logtw-vc",), "logtw-rbds", ("width+<=1",)),
-    "rbds-ds": Contract(("logtw-rbds",), "logtw-ds", ("width+<=1",)),
+    "vc-rbds": Contract(("logtw-vc",), "logtw-rbds",
+                        ("width+<=1", "k'=ceil(width/ceil(log2 n))")),
+    "rbds-ds": Contract(("logtw-rbds",), "logtw-ds",
+                        ("width+<=1", "k'=ceil(width/ceil(log2 n))")),
     # the fault fixture (FIXTURES) breaks negcnf-poscnf
     "negcnf-poscnf!faulty": Contract(("negcnf",), "poscnf", ("k'=k",)),
 }

@@ -57,6 +57,8 @@ def test_a_stage_error_is_a_replayable_disagreement(monkeypatch, capsys):
 @pytest.mark.parametrize("name, attr, delta, problem", [
     ("is-vc", "k", 1, "parameter changed under a k'=k reduction"),
     ("poscnf-logtwis", "k", 1, "does not match ceil(width/ceil(log2 n))"),
+    ("vc-rbds", "k", 1, "does not match ceil(width/ceil(log2 n))"),
+    ("rbds-ds", "k", 1, "does not match ceil(width/ceil(log2 n))"),
     # a smaller size target keeps the solvable targets solvable
     ("poscnf-logtwis", "target_weight", -1, "size target"),
 ])

@@ -64,6 +64,22 @@ def test_tree_invariants():
     assert tree.parent(3) == 1
 
 
+@pytest.mark.parametrize("n, children, message", [
+    (3, {1: (2,)}, "tree must have exactly one root, found [1, 3]"),
+    (3, {1: (3,), 2: (3,)}, "node 3 has two parents"),
+    (2, {1: (3,)}, "unknown tree node 3"),
+    (2, {0: (1,)}, "unknown tree node 0"),
+    # one root, and every other node has one parent, but 2 and 3 only
+    # reach each other
+    (3, {2: (3,), 3: (2,)}, "tree is not connected"),
+    (5, {1: (2,), 3: (4,), 4: (5,), 5: (3,)}, "tree is not connected"),
+])
+def test_tree_rejections_name_the_violated_condition(n, children, message):
+    with pytest.raises(InvariantViolation) as err:
+        OrderedTree(n=n, children=children)
+    assert str(err.value) == message
+
+
 def test_ceil_log2_convention():
     assert ceil_log2(1) == 1
     assert ceil_log2(2) == 1
@@ -241,6 +257,32 @@ def test_decomposition_count_matches_the_search():
             seen.add(got.violation.split(":")[0] if got.violation else "ok")
     assert seen == {"ok", "bag vertex out of range", "vertex uncovered",
                     "edge uncovered", "occurrences disconnected"}
+
+
+def test_a_checked_pair_is_remembered_and_a_new_graph_is_checked_again(monkeypatch):
+    from xalpwb import instances
+
+    checked = []
+    real = instances._check_decomposition
+    monkeypatch.setattr(instances, "_check_decomposition",
+                        lambda graph, dec: checked.append(graph) or real(graph, dec))
+    inst = generate_instance("logtw-is", {"tree_nodes": 8, "n": 12, "max_bag": 5}, seed=4)
+    graph, dec = inst.graph, inst.decomposition
+    assert checked == [graph]  # at construction
+    assert validate_decomposition(graph, dec) == DecompositionCheck(True, width=inst.width)
+    assert checked == [graph]
+    # as in _corruptions: an edge no bag covers, added to a new Graph on the
+    # same decomposition
+    (u, v), *_ = [(u, v) for u in graph.vertices() for v in graph.vertices()
+                  if u < v and not any({u, v} <= bag for bag in dec.bags.values())]
+    wider = Graph(n=graph.n, edges=graph.edges | {(u, v)})
+    assert validate_decomposition(wider, dec) == _bfs_decomposition_check(wider, dec)
+    assert not validate_decomposition(wider, dec).ok
+    assert checked == [graph, wider]
+    # an equal graph is still another object, and is checked again
+    again = Graph(n=graph.n, edges=graph.edges)
+    assert validate_decomposition(again, dec).ok
+    assert checked == [graph, wider, again]
 
 
 def test_logtw_instance_keeps_its_validated_width():

@@ -397,6 +397,46 @@ def test_dominator_packing_bounds_the_optimum_and_decide_matches_the_dp():
     assert lone_red >= 20 and refuted >= 300 and short >= 20
 
 
+def _reference_dominator_packing(graph, problem):
+    """dominator_packing as it was before its conflicts came from the edge
+    list: each vertex's conflicts gathered over its options' bits, and the
+    greedy scanning the live mask's bits each step."""
+    _, allowed, must = oracles._subset_rule(graph, problem)
+    nbr = graph.neighbour_masks
+    conflicts = {}
+    for v in oracles._bits(must):
+        options = (nbr[v] | 1 << v) & allowed
+        if not options:
+            return float("inf")
+        around = 0
+        for a in oracles._bits(options):
+            around |= nbr[a] | 1 << a
+        conflicts[v] = around & must & ~(1 << v)
+    live, packed = must, 0
+    while live:
+        pick, fewest = 0, graph.n + 1
+        for v in oracles._bits(live):
+            count = (conflicts[v] & live).bit_count()
+            if count < fewest:
+                pick, fewest = v, count
+                if not count:
+                    break
+        live &= ~(conflicts[pick] | 1 << pick)
+        packed += 1
+    return packed
+
+
+def test_dominator_packing_matches_the_bit_scan():
+    cases = list(_random_dominate_cases())
+    cases += [(ds_chain_target(seed).graph, "ds") for seed in range(20)]
+    infeasible = 0
+    for pos, (graph, problem) in enumerate(cases):
+        got = oracles.dominator_packing(graph, problem)
+        assert got == _reference_dominator_packing(graph, problem), pos
+        infeasible += problem == "rbds" and got == float("inf")
+    assert len(cases) >= 600 and infeasible >= 20
+
+
 def test_a_packing_short_of_the_optimum_leaves_the_dp_to_decide(monkeypatch):
     c5 = Graph(n=5, edges=frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}))
     assert oracles.dominator_packing(c5, "ds") == 1

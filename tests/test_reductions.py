@@ -417,6 +417,35 @@ def test_vc_rbds_examples():
     assert art.target.graph.n == 3 + 2
 
 
+def _scanned_vc_rbds_witness(instance):
+    """vc-rbds's witness as it was built before the hosts came from the
+    occurrence masks: each edge's host is the least tree node, scanned in
+    sorted order, whose bag holds both ends."""
+    from xalpwb.reductions import _grow_decomposition
+
+    dec, nxt, extra = instance.decomposition, instance.graph.n + 1, []
+    for u, v in sorted(instance.graph.edges):
+        host = next(i for i in sorted(dec.bags)
+                    if u in dec.bags[i] and v in dec.bags[i])
+        extra.append((host, frozenset({u, v, nxt})))
+        nxt += 1
+    return _grow_decomposition(dec.tree, dec.bags, extra)
+
+
+def test_vc_rbds_hosts_match_the_bag_scan():
+    shared = later = 0
+    for seed in range(150):
+        vc = generate_instance("logtw-vc", {"tree_nodes": 8, "n": 12, "max_bag": 5},
+                               seed=seed)
+        assert reduce_vc_to_rbds(vc).witness == _scanned_vc_rbds_witness(vc), seed
+        bags = vc.decomposition.bags
+        for u, v in vc.graph.edges:
+            hosts = [i for i in bags if u in bags[i] and v in bags[i]]
+            shared += len(hosts) > 1
+            later += min(hosts) > 1
+    assert shared >= 50 and later >= 100
+
+
 def test_rbds_ds_examples():
     single = _logtw(Graph(n=2, edges=frozenset({(1, 2)})), 1, problem="vc")
     rbds = reduce_vc_to_rbds(single).target
