@@ -28,7 +28,7 @@ from .machines import (
     eval_balanced,
     eval_stack,
     eval_stack_via_alternation,
-    run_with_tree_shape,
+    shaped_run,
 )
 from .reductions import REDUCTION_NAMES, REDUCTIONS, LiftMap, ReductionArtifact
 
@@ -61,7 +61,7 @@ __all__ = [
     "eval_stack",
     "eval_stack_via_alternation",
     "parse_instance",
-    "run_with_tree_shape",
     "serialize_instance",
+    "shaped_run",
     "validate_decomposition",
 ]

@@ -16,7 +16,7 @@ from . import oracles, verify
 from .corpus import CORPUS_BUDGET, load_corpus
 from .formats import parse_instance, serialize_instance
 from .instances import CapExceeded, ResourceBudget, XalpwbError
-from .machines import EVALUATORS, run_with_tree_shape
+from .machines import EVALUATORS, shaped_run
 from .reductions import REDUCTION_NAMES, REDUCTIONS
 
 EXIT_OK = 0
@@ -140,7 +140,7 @@ def cmd_machine(args) -> int:
         if not args.shape:
             raise UsageError("shaped semantics needs --shape")
         shape = parse_instance("tree", _read(args.shape))
-        accepted = run_with_tree_shape(machine, x, shape)
+        accepted = shaped_run(machine, x, shape) is not None
         print("ACCEPT" if accepted else "REJECT")
         return EXIT_OK
     stats = EVALUATORS[args.semantics](machine, x, budget)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 
 class XalpwbError(Exception):
@@ -181,6 +182,61 @@ class OrderedTree:
             out.append(node)
             stack.extend(reversed(self.child_list(node)))
         return out
+
+
+_UNSETTLED = object()
+
+
+def first_workable(tree: OrderedTree, given, options: Callable, handoff: Callable):
+    """Backtrack-free search of tree that keeps only the parent's choice.
+
+    A node is workable with what its parent hands it when some option of
+    options(node, given), which yields options in order and never None, has
+    every i-th child workable with handoff(option, i).  Each (node, given)
+    pair settles once, on its first such option or on None, so a child
+    handed the same value under a later option of its parent is not searched
+    again.  Runs on an explicit stack.
+    Returns {node: (given, option)} read back from the root in preorder, or
+    None when the root is not workable with given.
+    """
+    settled: dict = {}
+
+    def frame(node, here):
+        opts = iter(options(node, here))
+        return [node, here, opts, next(opts, None), 0]
+
+    todo = [frame(tree.root, given)]
+    while todo:
+        top = todo[-1]
+        node, here, opts, option, pos = top
+        kids = tree.child_list(node)
+        # pass the children already settled, moving to the next option when
+        # one settled on None
+        while option is not None and pos < len(kids):
+            down = handoff(option, pos)
+            below = settled.get((kids[pos], down), _UNSETTLED)
+            if below is _UNSETTLED:
+                top[3], top[4] = option, pos
+                todo.append(frame(kids[pos], down))
+                break
+            if below is None:
+                option, pos = next(opts, None), 0
+            else:
+                pos += 1
+        else:
+            settled[node, here] = option
+            todo.pop()
+    if settled[tree.root, given] is None:
+        return None
+    found = {}
+    todo = [(tree.root, given)]
+    while todo:
+        node, here = todo.pop()
+        option = settled[node, here]
+        found[node] = (here, option)
+        kids = tree.child_list(node)
+        todo.extend((kids[i], handoff(option, i)) for i in reversed(range(len(kids))))
+    return found
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .instances import (
     OrderedTree,
     ResourceBudget,
     XalpwbError,
+    first_workable,
 )
 
 BOUNDARY = "#"
@@ -471,42 +472,16 @@ def shaped_run(m: MachineSpec, x: str, shape: OrderedTree) -> dict[int, Part] | 
     as a map from shape node to configuration, or None.
 
     Each node takes the first step of _shaped_steps, in table order, whose
-    child parts all have accepting runs of their subtrees.  One pass down
-    the shape collects the parts a run may put at each node, one pass up
-    keeps those whose subtree accepts, and a last pass down picks the run.
+    child parts all have accepting runs of their subtrees (first_workable,
+    handed each node's part by its parent's step).
     """
-    _require_stack_free(m, "run_with_tree_shape")
+    _require_stack_free(m, "shaped_run")
     shape.validate_binary()
-    order = shape.preorder()
-    init = initial_part(m, x)
-    reach: dict[int, set[Part]] = {shape.root: {init}}
-    steps: dict[tuple[Part, int], tuple[tuple[Part, ...], ...]] = {}
-    for node in order:
-        kids = shape.child_list(node)
-        for part in reach.get(node, ()):
-            steps[part, node] = _shaped_steps(m, x, part, len(kids))
-            for step in steps[part, node]:
-                for kid, child in zip(kids, step):
-                    reach.setdefault(kid, set()).add(child)
-    good: set[tuple[Part, int]] = set()
-
-    def first_good(part: Part, node: int) -> tuple[Part, ...] | None:
-        kids = shape.child_list(node)
-        return next((step for step in steps[part, node]
-                     if all((child, kid) in good for kid, child in zip(kids, step))), None)
-
-    for node in reversed(order):
-        good.update((part, node) for part in reach.get(node, ())
-                    if first_good(part, node) is not None)
-    if (init, shape.root) not in good:
-        return None
-    run: dict[int, Part] = {}
-    todo = [(shape.root, init)]
-    while todo:
-        node, part = todo.pop()
-        run[node] = part
-        todo.extend(reversed(tuple(zip(shape.child_list(node), first_good(part, node)))))
-    return run
+    found = first_workable(
+        shape, initial_part(m, x),
+        lambda node, part: _shaped_steps(m, x, part, len(shape.child_list(node))),
+        lambda step, pos: step[pos])
+    return None if found is None else {node: part for node, (part, _) in found.items()}
 
 
 def check_shaped_run(instance: AtmInstance, run) -> bool:
@@ -526,10 +501,6 @@ def check_shaped_run(instance: AtmInstance, run) -> bool:
         if tuple(run[kid] for kid in kids) not in _shaped_steps(m, x, run[node], len(kids)):
             return False
     return True
-
-
-def run_with_tree_shape(m: MachineSpec, x: str, shape: OrderedTree) -> bool:
-    return shaped_run(m, x, shape) is not None
 
 
 # ------------------------------------------------- stack via alternation

@@ -1,6 +1,7 @@
-"""Ground-truth solvers: exhaustive deciders for every problem family, the
-tree-traversal solver that cross-checks the tcmc one, and the
-witness-producing decomposition DP for the logtw families.  The DP solves
+"""Ground-truth solvers: the tree traversal that decides tcmc and tcmis
+(first_workable over the structure tree), with the exhaustive brute force
+as its cross-check; exhaustive deciders for every other problem family; and
+the witness-producing decomposition DP for the logtw families.  The DP solves
 IS and VC on the instance's own decomposition, and DS and RBDS on a
 validated min-degree elimination of the graph when that is narrower
 (dp_decomposition picks).  The DP is the verification harness's oracle
@@ -33,6 +34,7 @@ from .instances import (
     TcmcInstance,
     TreeChainedCnf,
     TreeDecomposition,
+    first_workable,
     validate_decomposition,  # verify checks reduction witnesses through this name too
 )
 
@@ -143,9 +145,9 @@ def solve_tcmc_traversal(instance: TcmcInstance, mode: str = "clique",
                          cap: int | None = None):
     """Exact decision by depth-first traversal of the structure tree keeping
     only the parent's selection, the deterministic realization of the
-    membership traversal.  Returns (solvable, choice or None), the choice
-    read back from the selection each solvable (node, parent selection)
-    pair settled on."""
+    membership traversal: first_workable, each node's options its
+    selections that fit the parent's.  Returns (solvable, choice or None),
+    the choice read back from the selection each node settled on."""
     if mode not in TCMC_MODES:
         raise InvariantViolation(f"unknown tcmc mode {mode!r}")
     ks = range(1, instance.k + 1)
@@ -174,42 +176,10 @@ def solve_tcmc_traversal(instance: TcmcInstance, mode: str = "clique",
             else:
                 yield combo
 
-    # (node, parent selection) -> the node's first workable selection, or None
-    memo: dict[tuple[int, tuple[int, ...] | None], tuple[int, ...] | None] = {}
-    root = instance.tree.root
-    # a frame is [node, parent selection, selections left, selection tried,
-    # index of its next child to settle]
-    todo = [[root, None, selections(root, None), None, 0]]
-    while todo:
-        frame = todo[-1]
-        i, parent_sel, sels, sel, pos = frame
-        kids = instance.tree.child_list(i)
-        if sel is not None and pos < len(kids):
-            below = memo.get((kids[pos], sel), False)
-            if below is False:  # not settled yet
-                todo.append([kids[pos], sel, selections(kids[pos], sel), None, 0])
-                continue
-            if below is not None:
-                frame[4] = pos + 1
-                continue
-        elif sel is not None:  # every child settled on a selection
-            memo[i, parent_sel] = sel
-            todo.pop()
-            continue
-        frame[3], frame[4] = next(sels, None), 0
-        if frame[3] is None:
-            memo[i, parent_sel] = None
-            todo.pop()
-    if memo[root, None] is None:
+    found = first_workable(instance.tree, None, selections, lambda sel, pos: sel)
+    if found is None:
         return False, None
-    choice: dict[tuple[int, int], int] = {}
-    todo = [(root, memo[root, None])]
-    while todo:
-        i, sel = todo.pop()
-        for j, v in zip(ks, sel):
-            choice[(i, j)] = v
-        todo.extend((c, memo[c, sel]) for c in instance.tree.child_list(i))
-    return True, choice
+    return True, {(i, j): v for i, (_, sel) in found.items() for j, v in zip(ks, sel)}
 
 
 # ------------------------------------------------------------------- cnf

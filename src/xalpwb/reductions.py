@@ -841,22 +841,19 @@ def reduce_rbds_to_ds(instance: LogTwGraphInstance) -> ReductionArtifact:
                                 target_weight=instance.target_weight + 1,
                                 k=k_out, problem="ds")
 
-    red_ends = {}
-    adj = instance.graph.adjacency()
-    blue_set = set(blues)
-    for r in instance.red_vertices():
-        red_ends[r] = sorted(adj[r] & blue_set)
-
     def forward(s: frozenset[int]) -> frozenset[int]:
         return frozenset(s | {x1})
 
     def backward(s: frozenset[int]) -> frozenset[int]:
-        out = set(v for v in s if v <= n and instance.graph.labels.get(v) == "blue")
-        for r in instance.red_vertices():
-            if r in s and not (out & set(red_ends[r])):
-                if red_ends[r]:
-                    out.add(red_ends[r][0])
-        return frozenset(out)
+        # the blue vertices of s, then for each red vertex of s in turn that
+        # none of those dominates, its least blue neighbour
+        nbr, blue = instance.graph.neighbour_masks, sum(1 << b for b in blues)
+        out = sum(1 << v for v in s if blue >> v & 1)
+        for r in sorted(v for v in s if instance.graph.labels.get(v) == "red"):
+            ends = nbr[r] & blue
+            if not out & ends:
+                out |= ends & -ends
+        return frozenset(b for b in blues if out >> b & 1)
 
     records = (("x0", (f"v{x0}",)), ("x1", (f"v{x1}",)))
     return ReductionArtifact(

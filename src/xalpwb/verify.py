@@ -363,7 +363,8 @@ class Family:
     only when no carried solution reached it, does not need.  The DS and
     RBDS decide returns (False, None) without the DP when a dominator
     packing is larger than the threshold, and runs the DP otherwise; the
-    CLI's treedp solver always runs the DP.  Every
+    CLI's treedp solver always runs the DP.  The tcmc and tcmis decide is
+    the tree traversal alone, as the CLI's traversal solver.  Every
     callable looks its oracle up in the oracles module (atm's decide: this
     module's shaped_run) when called, so rebinding an oracle there reaches
     the registry."""
@@ -377,20 +378,17 @@ class Family:
 
 
 def _tcmc_family(problem: str, mode: str) -> Family:
-    # the traversal decides, with a choice, what the brute force cannot
+    # the traversal decides; its choice is the brute force's wherever the
+    # brute force fits its cap (both take the first solution in preorder)
     def decide(instance, cap, witness=True):
-        try:
-            return oracles.solve_tcmc_bruteforce(instance, mode, cap=cap)
-        except CapExceeded:
-            return oracles.solve_tcmc_traversal(instance, mode, cap=cap)
+        return oracles.solve_tcmc_traversal(instance, mode, cap=cap)
 
     return Family(
         problem, "tcmc", decide,
         lambda instance, choice: oracles.check_tcmc_solution(instance, mode, choice),
         {"brute": lambda instance, cap, threshold:
             oracles.solve_tcmc_bruteforce(instance, mode, cap=cap),
-         "traversal": lambda instance, cap, threshold:
-            oracles.solve_tcmc_traversal(instance, mode, cap=cap)})
+         "traversal": lambda instance, cap, threshold: decide(instance, cap)})
 
 
 def _logtw_family(problem: str) -> Family:

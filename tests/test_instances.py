@@ -16,6 +16,7 @@ from xalpwb.instances import (
     TreeChainedCnf,
     TreeDecomposition,
     ceil_log2,
+    first_workable,
     validate_decomposition,
 )
 from xalpwb.verify import generate_instance
@@ -78,6 +79,30 @@ def test_tree_rejections_name_the_violated_condition(n, children, message):
     with pytest.raises(InvariantViolation) as err:
         OrderedTree(n=n, children=children)
     assert str(err.value) == message
+
+
+def test_first_workable_settles_each_node_and_given_once():
+    # root 1 has children 2 and 3, and 3 has child 4.  Both root options
+    # hand child 2 the same "x"; under "a", node 4 has no option, so 3 and
+    # then "a" fail, and "b" finds 2 already settled with "x"
+    tree = OrderedTree(n=4, children={1: (2, 3), 3: (4,)})
+    table = {(1, None): "ab", (2, "x"): "p", (3, "a"): "q", (3, "b"): "r",
+             (4, "q"): "", (4, "r"): "s"}
+    hands = {"a": ("x", "a"), "b": ("x", "b"), "q": ("q",), "r": ("r",)}
+    calls = []
+
+    def options(node, given):
+        calls.append((node, given))
+        return table[node, given]
+
+    found = first_workable(tree, None, options, lambda option, i: hands[option][i])
+    assert found == {1: (None, "b"), 2: ("x", "p"), 3: ("b", "r"), 4: ("r", "s")}
+    assert list(found) == tree.preorder()
+    assert sorted(calls, key=str) == sorted(table, key=str)
+    # a root with no workable option, and one with no option at all
+    table[4, "r"] = ""
+    assert first_workable(tree, None, options, lambda option, i: hands[option][i]) is None
+    assert first_workable(OrderedTree(n=1), 0, lambda node, given: (), None) is None
 
 
 def test_ceil_log2_convention():

@@ -9,6 +9,7 @@ from xalpwb.instances import InvariantViolation, OrderedTree, ResourceBudget
 from xalpwb.machines import (
     AtmInstance,
     SemanticsMismatch,
+    _shaped_steps,
     check_shaped_run,
     eval_alternating,
     eval_alternating_as_stack,
@@ -16,7 +17,6 @@ from xalpwb.machines import (
     eval_stack,
     eval_stack_via_alternation,
     initial_part,
-    run_with_tree_shape,
     shaped_run,
     smallest_tree_shape,
 )
@@ -160,15 +160,15 @@ def test_deep_minimal_tree_accepts(corpus, evaluate):
 
 def test_shaped_single_node(toys):
     shape = OrderedTree(n=1)
-    assert run_with_tree_shape(toys["acc"], "", shape)
+    assert shaped_run(toys["acc"], "", shape) is not None
     # a machine needing one step cannot fit a single-node shape
-    assert not run_with_tree_shape(toys["one_step"], "", shape)
+    assert shaped_run(toys["one_step"], "", shape) is None
 
 
 def test_shaped_universal_toy(toys):
     shape = OrderedTree(n=3, children={1: (2, 3)})
-    assert run_with_tree_shape(toys["univ"], "", shape)
     run = shaped_run(toys["univ"], "", shape)
+    assert run is not None
     assert run[1][0] == "u" and {run[2][0], run[3][0]} == {"a1", "a2"}
 
 
@@ -182,8 +182,8 @@ def test_shaped_respects_child_order():
          ("l", "#", "0"): [("acc", "0", 0, 0, None)],
          ("r", "#", "1"): [("acc", "1", 0, 0, None)]})
     shape = OrderedTree(n=5, children={1: (2, 3), 2: (4,), 3: (5,)})
-    assert run_with_tree_shape(m, "", shape)
     run = shaped_run(m, "", shape)
+    assert run is not None
     assert run[2][0] == "l" and run[3][0] == "r"
 
 
@@ -201,6 +201,35 @@ def test_check_shaped_run_rejects_what_is_not_the_run(toys):
     assert check_shaped_run(AtmInstance(toys["acc"], "", OrderedTree(n=1), 1, 1), {1: init})
     assert not check_shaped_run(AtmInstance(toys["acc"], "", shape, 1, 1),
                                 {1: init, 2: init, 3: init})
+
+
+def _shaped_reference(m, x, shape):
+    """The run whose every node takes the first _shaped_steps step whose
+    children all accept, found by plain recursion."""
+    def run_from(node, part):
+        kids = shape.child_list(node)
+        for step in _shaped_steps(m, x, part, len(kids)):
+            below = [run_from(kid, child) for kid, child in zip(kids, step)]
+            if None not in below:
+                return {node: part, **{k: v for run in below for k, v in run.items()}}
+        return None
+
+    return run_from(shape.root, initial_part(m, x))
+
+
+def test_shaped_run_matches_the_recursive_reference():
+    from xalpwb.verify import generate_instance
+
+    chain_profile = {"states": 1, "shape_nodes": 2, "min_shape_nodes": 2, "input_len": 0,
+                     "blocks": 1, "beta": 1}
+    accepted = 0
+    for profile in (None, chain_profile):
+        for seed in range(150):
+            src = generate_instance("atm", profile, seed=seed)
+            run = shaped_run(src.machine, src.x, src.shape)
+            assert run == _shaped_reference(src.machine, src.x, src.shape), (profile, seed)
+            accepted += run is not None
+    assert 0 < accepted < 300
 
 
 def test_smallest_tree_is_a_shaped_run_of_its_own_shape(corpus):

@@ -67,16 +67,27 @@ def test_tcmc_missing_edge_unsolvable_in_clique_mode():
 
 
 def test_tcmc_dual_solver_agreement():
-    for seed in range(40):
-        inst = generate_instance("tcmis", None, seed=seed)
-        for mode in ("clique", "independent-set"):
-            brute, _ = solve_tcmc_bruteforce(inst, mode)
-            ok, choice = solve_tcmc_traversal(inst, mode)
-            assert brute == ok, (seed, mode)
-            if ok:
-                assert check_tcmc_solution(inst, mode, choice), (seed, mode)
-            else:
-                assert choice is None
+    # both solvers take the first solution in preorder, so where the brute
+    # force fits its cap the traversal returns the same choice; the default,
+    # ds-chain and a larger profile, where some sources are over the cap
+    for profile, capped in ((None, False),
+                            ({"tree_nodes": 2, "max_class": 1, "max_edges": 4}, False),
+                            ({"tree_nodes": 12, "max_class": 3, "max_edges": 20}, True)):
+        over_cap = solvable = 0
+        for family in ("tcmc", "tcmis"):
+            for seed in range(60):
+                inst = generate_instance(family, profile, seed=seed)
+                for mode in ("clique", "independent-set"):
+                    ok, choice = solve_tcmc_traversal(inst, mode)
+                    solvable += ok
+                    try:
+                        brute = solve_tcmc_bruteforce(inst, mode)
+                    except CapExceeded:
+                        over_cap += 1
+                        assert choice is None or check_tcmc_solution(inst, mode, choice)
+                        continue
+                    assert brute == (ok, choice), (profile, family, seed, mode)
+        assert solvable and bool(over_cap) == capped, profile
 
 
 def test_tcmc_forced_chain_unique_solution():

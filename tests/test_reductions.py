@@ -1,6 +1,8 @@
 """Per-reduction constructions: the spec'd small cases, counting laws,
 witness bounds, lift round-trips, and end-to-end composition."""
 
+import random
+
 import pytest
 
 from conftest import make_machine
@@ -41,7 +43,7 @@ from xalpwb.reductions import (
     reduce_tcmis_to_negcnf,
     reduce_vc_to_rbds,
 )
-from xalpwb.machines import AtmInstance, run_with_tree_shape
+from xalpwb.machines import AtmInstance, shaped_run
 from xalpwb.verify import generate_instance
 
 BIGCAP = 1 << 44
@@ -78,14 +80,14 @@ def test_atm_tcmc_two_step_existential_path():
     shape = OrderedTree(n=2, children={1: (2,)})
     art = reduce_atm_to_tcmc(AtmInstance(m, "0", shape, 2, 1))
     ok, sol = solve_tcmc_bruteforce(art.target, "clique", cap=BIGCAP)
-    assert ok == run_with_tree_shape(m, "0", shape) == True
+    assert ok == (shaped_run(m, "0", shape) is not None) == True
     run = art.lift.backward(sol)
     assert check_tcmc_solution(art.target, "clique", art.lift.forward(run))
     # same machine on a mismatching shape: both sides reject
     single = OrderedTree(n=1)
     art2 = reduce_atm_to_tcmc(AtmInstance(m, "0", single, 2, 1))
     ok2, _ = solve_tcmc_bruteforce(art2.target, "clique", cap=BIGCAP)
-    assert ok2 == run_with_tree_shape(m, "0", single) == False
+    assert ok2 == (shaped_run(m, "0", single) is not None) == False
 
 
 def test_atm_tcmc_per_class_size_cap():
@@ -471,6 +473,35 @@ def test_rbds_ds_min_difference_exactly_one():
         assert best_ds == best_rbds + 1, seed
 
 
+def _listed_rbds_ds_backward(rbds, s):
+    """rbds-ds's backward lift as it was before it read the neighbour masks:
+    the blue vertices of s, then for each red vertex of s, in increasing
+    order, that none of those dominates, its least blue neighbour."""
+    adj, blue = rbds.graph.adjacency(), set(rbds.blue_vertices())
+    out = {v for v in s if v in blue}
+    for r in rbds.red_vertices():
+        ends = sorted(adj[r] & blue)
+        if r in s and ends and not out & set(ends):
+            out.add(ends[0])
+    return frozenset(out)
+
+
+def test_rbds_ds_backward_matches_the_listed_lift():
+    rng, added = random.Random(11), 0
+    for seed in range(100):
+        rbds = generate_instance("logtw-rbds", None, seed=seed)
+        art = reduce_rbds_to_ds(rbds)
+        n = art.target.graph.n
+        subsets = [frozenset(v for v in range(1, n + 1) if rng.random() < p)
+                   for p in (0.1, 0.3, 0.6)]
+        subsets.append(solve_is_ds_vc(art.target.graph, "ds", n)[1])
+        for sub in subsets:
+            back = art.lift.backward(sub)
+            assert back == _listed_rbds_ds_backward(rbds, sub), (seed, sorted(sub))
+            added += not back <= sub
+    assert added  # some red vertices of s were left undominated
+
+
 def test_full_chain_composition():
     for seed in range(12):
         inst = generate_instance("tcmis", {"tree_nodes": 2, "max_class": 1,
@@ -529,7 +560,7 @@ def test_atm_tcmc_beta2_blocks2_cross_block_movement():
     shape = OrderedTree(n=5, children={1: (2,), 2: (3,), 3: (4,), 4: (5,)})
     art = reduce_atm_to_tcmc(AtmInstance(m, "", shape, 2, 2))
     ok, sol = solve_tcmc_bruteforce(art.target, "clique", cap=1 << 52)
-    assert ok == run_with_tree_shape(m, "", shape) == True
+    assert ok == (shaped_run(m, "", shape) is not None) == True
     run = art.lift.backward(sol)
     # the decoded run ends in the accepting state with the tape it wrote
     leaf = run[5]
@@ -541,4 +572,4 @@ def test_atm_tcmc_beta2_blocks2_cross_block_movement():
     shape2 = OrderedTree(n=2, children={1: (2,)})
     art2 = reduce_atm_to_tcmc(AtmInstance(off, "", shape2, 2, 1))
     ok2, _ = solve_tcmc_bruteforce(art2.target, "clique", cap=BIGCAP)
-    assert ok2 == run_with_tree_shape(off, "", shape2) == False
+    assert ok2 == (shaped_run(off, "", shape2) is not None) == False

@@ -7,7 +7,6 @@ import pytest
 from xalpwb import oracles, verify
 from xalpwb.cli import main
 from xalpwb.formats import parse_instance, serialize_instance
-from xalpwb.instances import CapExceeded
 from xalpwb.reductions import reduce_rbds_to_ds
 from xalpwb.verify import CONTRACTS, FAMILIES, _RULES, generate_instance
 
@@ -78,26 +77,17 @@ def test_solve_writes_a_solution_that_splits_and_checks(tmp_path, monkeypatch, c
         assert entry.check(inst, solution), solver
 
 
-@pytest.mark.parametrize("family", ["tcmc", "tcmis"])
-def test_capped_brute_force_falls_back_to_the_traversal(monkeypatch, family):
-    entry = FAMILIES[family]
-    expected = [entry.decide(generate_instance(family, None, seed=s), None)[0]
-                for s in range(20)]
-    real_traversal, traversed = oracles.solve_tcmc_traversal, []
+@pytest.mark.parametrize("family, name", [("tcmc", "atm-tcmc"), ("tcmis", "tcmc-tcmis")])
+def test_tcmc_decide_never_runs_the_brute_force(monkeypatch, family, name):
+    # the traversal decides outright, with the brute force's choice
+    entry, mode = FAMILIES[family], {"tcmc": "clique", "tcmis": "independent-set"}[family]
+    sources = [generate_instance(family, None, seed=s) for s in range(20)]
+    expected = [oracles.solve_tcmc_bruteforce(inst, mode) for inst in sources]
 
-    def capped(*args, **kwargs):
-        raise CapExceeded("class choice space")
+    def brute(*args, **kwargs):
+        raise AssertionError("solve_tcmc_bruteforce called")
 
-    def traversal(*args, **kwargs):
-        traversed.append(args)
-        return real_traversal(*args, **kwargs)
-
-    monkeypatch.setattr(oracles, "solve_tcmc_bruteforce", capped)
-    monkeypatch.setattr(oracles, "solve_tcmc_traversal", traversal)
-    for seed in range(20):
-        inst = generate_instance(family, None, seed=seed)
-        ok, choice = entry.decide(inst, None)
-        assert ok == expected[seed], seed
-        if ok:
-            assert entry.check(inst, choice), seed
-    assert len(traversed) == 20 and any(expected) and not all(expected)
+    monkeypatch.setattr(oracles, "solve_tcmc_bruteforce", brute)
+    assert [entry.decide(inst, None) for inst in sources] == expected
+    assert any(ok for ok, _ in expected) and not all(ok for ok, _ in expected)
+    assert verify.verify_reduction(name, 20, 1).ok

@@ -290,8 +290,9 @@ def test_logtw_lift_checks_never_skip():
 
 
 def test_capped_atm_trial_runs_the_backward_lift_check(monkeypatch):
-    # the brute force exceeds the default cap on this accepting trial's
-    # target, so the traversal decides it and its choice is decoded back
+    # the traversal decides this accepting trial's target, whose class
+    # choice space is over the brute force's default cap, and its choice is
+    # decoded back
     source = generate_instance("atm", None, seed=100044)
     real_reduce, real_traversal = REDUCTIONS["atm-tcmc"], oracles.solve_tcmc_traversal
     traversed, decoded = [], []
@@ -314,7 +315,7 @@ def test_capped_atm_trial_runs_the_backward_lift_check(monkeypatch):
     assert decoded == [traversed[0][1]]
 
 
-@pytest.mark.parametrize("name, solver", [("tcmc-tcmis", "solve_tcmc_bruteforce"),
+@pytest.mark.parametrize("name, solver", [("tcmc-tcmis", "solve_tcmc_traversal"),
                                           ("rbds-ds", "optimum_treedp")])
 def test_trial_solves_each_side_once(monkeypatch, name, solver):
     # each side is decided once: a dominate side by its packing, and by the
