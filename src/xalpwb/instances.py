@@ -499,13 +499,6 @@ class TreeChainedCnf:
     def node_of_var(self, x: int) -> int:
         return self._node_of[x]  # type: ignore[attr-defined]
 
-    def cell_of_var(self, x: int) -> tuple[int, int]:
-        assert self.partition is not None
-        for key in sorted(self.partition):
-            if x in self.partition[key]:
-                return key
-        raise KeyError(x)
-
     def all_variables(self) -> list[int]:
         return sorted(v for vs in self.variable_sets.values() for v in vs)
 
@@ -585,9 +578,6 @@ class LogTwGraphInstance:
     def width(self) -> int:
         """Width of the decomposition, as validated at construction."""
         return self._width  # type: ignore[attr-defined]
-
-    def red_vertices(self) -> list[int]:
-        return [v for v in self.graph.vertices() if self.graph.labels.get(v) == "red"]
 
     def blue_vertices(self) -> list[int]:
         return [v for v in self.graph.vertices() if self.graph.labels.get(v) == "blue"]

@@ -349,28 +349,6 @@ def _pick_child(succ, cost, part) -> Part:
     raise AssertionError("cost table inconsistent")
 
 
-def _tree_depth_and_co(succ, cost, root) -> tuple[int, int]:
-    """Depth and max universal steps per path of the recovered minimal tree.
-
-    One loop over cost, which lists parts in finalization order: a part's
-    tree children cost less than it, so they come earlier."""
-    got: dict[Part, tuple[int, int]] = {}
-    for part in cost:
-        kind = succ[part][0]
-        if kind == "leaf":
-            res = (0, 0)
-        elif kind == "or":
-            d, co = got[_pick_child(succ, cost, part)]
-            res = (d + 1, co)
-        else:
-            (d1, co1), (d2, co2) = got[succ[part][1][0]], got[succ[part][1][1]]
-            res = (1 + max(d1, d2), 1 + max(co1, co2))
-        if part == root:
-            return res
-        got[part] = res
-    raise AssertionError("root has no accepting tree")
-
-
 def _smallest_run(succ, cost, root) -> tuple[list[Part], list[tuple[int, ...]], list[int | None]]:
     """The recovered minimal tree below root, listed breadth-first from the
     root at 0: each node's part, its children's indices in table order (the
@@ -394,9 +372,11 @@ def _smallest_run(succ, cost, root) -> tuple[list[Part], list[tuple[int, ...]], 
 
 def _smallest_tree(m: MachineSpec, x: str, budget: ResourceBudget, what: str):
     """Shared front of eval_alternating, eval_balanced and
-    smallest_tree_shape: the alternating
-    RunStats of the smallest accepting tree, with the (succ, cost, root)
-    tables it was read from."""
+    smallest_tree_shape: the alternating RunStats of the smallest accepting
+    tree, and that tree as _smallest_run lists it, as child lists, parent
+    indices and subtree sizes (None when it is rejected).  steps_used is the
+    tree's height, the depth of its last node listed, and
+    max_co_nondet_on_path the most universal nodes above any node."""
     _require_stack_free(m, what)
     _require_budget(budget, "tree_size")
     succ, parents = _explore_alternation(m, x)
@@ -404,10 +384,15 @@ def _smallest_tree(m: MachineSpec, x: str, budget: ResourceBudget, what: str):
     init = initial_part(m, x)
     best = cost.get(init)
     if best is None or best > budget.tree_size:
-        return RunStats(accepted=False, exhausted=best is not None), succ, cost, init
-    depth, co = _tree_depth_and_co(succ, cost, init)
-    return (RunStats(accepted=True, tree_nodes=best, max_co_nondet_on_path=co,
-                     steps_used=depth), succ, cost, init)
+        return RunStats(accepted=False, exhausted=best is not None), None
+    parts, kids, parent = _smallest_run(succ, cost, init)
+    depth, co = [0], [0]
+    for up in parent[1:]:
+        depth.append(depth[up] + 1)
+        co.append(co[up] + (len(kids[up]) == 2))
+    stats = RunStats(accepted=True, tree_nodes=best, max_co_nondet_on_path=max(co),
+                     steps_used=depth[-1])
+    return stats, (kids, parent, [cost[part] for part in parts])
 
 
 def eval_alternating(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
@@ -421,13 +406,13 @@ def smallest_tree_shape(m: MachineSpec, x: str, max_nodes: int) -> OrderedTree |
     breadth-first from 1, or None when it has more than max_nodes nodes,
     none exists, or the configuration space is too large to explore."""
     try:
-        stats, succ, cost, init = _smallest_tree(
-            m, x, ResourceBudget(tree_size=max_nodes), "smallest_tree_shape")
+        _, tree = _smallest_tree(m, x, ResourceBudget(tree_size=max_nodes),
+                                 "smallest_tree_shape")
     except CapExceeded:
         return None
-    if not stats.accepted:
+    if tree is None:
         return None
-    _, kids, _ = _smallest_run(succ, cost, init)
+    kids = tree[0]
     return OrderedTree(n=len(kids), children={i + 1: tuple(k + 1 for k in ks)
                                               for i, ks in enumerate(kids) if ks})
 
@@ -943,12 +928,10 @@ def eval_balanced(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
     tree_nodes reports the underlying minimal accepting tree;
     max_co_nondet_on_path meters the rebalanced verification.
     """
-    stats, succ, cost, init = _smallest_tree(m, x, budget, "eval_balanced")
-    if not stats.accepted:
+    stats, tree = _smallest_tree(m, x, budget, "eval_balanced")
+    if tree is None:
         return stats
-    parts, kids, parent = _smallest_run(succ, cost, init)
-    co = _balanced_co_meter(kids, parent, [cost[part] for part in parts])
-    return replace(stats, max_co_nondet_on_path=co)
+    return replace(stats, max_co_nondet_on_path=_balanced_co_meter(*tree))
 
 
 EVALUATORS = {

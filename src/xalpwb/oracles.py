@@ -19,6 +19,7 @@ constraints; callers can re-validate with the check_* helpers.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import os
@@ -71,6 +72,31 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _backtrack(keys: list, candidates, chosen: dict) -> bool:
+    """Depth-first search for values of keys, in order, on an explicit
+    stack: candidates(key) iterates over the key's values (never None) that
+    fit those chosen so far, and chosen maps every assigned key to its
+    value.  One candidate iterator is kept per assigned key, and a key's
+    value is dropped when its iterator runs out.  True, with every key in
+    chosen, at the first full assignment; False, with chosen as it was
+    given, when there is none."""
+    if not keys:
+        return True
+    todo = [candidates(keys[0])]
+    while todo:
+        key = keys[len(todo) - 1]
+        value = next(todo[-1], None)
+        if value is None:
+            chosen.pop(key, None)
+            todo.pop()
+            continue
+        chosen[key] = value
+        if len(todo) == len(keys):
+            return True
+        todo.append(candidates(keys[len(todo)]))
+    return False
+
+
 # ------------------------------------------------------------------ tcmc
 
 
@@ -95,11 +121,12 @@ def check_tcmc_solution(instance: TcmcInstance, mode: str,
 
 def solve_tcmc_bruteforce(instance: TcmcInstance, mode: str = "clique",
                           cap: int | None = None):
-    """Exact decision by enumerating one vertex per class; backtracks over
-    classes in tree order so constraints prune early, trying each class's
-    vertices in increasing order.  A class's candidates are its vertex mask
-    cut down by the neighbour masks of the earlier chosen vertices it is
-    constrained with.  Returns (solvable, choice or None)."""
+    """Exact decision by enumerating one vertex per class; backtracks
+    (_backtrack) over classes in tree order so constraints prune early,
+    trying each class's vertices in increasing order.  A class's candidates
+    are its vertex mask cut down by the neighbour masks of the earlier
+    chosen vertices it is constrained with.  Returns (solvable, choice or
+    None)."""
     if mode not in TCMC_MODES:
         raise InvariantViolation(f"unknown tcmc mode {mode!r}")
     keys = [(i, j) for i in instance.tree.preorder()
@@ -127,17 +154,8 @@ def solve_tcmc_bruteforce(instance: TcmcInstance, mode: str = "clique",
             allowed &= nbr[choice[a]] if clique else ~nbr[choice[a]]
         return _bits(allowed)
 
-    # one candidate iterator per class chosen so far, and one for the next
-    todo = [candidates(keys[0])]
-    while todo:
-        v = next(todo[-1], None)
-        if v is None:
-            todo.pop()
-            continue
-        choice[keys[len(todo) - 1]] = v
-        if len(todo) == len(keys):
-            return True, choice
-        todo.append(candidates(keys[len(todo)]))
+    if _backtrack(keys, candidates, choice):
+        return True, choice
     return False, None
 
 
@@ -269,10 +287,9 @@ def check_coloring(instance: ListColoringInstance, coloring: dict[int, int]) -> 
 
 
 def solve_listcoloring(instance: ListColoringInstance, cap: int | None = None):
-    """Exact backtracking decision on an explicit stack; honors
-    precolorings.  Free vertices are coloured in increasing order, each
-    trying its colours in increasing order.  Returns (colorable, coloring or
-    None).
+    """Exact backtracking decision (_backtrack); honors precolorings.  Free
+    vertices are coloured in increasing order, each trying its colours in
+    increasing order.  Returns (colorable, coloring or None).
 
     Precolored vertices are assigned first (they never branch), so the cap
     is the product over free vertices of the colors that survive their
@@ -299,21 +316,8 @@ def solve_listcoloring(instance: ListColoringInstance, cap: int | None = None):
         # neighbour holds
         return (c for c in options[v] if all(coloring.get(u) != c for u in adj[v]))
 
-    if not free:
-        return True, dict(coloring)
-    # one option iterator per free vertex coloured so far, and one for the next
-    todo = [fitting(free[0])]
-    while todo:
-        v = free[len(todo) - 1]
-        c = next(todo[-1], None)
-        if c is None:
-            coloring.pop(v, None)
-            todo.pop()
-            continue
-        coloring[v] = c
-        if len(todo) == len(free):
-            return True, dict(coloring)
-        todo.append(fitting(free[len(todo)]))
+    if _backtrack(free, fitting, coloring):
+        return True, coloring
     return False, None
 
 
@@ -502,67 +506,37 @@ def optimum_subset(graph: Graph, problem: str, cap: int | None = None):
 
 # ------------------------------------------------------- tree-DP solver
 
-_LEAF, _INTRODUCE, _FORGET, _JOIN = range(4)
 
+def _run_dp(dec: TreeDecomposition, leaf: dict, introduce, forget, join) -> dict:
+    """Evaluate one dynamic program by folding dec's tree without recursion,
+    children before parents.  A child's table moves to its parent's bag:
+    forget the vertices the parent lacks, then introduce those the child
+    lacks, each in increasing vertex order (introduce is given the bag mask
+    after the change).  A leaf starts from the leaf table on an empty bag,
+    a node joins its children's moved tables left to right, and a table is
+    dropped once its parent has consumed it.  The steps must not mutate
+    their input tables.  Returns the root's table moved to an empty bag."""
 
-def _nice_decomposition(dec: TreeDecomposition) -> list[tuple[int, int, int]]:
-    """Convert a decomposition into leaf/introduce/forget/join form with the
-    same width, listed in post-order as (kind, vertex, bag mask) steps.
-
-    A leaf opens a branch with an empty bag; introduce and forget change the
-    newest branch's bag by one vertex (the step's bag is the bag after the
-    change); a join merges the two newest branches, which hold the same bag.
-    A node's child branches join left to right, and the steps end on a single
-    branch with an empty bag."""
-    steps: list[tuple[int, int, int]] = []
-
-    def chain(lower: frozenset[int], upper: frozenset[int]) -> None:
-        # forget what the lower bag has extra, then introduce what is missing
+    def move(table: dict, lower: frozenset[int], upper: frozenset[int]) -> dict:
         bag = _mask(lower)
         for v in sorted(lower - upper):
             bag ^= 1 << v
-            steps.append((_FORGET, v, bag))
+            table = forget(table, v)
         for v in sorted(upper - lower):
             bag |= 1 << v
-            steps.append((_INTRODUCE, v, bag))
+            table = introduce(table, v, bag)
+        return table
 
-    # (node, -1) enters a node; (node, k) closes the branch of its k-th child
-    todo = [(dec.tree.root, -1)]
-    while todo:
-        i, k = todo.pop()
-        kids = dec.tree.child_list(i)
-        if k >= 0:
-            chain(dec.bags[kids[k]], dec.bags[i])
-            if k:
-                steps.append((_JOIN, 0, _mask(dec.bags[i])))
-        elif kids:
-            for k in reversed(range(len(kids))):
-                todo.append((i, k))
-                todo.append((kids[k], -1))
+    tree, bags = dec.tree, dec.bags
+    tables: dict[int, dict] = {}
+    for i in reversed(tree.preorder()):
+        kids = tree.child_list(i)
+        if kids:
+            tables[i] = functools.reduce(
+                join, (move(tables.pop(kid), bags[kid], bags[i]) for kid in kids))
         else:
-            steps.append((_LEAF, 0, 0))
-            chain(frozenset(), dec.bags[i])
-    chain(dec.bags[dec.tree.root], frozenset())
-    return steps
-
-
-def _run_dp(dec: TreeDecomposition, leaf: dict, introduce, forget, join) -> dict:
-    """Evaluate one dynamic program over the nice form of dec without
-    recursion, keeping one table per open branch; a table is dropped as soon
-    as the next step has consumed it.  The steps must not mutate their input
-    tables.  Returns the table of the final, empty bag."""
-    tables: list[dict] = []
-    for kind, v, bag in _nice_decomposition(dec):
-        if kind == _LEAF:
-            tables.append(leaf)
-        elif kind == _INTRODUCE:
-            tables.append(introduce(tables.pop(), v, bag))
-        elif kind == _FORGET:
-            tables.append(forget(tables.pop(), v))
-        else:
-            right = tables.pop()
-            tables.append(join(tables.pop(), right))
-    return tables.pop()
+            tables[i] = move(leaf, frozenset(), bags[i])
+    return move(tables.pop(tree.root), bags[tree.root], frozenset())
 
 
 def _is_steps(nbr: list[int], shift: int, track: int):
@@ -710,22 +684,24 @@ def dp_decomposition(instance: LogTwGraphInstance,
 def optimum_treedp(instance: LogTwGraphInstance, problem: str,
                    cap: int | None = None, witness: bool = True,
                    on: tuple[TreeDecomposition, int] | None = None):
-    """Optimal size and one witness, as optimum_subset gives them (max IS,
-    min VC, min DS or min RBDS; infinity and None when no feasible set
-    exists), by dynamic programming over the decomposition dp_decomposition
-    picks: the instance's own for IS and VC, and for DS and RBDS the
-    min-degree elimination of the graph when it is narrower.  The DP is
-    walked iteratively in introduce/forget/join form (Cygan et al.,
-    Parameterized Algorithms, ch. 7), and the cap applies to the width it
-    runs on.
+    """Optimal size and one witness (max IS, min VC, min DS or min RBDS;
+    infinity and None when no feasible set exists), by dynamic programming
+    over the decomposition dp_decomposition picks: the instance's own for
+    IS and VC, and for DS and RBDS the min-degree elimination of the graph
+    when it is narrower.  The DP folds that decomposition's tree
+    iteratively (_run_dp), with forget, introduce and join steps on its
+    tables (Cygan et al., Parameterized Algorithms, ch. 7), and the cap
+    applies to the width it runs on.
 
     Table keys are int masks with bit 1 << v for bag vertex v.  A value
     packs a partial solution as size << S | chosen_mask with S = n + 1, so
     an introduce adds (1 << S) + bit, a join subtracts what the two sides
     share on the bag, and min/max on the int picks an optimum, breaking ties
-    by the chosen mask.  So the witness is the optimal set of least mask,
-    whichever decomposition the DP runs on.  VC is solved as the complement
-    of IS.  With witness False the values are plain sizes, which is cheaper,
+    by the chosen mask.  So, whichever decomposition the DP runs on, the
+    witness is the optimal set of least mask for VC, DS and RBDS, as
+    optimum_subset gives it, and of greatest mask for IS (where
+    optimum_subset takes the least).  VC is solved as the complement of
+    IS.  With witness False the values are plain sizes, which is cheaper,
     and the witness returned is None.  on is dp_decomposition's result for
     this instance and problem when the caller has it already."""
     graph = instance.graph

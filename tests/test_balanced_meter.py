@@ -97,6 +97,21 @@ def test_balanced_agrees_with_alternating_on_stress_shapes(factory, arg):
         assert a.tree_nodes == b.tree_nodes
 
 
+@pytest.mark.parametrize("factory, arg, meters", [
+    (caterpillar, 1, (3, 1, 1)),
+    (caterpillar, 900, (1801, 900, 900)),
+    (full_universal_tree, 4, (31, 4, 4)),
+    (full_universal_tree, 10, (2047, 10, 10)),
+    (corridor_then_split, 23, (26, 24, 1)),
+    (corridor_then_split, 1990, (1993, 1991, 1)),
+])
+def test_alternating_meters_on_stress_shapes(factory, arg, meters):
+    """alt reports the smallest tree's size, its height and the most
+    universal nodes on one path, here at up to 2047 nodes or 1991 deep."""
+    st = eval_alternating(factory(arg), "", ResourceBudget(tree_size=5000))
+    assert (st.tree_nodes, st.steps_used, st.max_co_nondet_on_path) == meters
+
+
 def _meter(kids):
     """The balanced meter of a tree given as child lists rooted at 0, each
     child numbered after its parent."""

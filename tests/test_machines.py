@@ -1,6 +1,9 @@
 """The four acceptance semantics: spec'd toy traces, corpus agreement,
 budget monotonicity, and metering determinism."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 
 from conftest import make_machine
@@ -154,6 +157,51 @@ def test_deep_minimal_tree_accepts(corpus, evaluate):
     budget = ResourceBudget(time_steps=5000, tree_size=5000)
     stats = evaluate(corpus["find_one"], "0" * 2500 + "1", budget)
     assert stats.accepted and stats.tree_nodes == 2502 and stats.steps_used == 2501
+
+
+# alt's meters (accepted, tree_nodes, max_co_nondet_on_path, steps_used,
+# exhausted) on every stack-free corpus input, recorded before alt read them
+# off the listed smallest tree: per machine, the inputs giving each meter
+# tuple, and a digest of the meters input by input.  The budget binds on none
+# of them, so they are the same at CORPUS_BUDGET and at tree size 2000.
+ALT_COUNTS = {
+    "accept_now": {(True, 1, 0, 0, False): 1},
+    "all_zeros_nonempty": {(False, 0, 0, 0, False): 121, (True, 6, 1, 3, False): 1,
+                           (True, 7, 1, 4, False): 1, (True, 8, 1, 5, False): 1,
+                           (True, 9, 1, 6, False): 1, (True, 10, 1, 7, False): 1,
+                           (True, 11, 1, 8, False): 1},
+    "alt_depth2": {(True, 6, 1, 3, False): 1},
+    "copy_check": {(False, 0, 0, 0, False): 65, (True, 3, 0, 2, False): 62},
+    "even_ones": {(False, 0, 0, 0, False): 63, (True, 2, 0, 1, False): 1,
+                  (True, 3, 0, 2, False): 1, (True, 4, 0, 3, False): 2,
+                  (True, 5, 0, 4, False): 4, (True, 6, 0, 5, False): 8,
+                  (True, 7, 0, 6, False): 16, (True, 8, 0, 7, False): 32},
+    "find_one": {(False, 0, 0, 0, False): 7, (True, 2, 0, 1, False): 63,
+                 (True, 3, 0, 2, False): 31, (True, 4, 0, 3, False): 15,
+                 (True, 5, 0, 4, False): 7, (True, 6, 0, 5, False): 3,
+                 (True, 7, 0, 6, False): 1},
+    "reject_now": {(False, 0, 0, 0, False): 1},
+    "spin": {(False, 0, 0, 0, False): 127},
+    "universal_pair": {(True, 3, 1, 1, False): 127},
+}
+ALT_DIGEST = "9e85276ee779025d"
+
+
+@pytest.mark.parametrize("budget", [CORPUS_BUDGET, ResourceBudget(tree_size=2000)])
+def test_alternating_meters_pinned_on_the_corpus(corpus, budget):
+    rows = []
+    for name, m in corpus.items():
+        if not m.uses_stack:
+            for x in corpus_inputs(m):
+                st = eval_alternating(m, x, budget)
+                rows.append((name, x, (st.accepted, st.tree_nodes, st.max_co_nondet_on_path,
+                                       st.steps_used, st.exhausted)))
+    counts: dict[str, Counter] = {}
+    for name, _, meters in rows:
+        counts.setdefault(name, Counter())[meters] += 1
+    assert {name: dict(c) for name, c in counts.items()} == ALT_COUNTS
+    listed = "\n".join(f"{name} {x!r} {meters}" for name, x, meters in rows)
+    assert hashlib.sha256(listed.encode()).hexdigest()[:16] == ALT_DIGEST
 
 
 # --------------------------------------------------------- shaped runs

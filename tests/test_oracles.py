@@ -205,6 +205,52 @@ def test_listcoloring_examples():
     assert not ok
 
 
+def _first_coloring(instance):
+    """The first proper coloring in vertex-then-colour order, or None: every
+    vertex in increasing order over its effective list in increasing order."""
+    vertices = list(instance.graph.vertices())
+    lists = [sorted(instance.effective_list(v)) for v in vertices]
+    for colours in itertools.product(*lists):
+        coloring = dict(zip(vertices, colours))
+        if check_coloring(instance, coloring):
+            return coloring
+    return None
+
+
+def test_listcoloring_returns_the_first_coloring_in_order():
+    rng, solvable = random.Random(3), 0
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        palette = range(1, rng.randint(2, 4) + 1)
+        edges = frozenset(pair for pair in itertools.combinations(range(1, n + 1), 2)
+                          if rng.random() < 0.4)
+        lists = {v: frozenset(rng.sample(palette, rng.randint(1, len(palette))))
+                 for v in range(1, n + 1)}
+        precolored = {v: rng.choice(sorted(cs)) for v, cs in lists.items()
+                      if rng.random() < 0.25}
+        inst = ListColoringInstance(graph=Graph(n=n, edges=edges), palette=frozenset(palette),
+                                    lists=lists, precolored=precolored)
+        first = _first_coloring(inst)
+        assert solve_listcoloring(inst) == (first is not None, first), trial
+        solvable += first is not None
+    assert 50 < solvable < 250
+
+
+def test_listcoloring_backtracks_over_three_vertices():
+    # vertex 5 can only take colour 1, which vertex 1 tries first; the path
+    # 2-3-4 between them, held to one colouring by the precoloured vertex 6,
+    # is undone back to vertex 1 before vertex 1 moves on to colour 2
+    inst = ListColoringInstance(
+        graph=Graph(n=6, edges=frozenset({(1, 5), (2, 3), (3, 4), (2, 6)})),
+        palette=frozenset({1, 2, 3, 4}),
+        lists={1: frozenset({1, 2}), 2: frozenset({3, 4}), 3: frozenset({3, 4}),
+               4: frozenset({3, 4}), 5: frozenset({1}), 6: frozenset({4})},
+        precolored={6: 4})
+    expected = {1: 2, 2: 3, 3: 4, 4: 3, 5: 1, 6: 4}
+    assert _first_coloring(inst) == expected
+    assert solve_listcoloring(inst) == (True, expected)
+
+
 def test_listcoloring_on_a_deep_path():
     # one free vertex after another, 1500 deep, without recursion
     n = 1500
@@ -535,6 +581,43 @@ def test_witness_dp_agrees_with_subset_oracle(problem, profile):
         assert best == optimum_subset(inst.graph, problem)[0], seed
         assert check_subset_solution(inst.graph, problem, witness), seed
         assert len(witness) == best, seed
+
+
+# decompositions the binary-tree generators never make: a node with four
+# children, one child's bag equal to the node's, one inside it, and one
+# disjoint from it with a grandchild below; and a tree of one bag
+HAND_BUILT = [
+    TreeDecomposition(
+        tree=OrderedTree(n=8, children={1: (2, 3, 4, 5), 2: (8,), 4: (6,), 6: (7,)}),
+        bags={1: {1, 2, 3}, 2: {1, 2, 3}, 3: {2, 3, 4, 5}, 4: {1, 6}, 5: {3, 7},
+              6: {8, 9}, 7: {9, 10}, 8: {1, 2}}),
+    TreeDecomposition(tree=OrderedTree(n=1), bags={1: set(range(1, 7))}),
+]
+
+
+@pytest.mark.parametrize("dec", HAND_BUILT)
+def test_witness_dp_on_hand_built_decompositions(dec):
+    n = max(max(bag) for bag in dec.bags.values())
+    pairs = sorted({pair for bag in dec.bags.values()
+                    for pair in itertools.combinations(sorted(bag), 2)})
+    rng = random.Random(5)
+    for trial in range(40):
+        density = rng.random()
+        graph = Graph(n=n, edges=frozenset(pair for pair in pairs if rng.random() < density),
+                      labels={v: rng.choice(("red", "blue")) for v in range(1, n + 1)})
+        inst = LogTwGraphInstance(graph=graph, decomposition=dec, target_weight=0, k=n,
+                                  problem="rbds")
+        on = (dec, inst.width)
+        for problem in ("is", "vc", "ds", "rbds"):
+            expected = optimum_subset(graph, problem)
+            if problem == "is":
+                # the IS DP's ties go to the greatest mask
+                best = max(independent_sets(graph), key=lambda s: (s.bit_count(), s))
+                expected = (best.bit_count(),
+                            frozenset(v for v in graph.vertices() if best >> v & 1))
+            assert optimum_treedp(inst, problem, on=on) == expected, (trial, problem)
+            assert optimum_treedp(inst, problem, witness=False, on=on) == (
+                expected[0], None), (trial, problem)
 
 
 def test_rbds_red_vertex_without_blue_neighbour_is_infeasible():

@@ -240,8 +240,9 @@ def test_poscnf_literal_count_law():
         inst = generate_instance("negcnf", None, seed=seed)
         art = reduce_negcnf_to_poscnf(inst)
         for before, after in zip(inst.clauses, art.target.clauses):
-            expect = sum(len(inst.partition[inst.cell_of_var(-lit)]) - 1
-                         for lit in before)
+            cells = [cell for lit in before for cell in inst.partition.values()
+                     if -lit in cell]
+            expect = sum(len(cell) - 1 for cell in cells)
             assert len(after) == expect
 
 
@@ -479,7 +480,7 @@ def _listed_rbds_ds_backward(rbds, s):
     order, that none of those dominates, its least blue neighbour."""
     adj, blue = rbds.graph.adjacency(), set(rbds.blue_vertices())
     out = {v for v in s if v in blue}
-    for r in rbds.red_vertices():
+    for r in (v for v in rbds.graph.vertices() if rbds.graph.labels.get(v) == "red"):
         ends = sorted(adj[r] & blue)
         if r in s and ends and not out & set(ends):
             out.add(ends[0])

@@ -35,3 +35,56 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     offenders = {path.name: names for path in modules
                  if (names := _private_imports(path.read_text(encoding="utf-8")))}
     assert not offenders, offenders
+
+
+def _calls(node, name: str) -> bool:
+    """Whether node is a call of name(...) or self.name(...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return (func.attr == name and isinstance(func.value, ast.Name)
+                and func.value.id == "self")
+    return isinstance(func, ast.Name) and func.id == name
+
+
+def _self_callers(source: str, module: str) -> list[str]:
+    """'module.outer.name' for every function that calls itself by name, as
+    name(...) or, in a method, as self.name(...)."""
+    found = []
+    todo = [(ast.parse(source), module)]
+    while todo:
+        node, prefix = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            here = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                here = f"{prefix}.{child.name}"
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    _calls(call, child.name) for call in ast.walk(child)):
+                found.append(here)
+            todo.append((child, here))
+    return sorted(found)
+
+
+def test_self_call_scan_sees_nested_functions_and_methods():
+    source = ("def outer():\n"
+              "    def walk(n):\n        return walk(n - 1) if n else 0\n"
+              "    return walk(3)\n"
+              "class Table:\n"
+              "    def grow(self, d):\n        return self.grow(d - 1) if d else d\n"
+              "    def read(self):\n        return self.grow(1)\n"
+              "def flat(xs):\n    return [x for x in xs]\n")
+    assert _self_callers(source, "m") == ["m.Table.grow", "m.outer.walk"]
+
+
+def test_recursion_stays_where_its_depth_is_bounded():
+    """Deep inputs must not raise RecursionError, so every walk runs on an
+    explicit stack except these: the altstack search, whose depth is the
+    tree-size budget (a known defect, on ROADMAP), and the balanced meter's
+    walk and meter, whose depth is logarithmic in the tree's size."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _self_callers(path.read_text(encoding="utf-8"), path.stem)
+    assert found == ["machines._balanced_co_meter.meter",
+                     "machines._balanced_co_meter.walk",
+                     "machines.eval_alternating_as_stack.search"]
