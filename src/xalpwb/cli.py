@@ -52,7 +52,7 @@ def cmd_reduce(args) -> int:
         _write(args.lift, artifact.lift.serialize())
     if args.witness:
         if artifact.witness is None:
-            raise UsageError(f"{args.name} emits no decomposition witness")
+            raise UsageError(f"this {args.name} target carries no decomposition witness")
         _write(args.witness, serialize_instance(artifact.witness))
     k, k_out = contract.parameters(instance, artifact)
     print(f"k={k} k'={k_out} bound={', '.join(contract.rules)}")

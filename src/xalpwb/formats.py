@@ -28,6 +28,7 @@ HEADER = "xalpwb 1"
 
 _GRAPH_TOKENS = ("p", "e", "label")
 _TREE_TOKENS = ("t", "a")
+_DECOMPOSITION_TOKENS = (*_TREE_TOKENS, "bag")
 _MACHINE_TOKENS = ("m", "init", "accept", "mode", "work", "tr")
 
 
@@ -362,6 +363,8 @@ def _listcol_lines(inst: ListColoringInstance) -> list[str]:
         lines.append(f"list {v} {cs}")
     for v in sorted(inst.precolored):
         lines.append(f"pre {v} {inst.precolored[v]}")
+    if inst.decomposition is not None:
+        lines += _decomposition_lines(inst.decomposition)
     return lines
 
 
@@ -370,8 +373,9 @@ def _parse_listcol(recs) -> ListColoringInstance:
     lists: dict[int, frozenset[int]] = {}
     precolored: dict[int, int] = {}
     graph_recs = []
+    dec_recs = []
     for lineno, toks in _route(recs, "listcol", ("listcol", "palette", "list", "pre"),
-                               (_GRAPH_TOKENS, graph_recs)):
+                               (_GRAPH_TOKENS, graph_recs), (_DECOMPOSITION_TOKENS, dec_recs)):
         if toks[0] == "palette":
             palette = frozenset(_int(c, lineno, "palette color") for c in toks[1:])
         elif toks[0] == "list":
@@ -391,8 +395,9 @@ def _parse_listcol(recs) -> ListColoringInstance:
     if palette is None:
         raise FormatError("missing 'palette' record")
     graph = _parse_graph_records(graph_recs)
-    return ListColoringInstance(graph=graph, palette=palette,
-                                lists=lists, precolored=precolored)
+    dec = _parse_decomposition_records(dec_recs) if dec_recs else None
+    return ListColoringInstance(graph=graph, palette=palette, lists=lists,
+                                precolored=precolored, decomposition=dec)
 
 
 # --------------------------------------------------------------- logtw
@@ -408,7 +413,7 @@ def _parse_logtw(recs) -> LogTwGraphInstance:
     graph_recs = []
     dec_recs = []
     for lineno, toks in _route(recs, "logtw", ("logtw", "problem"),
-                               (_GRAPH_TOKENS, graph_recs), (_TREE_TOKENS + ("bag",), dec_recs)):
+                               (_GRAPH_TOKENS, graph_recs), (_DECOMPOSITION_TOKENS, dec_recs)):
         if toks[0] == "logtw":
             if len(toks) != 3:
                 raise FormatError("expected 'logtw <k> <W>'", lineno)

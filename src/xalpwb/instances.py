@@ -327,6 +327,25 @@ def _check_decomposition(graph: Graph, dec: TreeDecomposition) -> DecompositionC
     return DecompositionCheck(True, width=width - 1)
 
 
+class _Decomposed:
+    """Base of the instance types that carry a decomposition of their graph:
+    it is validated once, at construction, and width keeps the result."""
+
+    def _keep_width(self):
+        width = None
+        if self.decomposition is not None:
+            check = validate_decomposition(self.graph, self.decomposition)
+            if not check.ok:
+                raise InvariantViolation(f"invalid decomposition: {check.violation}")
+            width = check.width
+        object.__setattr__(self, "_width", width)
+
+    @property
+    def width(self) -> int | None:
+        """Width of the decomposition, or None without one."""
+        return self._width  # type: ignore[attr-defined]
+
+
 @dataclass(frozen=True)
 class TcmcInstance:
     """Tree-chained multicolor instance: one class of vertices per
@@ -504,14 +523,16 @@ class TreeChainedCnf:
 
 
 @dataclass(frozen=True)
-class ListColoringInstance:
+class ListColoringInstance(_Decomposed):
     """List coloring over a global palette; precolored vertices act as if
-    their list were the singleton of the assigned color."""
+    their list were the singleton of the assigned color.  It may carry a
+    decomposition of its graph."""
 
     graph: Graph
     palette: frozenset[int]
     lists: dict[int, frozenset[int]]
     precolored: dict[int, int] = field(default_factory=dict)
+    decomposition: TreeDecomposition | None = None
 
     def __post_init__(self):
         palette = frozenset(self.palette)
@@ -531,6 +552,7 @@ class ListColoringInstance:
             if c not in lists[v]:
                 raise InvariantViolation(
                     f"precolored vertex {v} with color {c} outside its list")
+        self._keep_width()
 
     def effective_list(self, v: int) -> frozenset[int]:
         if v in self.precolored:
@@ -542,10 +564,9 @@ LOGTW_PROBLEMS = ("is", "vc", "rbds", "ds")
 
 
 @dataclass(frozen=True)
-class LogTwGraphInstance:
+class LogTwGraphInstance(_Decomposed):
     """Graph problem instance carrying its own decomposition witness and a
-    declared logarithmic-treewidth parameter k: width <= k * ceil(log2 n).
-    The decomposition is validated once, here; width keeps the result."""
+    declared logarithmic-treewidth parameter k: width <= k * ceil(log2 n)."""
 
     graph: Graph
     decomposition: TreeDecomposition
@@ -558,14 +579,10 @@ class LogTwGraphInstance:
             raise InvariantViolation(f"unknown problem tag {self.problem!r}")
         if self.graph.n < 1:
             raise InvariantViolation("log-treewidth instance needs >= 1 vertex")
-        check = validate_decomposition(self.graph, self.decomposition)
-        if not check.ok:
-            raise InvariantViolation(f"invalid decomposition: {check.violation}")
-        object.__setattr__(self, "_width", check.width)
+        self._keep_width()
         bound = self.k * ceil_log2(self.graph.n)
-        if check.width > bound:
-            raise InvariantViolation(
-                f"width {check.width} exceeds k*ceil(log2 n) = {bound}")
+        if self.width > bound:
+            raise InvariantViolation(f"width {self.width} exceeds k*ceil(log2 n) = {bound}")
         if self.k < 1:
             raise InvariantViolation("parameter k must be >= 1")
         if self.problem == "rbds":
@@ -573,11 +590,6 @@ class LogTwGraphInstance:
                 if self.graph.labels.get(v) not in ("red", "blue"):
                     raise InvariantViolation(
                         f"rbds instance needs red/blue label on vertex {v}")
-
-    @property
-    def width(self) -> int:
-        """Width of the decomposition, as validated at construction."""
-        return self._width  # type: ignore[attr-defined]
 
     def blue_vertices(self) -> list[int]:
         return [v for v in self.graph.vertices() if self.graph.labels.get(v) == "blue"]

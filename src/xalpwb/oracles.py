@@ -36,7 +36,7 @@ from .instances import (
     TreeChainedCnf,
     TreeDecomposition,
     first_workable,
-    validate_decomposition,  # verify checks reduction witnesses through this name too
+    validate_decomposition,
 )
 
 DEFAULT_CAP = 1 << 20

@@ -7,7 +7,7 @@ directions as callables plus desk-scale record tables that serialize as
 "lift <source-item> <target-items...>" lines.  A source outside a
 reduction's domain raises DomainError.  Parameter accounting is done by
 verify: each reduction's contract there names its parameter rule, and k and
-k' are measured on the source, the target and the witness.
+k' are measured on the source and the target.
 """
 
 from __future__ import annotations
@@ -56,7 +56,11 @@ class LiftMap:
 class ReductionArtifact:
     target: object
     lift: LiftMap
-    witness: TreeDecomposition | None = None
+
+    @property
+    def witness(self) -> TreeDecomposition | None:
+        """The target's own decomposition, or None when it has none."""
+        return getattr(self.target, "decomposition", None)
 
 
 def _grow_decomposition(tree: OrderedTree, bags: dict[int, frozenset[int]],
@@ -354,8 +358,6 @@ def reduce_tcmis_to_listcoloring(instance: TcmcInstance) -> ReductionArtifact:
         edges.add(normalize_edge(nxt, cw))
         nxt += 1
     graph = Graph(n=nxt - 1, edges=frozenset(edges))
-    palette = frozenset(instance.graph.vertices())
-    target = ListColoringInstance(graph=graph, palette=palette, lists=lists)
 
     # witness: per structure node the bag of its own and its parent's class
     # vertices; per conflict vertex a 3-element bag under the deeper node
@@ -381,6 +383,8 @@ def reduce_tcmis_to_listcoloring(instance: TcmcInstance) -> ReductionArtifact:
         extra.append((host, frozenset({conflict_vertex[e], cu, cw})))
     witness = _grow_decomposition(
         tree, {i: frozenset(base_bags[i]) for i in tree.nodes()}, extra)
+    target = ListColoringInstance(graph=graph, palette=frozenset(instance.graph.vertices()),
+                                  lists=lists, decomposition=witness)
 
     def forward(choice: dict[tuple[int, int], int]) -> dict[int, int]:
         coloring = {class_vertex[key]: choice[key] for key in keys}
@@ -398,17 +402,14 @@ def reduce_tcmis_to_listcoloring(instance: TcmcInstance) -> ReductionArtifact:
     records += tuple((f"edge:{u}:{w}", (f"v{cv}",))
                      for (u, w), cv in sorted(conflict_vertex.items()))
     return ReductionArtifact(
-        target=target, lift=LiftMap(records=records, forward=forward, backward=backward),
-        witness=witness)
+        target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 
 
-def reduce_listcoloring_to_precoloring(
-        instance: ListColoringInstance,
-        witness: TreeDecomposition | None = None) -> ReductionArtifact:
+def reduce_listcoloring_to_precoloring(instance: ListColoringInstance) -> ReductionArtifact:
     """Replace color lists by precolored pendant neighbors, one per forbidden
     color of each vertex; an extension exists iff the source is colorable.
 
-    When a decomposition witness for the source graph is supplied, it is
+    When the source carries a decomposition, the target's is that one
     extended with one {vertex, pendant} bag per pendant (width +<= 1)."""
     n = instance.graph.n
     palette = instance.palette
@@ -421,20 +422,19 @@ def reduce_listcoloring_to_precoloring(
             edges.add(normalize_edge(v, nxt))
             nxt += 1
     graph = Graph(n=nxt - 1, edges=frozenset(edges))
-    lists = {v: palette for v in graph.vertices()}
-    precolored = {pv: c for (v, c), pv in pendants.items()}
-    target = ListColoringInstance(graph=graph, palette=palette,
-                                  lists=lists, precolored=precolored)
-
-    out_witness = None
+    witness = instance.decomposition
     if witness is not None:
         host: dict[int, int] = {}
         for i in sorted(witness.bags):
             for v in witness.bags[i]:
                 host.setdefault(v, i)
-        out_witness = _grow_decomposition(
+        witness = _grow_decomposition(
             witness.tree, witness.bags,
             [(host[v], frozenset({v, pv})) for (v, _c), pv in sorted(pendants.items())])
+    precolored = {pv: c for (v, c), pv in pendants.items()}
+    target = ListColoringInstance(graph=graph, palette=palette,
+                                  lists={v: palette for v in graph.vertices()},
+                                  precolored=precolored, decomposition=witness)
 
     def forward(coloring: dict[int, int]) -> dict[int, int]:
         out = dict(coloring)
@@ -447,8 +447,7 @@ def reduce_listcoloring_to_precoloring(
     records = tuple((f"forbid:{v}:{c}", (f"v{pv}",))
                     for (v, c), pv in sorted(pendants.items()))
     return ReductionArtifact(
-        target=target, lift=LiftMap(records=records, forward=forward, backward=backward),
-        witness=out_witness)
+        target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 
 
 # ======================================================= tree-chained CNFs
@@ -750,8 +749,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
                for alpha, b in enumerate(var_bits(v), start=1)))
         for v in sorted(cell_of))
     return ReductionArtifact(
-        target=target, lift=LiftMap(records=records, forward=forward, backward=backward),
-        witness=witness)
+        target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 
 
 # =========================================== covering and domination chain
@@ -770,8 +768,7 @@ def reduce_is_to_vc(instance: LogTwGraphInstance) -> ReductionArtifact:
     complement = lambda s: frozenset(allv - s)
     records = (("complement", ("complement",)),)
     return ReductionArtifact(
-        target=target, lift=LiftMap(records=records, forward=complement, backward=complement),
-        witness=instance.decomposition)
+        target=target, lift=LiftMap(records=records, forward=complement, backward=complement))
 
 
 def reduce_vc_to_rbds(instance: LogTwGraphInstance) -> ReductionArtifact:
@@ -812,8 +809,7 @@ def reduce_vc_to_rbds(instance: LogTwGraphInstance) -> ReductionArtifact:
     identity = lambda s: frozenset(s)
     records = tuple((f"e:{u}:{v}", (f"v{r}",)) for (u, v), r in sorted(sub_vertex.items()))
     return ReductionArtifact(
-        target=target, lift=LiftMap(records=records, forward=identity, backward=identity),
-        witness=witness)
+        target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
 
 
 def reduce_rbds_to_ds(instance: LogTwGraphInstance) -> ReductionArtifact:
@@ -857,8 +853,7 @@ def reduce_rbds_to_ds(instance: LogTwGraphInstance) -> ReductionArtifact:
 
     records = (("x0", (f"v{x0}",)), ("x1", (f"v{x1}",)))
     return ReductionArtifact(
-        target=target, lift=LiftMap(records=records, forward=forward, backward=backward),
-        witness=witness)
+        target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 
 
 REDUCTIONS = {

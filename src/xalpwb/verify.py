@@ -195,8 +195,9 @@ def _generate_listcol(rng: random.Random, profile: dict) -> ListColoringInstance
     for v in range(1, n + 1):
         size = rng.randint(1, len(palette))
         lists[v] = frozenset(rng.sample(sorted(palette), size))
-    return ListColoringInstance(graph=Graph(n=n, edges=frozenset(edges)),
-                                palette=palette, lists=lists)
+    graph = Graph(n=n, edges=frozenset(edges))
+    return ListColoringInstance(graph=graph, palette=palette, lists=lists,
+                                decomposition=oracles.min_degree_decomposition(graph))
 
 
 def _generate_cnf(rng: random.Random, profile: dict, variant: str) -> TreeChainedCnf:
@@ -354,8 +355,7 @@ class Family:
     """One problem family: its CLI --problem name (None when the CLI does not
     solve it), its parse_instance format tag, the exact oracle verify
     decides it by, its solution checker, the CLI solvers, and
-    parameter(instance, witness), which measures the instance's parameter
-    given the decomposition witness that comes with it (or None).
+    parameter(instance), which measures the instance's parameter.
 
     decide(instance, cap, witness) and every solver(instance, cap,
     threshold) return (solvable, solution or None).  witness=False lets the
@@ -374,7 +374,7 @@ class Family:
     decide: Callable
     check: Callable
     solvers: dict[str, Callable] = field(default_factory=dict)
-    parameter: Callable = lambda instance, witness: instance.k
+    parameter: Callable = lambda instance: instance.k
 
 
 def _tcmc_family(problem: str, mode: str) -> Family:
@@ -440,14 +440,14 @@ _CNF = Family(
 # an entry
 FAMILIES = {
     "atm": Family(None, "atm", _atm_decide, check_shaped_run,
-                  parameter=lambda instance, witness: instance.blocks),
+                  parameter=lambda instance: instance.blocks),
     "tcmc": _tcmc_family("tcmc", "clique"),
     "tcmis": _tcmc_family("tcmis", "independent-set"),
     "listcol": Family(
         "listcol", "listcol", _listcol_decide,
         lambda instance, coloring: oracles.check_coloring(instance, coloring),
         {"brute": lambda instance, cap, threshold: _listcol_decide(instance, cap)},
-        lambda instance, witness: witness.width() if witness is not None else 0),
+        lambda instance: 0 if instance.width is None else instance.width),
     "negcnf": _CNF,
     "poscnf": _CNF,
     "gencnf": _CNF,
@@ -470,12 +470,10 @@ class Contract:
     rules: tuple[str, ...]
     checks: tuple[Callable, ...] = ()
 
-    def parameters(self, source, art: ReductionArtifact,
-                   witness: TreeDecomposition | None = None) -> tuple[int, int]:
-        """k and k' of one step, measured on the source (with its witness,
-        if it comes with one) and on the target with the emitted witness."""
-        return (FAMILIES[self.sources[0]].parameter(source, witness),
-                FAMILIES[self.target].parameter(art.target, art.witness))
+    def parameters(self, source, art: ReductionArtifact) -> tuple[int, int]:
+        """k and k' of one step, measured on the source and on the target."""
+        return (FAMILIES[self.sources[0]].parameter(source),
+                FAMILIES[self.target].parameter(art.target))
 
 
 def _at_most_2k_minus_1(k, k_out, width_in, art, notes):
@@ -486,13 +484,13 @@ def _at_most_2k_minus_1(k, k_out, width_in, art, notes):
 def _width_plus_one(k, k_out, width_in, art, notes):
     if width_in is None:
         notes.append("width rule not checked: no witness")
-    elif art.witness.width() > width_in + 1:
-        return f"witness width {art.witness.width()} grew past {width_in}+1"
+    elif art.target.width > width_in + 1:
+        return f"witness width {art.target.width} grew past {width_in}+1"
     return None
 
 
 # parameter rule -> check(k, k_out, width_in, art, notes) on the measured k
-# and k', the width of the source's witness (None without one) and the
+# and k', the width of the source's decomposition (None without one) and the
 # artifact; it returns a problem text or None, and may add notes
 _RULES = {
     "k'=k": lambda k, k_out, width_in, art, notes:
@@ -634,29 +632,18 @@ def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
     return _booked(trial)
 
 
-def _resource_checks(contract: Contract, source, art: ReductionArtifact, notes: list[str],
-                     witness: TreeDecomposition | None = None) -> list[str]:
-    """Validate the emitted witness, then check the contract's rules and
-    further checks.  witness is the source's decomposition when it comes
-    apart from the instance."""
-    problems = []
+def _resource_checks(contract: Contract, source, art: ReductionArtifact,
+                     notes: list[str]) -> list[str]:
+    """Note the witness's width, then check the contract's rules and further
+    checks.  The witness is the target's own decomposition, which the
+    target validated when it was built."""
     if art.witness is not None:
-        if art.witness is getattr(art.target, "decomposition", None):
-            # the target validated its own decomposition when it was built
-            notes.append(f"witness-width {art.target.width}")
-        elif hasattr(art.target, "graph"):
-            check = oracles.validate_decomposition(art.target.graph, art.witness)
-            if not check.ok:
-                problems.append(f"witness invalid: {check.violation}")
-            else:
-                notes.append(f"witness-width {check.width}")
-    if witness is None:
-        witness = getattr(source, "decomposition", None)
-    k, k_out = contract.parameters(source, art, witness)
-    width_in = witness.width() if witness is not None else None
+        notes.append(f"witness-width {art.target.width}")
+    k, k_out = contract.parameters(source, art)
+    width_in = getattr(source, "width", None)
     found = [_RULES[rule](k, k_out, width_in, art, notes) for rule in contract.rules]
     found += [check(source, art) for check in contract.checks]
-    return problems + [problem for problem in found if problem]
+    return [problem for problem in found if problem]
 
 
 def _lift_checks(src: Family, tgt: Family, source, art: ReductionArtifact,

@@ -1,6 +1,7 @@
 """CLI exit-status contract, file round trips, and report output."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -38,6 +39,34 @@ def test_reduce_round_trip(workdir, capsys):
     assert target.palette
     parse_instance("decomposition", pathlib.Path("wit.dec").read_text())
     assert pathlib.Path("lift.txt").read_text().startswith("lift ")
+
+
+def _parameters(out: str) -> tuple[int, int]:
+    k, k_out = re.match(r"k=(\d+) k'=(\d+) ", out).groups()
+    return int(k), int(k_out)
+
+
+def test_reduce_listcol_precol_grows_the_decomposition_in_its_file(workdir, capsys):
+    _write_instance("src.tcmc", "tcmis", seed=6)
+    assert main(["reduce", "--name", "tcmis-listcol", "-i", "src.tcmc",
+                 "-o", "mid.lc", "--witness", "mid.dec"]) == 0
+    _, width = _parameters(capsys.readouterr().out)
+    assert main(["reduce", "--name", "listcol-precol", "-i", "mid.lc",
+                 "-o", "out.lc", "--witness", "out.dec"]) == 0
+    k, k_out = _parameters(capsys.readouterr().out)
+    assert k == width > 0 and width <= k_out <= width + 1
+    target = parse_instance("listcol", pathlib.Path("out.lc").read_text())
+    assert target.decomposition == parse_instance(
+        "decomposition", pathlib.Path("out.dec").read_text())
+    assert target.width == k_out
+
+
+def test_reduce_listcol_with_a_bag_missing_a_vertex_exits_2(workdir, capsys):
+    pathlib.Path("bad.lc").write_text(
+        "xalpwb 1\nlistcol\np graph 2 1\ne 1 2\npalette 1 2\n"
+        "list 1 1 2\nlist 2 1 2\nt 1\nbag 1 1\n")
+    assert main(["reduce", "--name", "listcol-precol", "-i", "bad.lc", "-o", "out.lc"]) == 2
+    assert "invalid decomposition: vertex uncovered: 2" in capsys.readouterr().err
 
 
 def test_reduce_unknown_name_exits_2(workdir):

@@ -82,23 +82,33 @@ def test_a_target_that_breaks_its_contract_is_a_disagreement(monkeypatch, name, 
 
 def test_listcol_precol_grows_a_given_witness_by_at_most_one():
     for seed in range(50):
-        step = REDUCTIONS["tcmis-listcol"](generate_instance("tcmis", None, seed=seed))
-        listcol, witness = step.target, step.witness
-        art = reduce_listcoloring_to_precoloring(listcol, witness)
+        listcol = REDUCTIONS["tcmis-listcol"](generate_instance("tcmis", None, seed=seed)).target
+        art = reduce_listcoloring_to_precoloring(listcol)
         check = validate_decomposition(art.target.graph, art.witness)
-        assert check.ok, seed
-        assert check.width <= witness.width() + 1, seed
+        assert check.ok and check.width == art.target.width, seed
+        assert check.width <= listcol.width + 1, seed
         notes = []
         contract = verify.CONTRACTS["listcol-precol"]
-        assert verify._resource_checks(contract, listcol, art, notes, witness) == [], seed
+        assert verify._resource_checks(contract, listcol, art, notes) == [], seed
         assert notes == [f"witness-width {check.width}"], seed
 
 
 def test_the_width_rule_says_when_it_has_no_witness():
+    source = dataclasses.replace(generate_instance("listcol", None, seed=1), decomposition=None)
+    outcome = run_trial("listcol-precol", source)
+    assert outcome.status == "agree"
+    assert outcome.notes == ["width rule not checked: no witness"]
+
+
+def test_the_width_rule_runs_on_every_generated_listcol_source():
+    # each generated source carries its min-degree decomposition
     report = verify_reduction("listcol-precol", 3, 1)
     assert report.ok
-    assert [note for note in report.resource_notes if "width rule" in note] == [
-        f"trial {t} width rule not checked: no witness" for t in range(3)]
+    assert not any("width rule" in note for note in report.resource_notes)
+    sources = [generate_instance("listcol", None, seed=100003 + t) for t in range(3)]
+    assert [note for note in report.resource_notes if "witness-width" in note] == [
+        f"trial {t} witness-width {reduce_listcoloring_to_precoloring(s).target.width}"
+        for t, s in enumerate(sources)]
 
 
 # ---------------------------------------------------------------- mutants
@@ -145,9 +155,9 @@ def _largest_bag_loses_a_vertex(art, hit):
     if witness is not None:
         node = max(sorted(witness.bags), key=lambda i: len(witness.bags[i]))
         bag = witness.bags[node]
-        art.witness = TreeDecomposition(tree=witness.tree,
-                                        bags={**witness.bags, node: bag - {min(bag)}})
         hit.append("bag")
+        art.target = dataclasses.replace(art.target, decomposition=TreeDecomposition(
+            tree=witness.tree, bags={**witness.bags, node: bag - {min(bag)}}))
 
 
 MUTANTS = {
@@ -157,10 +167,9 @@ MUTANTS = {
     "witness-bag": _largest_bag_loses_a_vertex,
 }
 
-# these reductions emit no witness in verify's trials
+# these reductions build targets without a decomposition
 NOT_APPLICABLE = {(name, "witness-bag") for name in (
-    "atm-tcmc", "tcmc-tcmis", "listcol-precol", "tcmis-negcnf", "negcnf-poscnf",
-    "part-gencnf")}
+    "atm-tcmc", "tcmc-tcmis", "tcmis-negcnf", "negcnf-poscnf", "part-gencnf")}
 
 # Open: 50 seeded trials do not tell this mutant from the reduction, and no
 # argument shows that it is equivalent to it.

@@ -1,5 +1,6 @@
 """Instance types, validators, text formats, and their round-trip laws."""
 
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from xalpwb.instances import (
     first_workable,
     validate_decomposition,
 )
+from xalpwb.reductions import reduce_listcoloring_to_precoloring
 from xalpwb.verify import generate_instance
 
 
@@ -334,6 +336,19 @@ def test_round_trip(family):
                "logtw-is": "logtw", "logtw-rbds": "logtw"}.get(family, family)
         text = serialize_instance(inst)
         assert parse_instance(tag, text) == inst
+
+
+def test_listcol_round_trips_with_and_without_its_decomposition():
+    for seed in range(8):
+        inst = generate_instance("listcol", None, seed=seed)
+        precol = reduce_listcoloring_to_precoloring(inst).target
+        bare = dataclasses.replace(inst, decomposition=None)
+        for case in (inst, precol, bare):
+            text = serialize_instance(case)
+            assert ("\nbag " in text) == (case.decomposition is not None)
+            back = parse_instance("listcol", text)
+            assert back == case and back.width == case.width
+    assert bare.width is None and precol.precolored
 
 
 def test_every_format_tag_round_trips(corpus):

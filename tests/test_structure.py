@@ -2,9 +2,13 @@
 that owns it, so no module reaches for a sibling's private names."""
 
 import ast
+import dataclasses
+import inspect
 import pathlib
 
 import xalpwb
+from xalpwb.reductions import REDUCTIONS, ReductionArtifact
+from xalpwb.verify import FIXTURES
 
 PACKAGE = pathlib.Path(xalpwb.__file__).parent
 
@@ -88,3 +92,11 @@ def test_recursion_stays_where_its_depth_is_bounded():
     assert found == ["machines._balanced_co_meter.meter",
                      "machines._balanced_co_meter.walk",
                      "machines.eval_alternating_as_stack.search"]
+
+
+def test_a_reduction_takes_only_its_source():
+    # a decomposition travels inside its instance, never beside it
+    takes = {name: list(inspect.signature(fn).parameters)
+             for name, fn in {**REDUCTIONS, **FIXTURES}.items()}
+    assert {name: len(params) for name, params in takes.items()} == dict.fromkeys(takes, 1)
+    assert [f.name for f in dataclasses.fields(ReductionArtifact)] == ["target", "lift"]

@@ -1,10 +1,12 @@
 """Generators, verification reports, fault injection, and replayability."""
 
+import dataclasses
+
 import pytest
 
 from conftest import DS_CHAIN, DS_PROFILE, ds_chain_target
 from xalpwb import oracles, verify
-from xalpwb.instances import FormatError, InvariantViolation, TreeDecomposition
+from xalpwb.instances import FormatError, InvariantViolation, TreeDecomposition, ceil_log2
 from xalpwb.reductions import REDUCTION_NAMES, REDUCTIONS
 from xalpwb.verify import (
     CONTRACTS,
@@ -271,15 +273,28 @@ def test_chain_trial_validates_each_decomposition_once(monkeypatch):
         assert eliminations == (expect if dp_runs else [])
 
 
-@pytest.mark.parametrize("name, validations", [("is-vc", 0), ("tcmis-listcol", 1)])
-def test_only_foreign_witnesses_are_revalidated(monkeypatch, name, validations):
-    # a witness that is the target's own decomposition was validated with it
-    calls = _count_validations(monkeypatch, oracles)
+@pytest.mark.parametrize("name", ["is-vc", "tcmis-listcol", "listcol-precol"])
+def test_each_witness_is_validated_once_when_its_target_is_built(monkeypatch, name):
+    from xalpwb import instances
+
     source = generate_instance(CONTRACTS[name].sources[0], None, seed=1)
+    calls = _count_validations(monkeypatch, instances, oracles)
+    real_reduce, arts, at_build = REDUCTIONS[name], [], []
+
+    def reduce(src):
+        arts.append(real_reduce(src))
+        at_build.extend(calls)
+        return arts[-1]
+
+    monkeypatch.setitem(REDUCTIONS, name, reduce)
     outcome = run_trial(name, source)
     assert outcome.status == "agree"
-    assert len(calls) == validations
-    assert any(note.startswith(("witness-width", "listcol-width")) for note in outcome.notes)
+    # one validation, by the target's constructor, and none by the trial
+    witness = arts[0].witness
+    assert witness is arts[0].target.decomposition
+    assert [dec is witness for dec in at_build] == [True]
+    assert len(calls) == 1
+    assert f"witness-width {arts[0].target.width}" in outcome.notes
 
 
 def test_logtw_lift_checks_never_skip():
@@ -400,23 +415,26 @@ def _widened(dec: TreeDecomposition, vertices, width: int) -> TreeDecomposition:
     return TreeDecomposition(tree=dec.tree, bags={i: b | extra for i, b in dec.bags.items()})
 
 
-@pytest.mark.parametrize("name", ["vc-rbds", "rbds-ds"])
+@pytest.mark.parametrize("name", ["listcol-precol", "vc-rbds", "rbds-ds"])
 def test_witness_grown_by_two_is_a_disagreement(monkeypatch, name):
-    # both reductions declare width+<=1; a source of width at most 1 shows
+    # these reductions declare width+<=1; a source of width at most 1 shows
     # that the bound is the source width plus one, with no floor
     real_reduce = REDUCTIONS[name]
 
     def grown(src):
         art = real_reduce(src)
-        art.witness = _widened(art.witness, art.target.graph.vertices(),
-                               src.decomposition.width() + 2)
+        target = art.target
+        dec = _widened(target.decomposition, target.graph.vertices(), src.width + 2)
+        fields = {"decomposition": dec}
+        if hasattr(target, "k"):  # a log-treewidth target's k' follows its width
+            fields["k"] = max(-(-dec.width() // ceil_log2(target.graph.n)), 1)
+        art.target = dataclasses.replace(target, **fields)
         return art
 
     source = next(
         s for s in (generate_instance(CONTRACTS[name].sources[0], None, seed=t)
                     for t in range(100))
-        if s.decomposition.width() <= 1
-        and grown(s).witness.width() == s.decomposition.width() + 2)
+        if s.width <= 1 and grown(s).target.width == s.width + 2)
     before = source.decomposition.width()
     assert run_trial(name, source).status == "agree"
     monkeypatch.setitem(REDUCTIONS, name, grown)
@@ -431,8 +449,6 @@ def test_witness_grown_by_two_is_a_disagreement(monkeypatch, name):
 
 def _with(monkeypatch, family: str, **fields):
     """Replace fields of one FAMILIES entry for the test."""
-    import dataclasses
-
     monkeypatch.setitem(verify.FAMILIES, family,
                         dataclasses.replace(verify.FAMILIES[family], **fields))
 
