@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import oracles, verify
@@ -31,6 +32,13 @@ _SOLVERS = tuple(dict.fromkeys(name for f in _PROBLEMS.values() for name in f.so
 
 class UsageError(XalpwbError):
     pass
+
+
+def _cap(text: str) -> int:
+    """An oracle cap: an integer >= 0, written in decimal digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return int(text)
 
 
 def _read(path: str) -> str:
@@ -173,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--threshold", type=int)
     p.add_argument("--solver", choices=_SOLVERS, default="brute")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=_cap)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="cross-validate reductions or machines")
@@ -182,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machines")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=_cap)
     p.add_argument("--report")
     p.add_argument("--budget-steps", type=int, default=CORPUS_BUDGET.time_steps)
     p.add_argument("--budget-tree", type=int, default=CORPUS_BUDGET.tree_size)
@@ -209,6 +217,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    env = os.environ.get("XALPWB_CAP")
+    if env:  # oracles.resolve_cap reads it; an empty value counts as unset
+        try:
+            _cap(env)
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: XALPWB_CAP {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except CapExceeded as exc:

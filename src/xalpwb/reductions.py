@@ -12,7 +12,6 @@ k' are measured on the source and the target.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -542,46 +541,21 @@ def reduce_partitioned_to_general_cnf(instance: TreeChainedCnf) -> ReductionArti
 # ==================================== independent set at logarithmic width
 
 
-@functools.cache  # a few (ell, pos) pairs, met once per gadget per lift
-def _ladder_completion(ell: int, pos: int | None) -> tuple[tuple, int]:
-    """Best choice of path vertices of one clause gadget given that literal
-    vertex pos (or none) is in the independent set.
+def _clause_completion(ell: int, pos: int | None) -> list[tuple[str, int]]:
+    """Path vertices of one clause gadget of even length ell, tagged ("p", t)
+    for t in 0..ell+1 and ("pp", t) for t in 1..ell, that complete the
+    literal vertex at column pos to an independent set of ell + 2.
 
-    Vertices are tagged ("p", t) for t in 0..ell+1 and ("pp", t) for t in
-    1..ell; returns (chosen tags, count).  Exact DP over the ladder columns,
-    state = (p_t chosen, p'_t chosen)."""
-    best: dict[tuple[int, int], tuple[int, tuple]] = {
-        (0, 0): (0, ()),
-        (1, 0): (1, (("p", 0),)),
-    }
-    for t in range(1, ell + 2):
-        has_pp_col = 1 <= t <= ell
-        nxt: dict[tuple[int, int], tuple[int, tuple]] = {}
-        for p_in in (0, 1):
-            for pp_in in (0, 1):
-                if pp_in and not has_pp_col:
-                    continue
-                if p_in and pp_in:
-                    continue  # rung edge p_t -- p'_t
-                if pos is not None and t == pos and (p_in or pp_in):
-                    continue  # both are neighbors of the chosen literal vertex
-                tags: tuple = ()
-                if p_in:
-                    tags += (("p", t),)
-                if pp_in:
-                    tags += (("pp", t),)
-                for (p_prev, pp_prev), (val, chosen) in best.items():
-                    if p_in and p_prev:
-                        continue  # path edge p_{t-1} -- p_t
-                    if pp_in and pp_prev:
-                        continue  # path edge p'_{t-1} -- p'_t
-                    cand = (val + len(tags), chosen + tags)
-                    cur = nxt.get((p_in, pp_in))
-                    if cur is None or cand[0] > cur[0]:
-                        nxt[(p_in, pp_in)] = cand
-        best = nxt
-    val, chosen = max(best.values(), key=lambda it: it[0])
-    return chosen, val
+    Each column t other than pos takes p_t when t is even and left of pos or
+    odd and right of pos, else p'_t; p_0 and p_ell+1 are always free then.
+    Without a true literal (pos None) the left pattern runs through column
+    ell, which leaves p_ell+1 out: ell + 1 vertices, one short."""
+    edge = ell + 1 if pos is None else pos
+    tags = [("p", 0)] + [("p" if (t % 2 == 0) == (t < edge) else "pp", t)
+                         for t in range(1, ell + 1) if t != pos]
+    if pos is not None:
+        tags.append(("p", ell + 1))
+    return tags
 
 
 def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
@@ -724,10 +698,9 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
                 if lit is not None and lit in true_vars:
                     pos = t
                     break
-            tags, count = _ladder_completion(g["ell"], pos)
             if pos is not None:
                 chosen.add(g["lit_vertex"][pos])
-            for kind, t in tags:
+            for kind, t in _clause_completion(g["ell"], pos):
                 chosen.add(g["p"][t] if kind == "p" else g["pp"][t])
         return frozenset(chosen)
 

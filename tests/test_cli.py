@@ -229,6 +229,34 @@ def test_solve_cap_exit_3(workdir, capsys):
                  "--cap", "2"]) == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_a_malformed_cap_variable_exits_2_naming_it(workdir, capsys, monkeypatch, value):
+    _write_instance("g.logtw", "logtw-is", seed=3)
+    monkeypatch.setenv("XALPWB_CAP", value)
+    for argv in (["verify", "--reduction", "is-vc", "--trials", "2"],
+                 ["solve", "--problem", "is", "-i", "g.logtw"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"XALPWB_CAP must be an integer >= 0, not {value!r}" in err
+
+
+def test_a_cap_variable_of_digits_is_used(workdir, capsys, monkeypatch):
+    _write_instance("g.logtw", "logtw-is", seed=3)
+    monkeypatch.setenv("XALPWB_CAP", "2")
+    assert main(["solve", "--problem", "is", "-i", "g.logtw"]) == 3
+    monkeypatch.setenv("XALPWB_CAP", "")
+    assert main(["solve", "--problem", "is", "-i", "g.logtw"]) == 0
+
+
+@pytest.mark.parametrize("command", [["verify", "--reduction", "is-vc", "--trials", "2"],
+                                     ["solve", "--problem", "is", "-i", "g.logtw"]])
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_cap_flag_takes_only_integers_at_least_0(workdir, capsys, command, value):
+    _write_instance("g.logtw", "logtw-is", seed=3)
+    assert main([*command, "--cap", value]) == 2
+    assert f"--cap: must be an integer >= 0, not {value!r}" in capsys.readouterr().err
+
+
 def test_verify_reduction_exit_0(workdir, capsys):
     assert main(["verify", "--reduction", "is-vc", "--trials", "15",
                  "--seed", "7", "--report", "rep.txt"]) == 0

@@ -9,7 +9,7 @@ import pytest
 from xalpwb import verify
 from xalpwb.cli import main
 from xalpwb.formats import serialize_instance
-from xalpwb.instances import InvariantViolation, TreeDecomposition
+from xalpwb.instances import InvariantViolation, OrderedTree, TreeChainedCnf, TreeDecomposition
 from xalpwb.oracles import validate_decomposition
 from xalpwb.reductions import REDUCTIONS, reduce_listcoloring_to_precoloring
 from xalpwb.verify import (
@@ -171,8 +171,21 @@ MUTANTS = {
 NOT_APPLICABLE = {(name, "witness-bag") for name in (
     "atm-tcmc", "tcmc-tcmis", "tcmis-negcnf", "negcnf-poscnf", "part-gencnf")}
 
-# Open: 50 seeded trials do not tell this mutant from the reduction, and no
-# argument shows that it is equivalent to it.
+# What 50 generated trials miss.  The poscnf-logtwis target numbers the
+# bit pairs first, so its least edge is the first bit pair of the first cell
+# that has one, or, when no cell has two variables, the first clause's
+# p_0--p_1 edge.
+# - A bit pair: removing it keeps every verdict.  A set holding both of its
+#   ends blocks every literal vertex of that cell, so the cell's
+#   normalization gadget loses the vertex the pair gained, and positive
+#   clauses satisfied without that cell stay satisfied when the cell takes
+#   any variable.
+# - No bit pair: every cell holds one variable, which is true, so every
+#   nonempty positive clause is satisfied.  Only an empty clause makes the
+#   source unsatisfiable, and the generator never draws one;
+#   test_target_edge_mutant_is_caught_on_an_empty_clause builds it.
+# Of the generated sources at seeds 0-799, 683 have a bit pair and 117 do
+# not; the mutant changed no trial's outcome on any of them.
 SURVIVORS = {("poscnf-logtwis", "target-edge")}
 
 
@@ -194,3 +207,25 @@ def test_generic_mutants_are_caught(monkeypatch):
         monkeypatch.setitem(REDUCTIONS, name, reduce)
     assert {key for key, o in outcomes.items() if o == "not applicable"} == NOT_APPLICABLE
     assert {key for key, o in outcomes.items() if o == "survived"} == SURVIVORS
+
+
+def test_target_edge_mutant_is_caught_on_an_empty_clause(monkeypatch):
+    # two singleton cells give no bit pair, so the least edge is the empty
+    # clause's p_0--p_1 edge; the unsatisfiable source meets a target that
+    # the mutant makes solvable
+    source = TreeChainedCnf(tree=OrderedTree(n=1), variable_sets={1: frozenset({1, 2})},
+                            clauses=((),), variant="positive-partitioned", k=2,
+                            partition={(1, 1): frozenset({1}), (1, 2): frozenset({2})})
+    assert run_trial("poscnf-logtwis", source).status == "agree"
+    real = REDUCTIONS["poscnf-logtwis"]
+    hit = []
+
+    def mutated(source):
+        art = real(source)
+        _target_loses_first_edge(art, hit)
+        return art
+
+    monkeypatch.setitem(REDUCTIONS, "poscnf-logtwis", mutated)
+    outcome = run_trial("poscnf-logtwis", source)
+    assert hit == ["edge"]
+    assert (outcome.status, outcome.detail) == ("disagree", "source False target True")

@@ -31,6 +31,7 @@ from xalpwb.oracles import (
     solve_tcmc_bruteforce,
 )
 from xalpwb.reductions import (
+    _clause_completion,
     complement_tcmc_to_tcmis,
     reduce_atm_to_tcmc,
     reduce_is_to_vc,
@@ -44,7 +45,7 @@ from xalpwb.reductions import (
     reduce_vc_to_rbds,
 )
 from xalpwb.machines import AtmInstance, shaped_run
-from xalpwb.verify import generate_instance
+from xalpwb.verify import FAMILIES, generate_instance
 
 BIGCAP = 1 << 44
 
@@ -293,36 +294,26 @@ def test_gencnf_equisatisfiable():
 
 
 def isolated_clause_gadget(ell):
-    """Build just one clause gadget (no variable-gadget edges) by reducing a
-    formula with one cell of 2^0-sized... simpler: construct directly."""
-    edges = set()
-    nxt = 1
-    p = {}
-    pp = {}
-    v = {}
-    for t in range(0, ell + 2):
-        p[t] = nxt
-        nxt += 1
-    for t in range(1, ell + 1):
-        pp[t] = nxt
-        nxt += 1
-    for t in range(1, ell + 1):
-        v[t] = nxt
-        nxt += 1
-    for t in range(0, ell + 1):
-        edges.add((min(p[t], p[t + 1]), max(p[t], p[t + 1])))
-    for t in range(1, ell):
-        edges.add((min(pp[t], pp[t + 1]), max(pp[t], pp[t + 1])))
-    for t in range(1, ell + 1):
-        edges.add((min(p[t], pp[t]), max(p[t], pp[t])))
-        edges.add((min(v[t], p[t]), max(v[t], p[t])))
-        edges.add((min(v[t], pp[t]), max(v[t], pp[t])))
-    return Graph(n=nxt - 1, edges=frozenset(edges)), set(v.values())
+    """One clause gadget of length ell with a literal vertex at every column
+    and no variable-gadget edges: its graph and the vertex ids of ("p", t),
+    ("pp", t) and ("v", t), numbered as the reduction numbers them."""
+    ids = {}
+    for kind, columns in (("p", range(0, ell + 2)), ("pp", range(1, ell + 1)),
+                          ("v", range(1, ell + 1))):
+        for t in columns:
+            ids[kind, t] = len(ids) + 1
+    pairs = [(("p", t), ("p", t + 1)) for t in range(0, ell + 1)]
+    pairs += [(("pp", t), ("pp", t + 1)) for t in range(1, ell)]
+    pairs += [(a, (b, t)) for t in range(1, ell + 1)
+              for a, b in ((("p", t), "pp"), (("v", t), "p"), (("v", t), "pp"))]
+    edges = frozenset(tuple(sorted((ids[a], ids[b]))) for a, b in pairs)
+    return Graph(n=len(ids), edges=edges), ids
 
 
 @pytest.mark.parametrize("ell", [2, 4, 6])
 def test_clause_gadget_law(ell):
-    graph, lit_vertices = isolated_clause_gadget(ell)
+    graph, ids = isolated_clause_gadget(ell)
+    lit_vertices = {ids["v", t] for t in range(1, ell + 1)}
     best_with = 0
     best_without = 0
     for mask in independent_sets(graph):
@@ -333,6 +324,32 @@ def test_clause_gadget_law(ell):
             best_without = max(best_without, len(s))
     assert best_with == ell + 2
     assert best_without <= ell + 1
+
+
+@pytest.mark.parametrize("ell", [2, 4, 6, 8, 10])
+def test_clause_completion_law(ell):
+    graph, ids = isolated_clause_gadget(ell)
+    for pos in range(1, ell + 1):
+        chosen = {ids[tag] for tag in _clause_completion(ell, pos)} | {ids["v", pos]}
+        assert len(chosen) == ell + 2, pos
+        assert check_subset_solution(graph, "is", frozenset(chosen)), pos
+    # no true literal: p_0 and the left pattern through column ell
+    tags = _clause_completion(ell, None)
+    assert tags == [("p", 0)] + [("p" if t % 2 == 0 else "pp", t) for t in range(1, ell + 1)]
+    assert check_subset_solution(graph, "is", frozenset(ids[tag] for tag in tags))
+
+
+def test_forward_of_an_unsatisfying_assignment_is_rejected():
+    # variable 1 is the cell's pick, so clause (2,) has no true literal
+    inst = TreeChainedCnf(tree=OrderedTree(n=1), variable_sets={1: frozenset({1, 2})},
+                          clauses=((2,),), variant="positive-partitioned", k=1,
+                          partition={(1, 1): frozenset({1, 2})})
+    art = reduce_poscnf_to_logtw_is(inst)
+    lifted = art.lift.forward(frozenset({1}))
+    assert check_subset_solution(art.target.graph, "is", lifted)
+    assert len(lifted) == art.target.target_weight - 1
+    assert not FAMILIES["logtw-is"].check(art.target, lifted)
+    assert FAMILIES["logtw-is"].check(art.target, art.lift.forward(frozenset({2})))
 
 
 def test_logtw_smallest_end_to_end():
