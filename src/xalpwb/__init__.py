@@ -4,6 +4,7 @@ oracles certifying every construction on desk-scale instances."""
 
 from .instances import (
     CapExceeded,
+    CapSettingError,
     DecompositionCheck,
     FormatError,
     Graph,
@@ -37,6 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "CapExceeded",
+    "CapSettingError",
     "DecompositionCheck",
     "FormatError",
     "Graph",

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import oracles, verify
 from .corpus import CORPUS_BUDGET, load_corpus
 from .formats import parse_instance, serialize_instance
-from .instances import CapExceeded, ResourceBudget, XalpwbError
+from .instances import CapExceeded, CapSettingError, ResourceBudget, XalpwbError
 from .machines import EVALUATORS, shaped_run
 from .reductions import REDUCTION_NAMES, REDUCTIONS
 
@@ -25,7 +24,8 @@ EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-# --problem name -> its family entry; the three CNF families share one
+# --problem name -> its family entry; the three CNF families share the name
+# and differ only in how trials draw them
 _PROBLEMS = {f.problem: f for f in verify.FAMILIES.values() if f.problem}
 _SOLVERS = tuple(dict.fromkeys(name for f in _PROBLEMS.values() for name in f.solvers))
 
@@ -35,10 +35,11 @@ class UsageError(XalpwbError):
 
 
 def _cap(text: str) -> int:
-    """An oracle cap: an integer >= 0, written in decimal digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
-    return int(text)
+    """An oracle cap read by oracles.parse_cap, as argparse reports it."""
+    try:
+        return oracles.parse_cap(text)
+    except CapSettingError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read(path: str) -> str:
@@ -217,14 +218,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    env = os.environ.get("XALPWB_CAP")
-    if env:  # oracles.resolve_cap reads it; an empty value counts as unset
-        try:
-            _cap(env)
-        except argparse.ArgumentTypeError as exc:
-            print(f"error: XALPWB_CAP {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        oracles.resolve_cap()  # a malformed XALPWB_CAP fails every command
         return args.func(args)
     except CapExceeded as exc:
         print(f"oracle cap: {exc}", file=sys.stderr)

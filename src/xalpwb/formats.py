@@ -311,7 +311,6 @@ def _parse_cnf(recs) -> TreeChainedCnf:
     var_names: dict[int, str] = {}
     id_of: dict[str, int] = {}
     partition: dict[tuple[int, int], set[int]] = {}
-    any_slot = False
     for idx, (lineno, node, name, slot) in enumerate(var_recs, start=1):
         if name in id_of:
             raise FormatError(f"duplicate variable name {name!r}", lineno)
@@ -323,7 +322,6 @@ def _parse_cnf(recs) -> TreeChainedCnf:
             raise FormatError(f"variable {name!r} on unknown tree node {node}", lineno)
         variable_sets[node].add(idx)
         if slot is not None:
-            any_slot = True
             partition.setdefault((node, slot), set()).add(idx)
     clauses = []
     for lineno, lits in clause_recs:
@@ -336,12 +334,12 @@ def _parse_cnf(recs) -> TreeChainedCnf:
             clause.append(-id_of[name] if neg else id_of[name])
         clauses.append(tuple(clause))
     part = None
-    if any_slot:
+    if variant != "general" or partition:
+        # a cell without a var record is empty
         part = {key: frozenset(vs) for key, vs in partition.items()}
-        if k is not None:
-            for i in tree.nodes():
-                for j in range(1, k + 1):
-                    part.setdefault((i, j), frozenset())
+        for i in tree.nodes():
+            for j in range(1, k + 1):
+                part.setdefault((i, j), frozenset())
     return TreeChainedCnf(
         tree=tree,
         variable_sets={i: frozenset(vs) for i, vs in variable_sets.items()},
@@ -360,7 +358,7 @@ def _listcol_lines(inst: ListColoringInstance) -> list[str]:
     lines.append("palette " + " ".join(str(c) for c in sorted(inst.palette)))
     for v in sorted(inst.lists):
         cs = " ".join(str(c) for c in sorted(inst.lists[v]))
-        lines.append(f"list {v} {cs}")
+        lines.append(f"list {v} {cs}".rstrip())
     for v in sorted(inst.precolored):
         lines.append(f"pre {v} {inst.precolored[v]}")
     if inst.decomposition is not None:
@@ -379,8 +377,8 @@ def _parse_listcol(recs) -> ListColoringInstance:
         if toks[0] == "palette":
             palette = frozenset(_int(c, lineno, "palette color") for c in toks[1:])
         elif toks[0] == "list":
-            if len(toks) < 3:
-                raise FormatError("expected 'list <v> <c...>'", lineno)
+            if len(toks) < 2:
+                raise FormatError("expected 'list <v> [<c>...]'", lineno)
             v = _int(toks[1], lineno, "list vertex")
             if v in lists:
                 raise FormatError(f"duplicate list for vertex {v}", lineno)

@@ -39,6 +39,11 @@ class CapExceeded(XalpwbError):
     """An oracle refused an instance that is too large for exhaustive search."""
 
 
+class CapSettingError(XalpwbError):
+    """An oracle cap given as text (the XALPWB_CAP environment variable, or
+    the CLI's --cap) that is not an integer >= 0 in decimal digits."""
+
+
 def ceil_log2(n: int) -> int:
     """ceil(log2(n)) with the convention ceil_log2(1) = 1 so that k*log(n)
     width checks never degenerate to zero on tiny instances."""
@@ -506,8 +511,6 @@ class TreeChainedCnf:
             union: set[int] = set()
             for j in range(1, self.k + 1):
                 cell = cells[(i, j)]
-                if not cell:
-                    raise InvariantViolation(f"partition cell {(i, j)} is empty")
                 if union & cell:
                     raise InvariantViolation(f"partition cells overlap at node {i}")
                 union |= cell
@@ -542,8 +545,6 @@ class ListColoringInstance(_Decomposed):
         if set(lists) != set(self.graph.vertices()):
             raise InvariantViolation("every vertex needs a color list")
         for v in sorted(lists):
-            if not lists[v]:
-                raise InvariantViolation(f"empty list at vertex {v}")
             if not lists[v] <= palette:
                 raise InvariantViolation(f"list of vertex {v} leaves the palette")
         for v, c in sorted(self.precolored.items()):

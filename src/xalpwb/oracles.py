@@ -13,8 +13,11 @@ The four subset problems are described once, on vertex masks, in
 SUBSET_PROBLEMS, which the subset checker, enumeration and DP all read.
 
 Every solver enforces its size cap before its exponential work and raises
-CapExceeded past it.  Solutions returned always satisfy the instance's own
-constraints; callers can re-validate with the check_* helpers.
+CapExceeded past it.  An exhaustive decider answers "no" before its cap
+guard when a choice set is empty: a tcmc class, a CNF cell or clause, or
+the colours left to a free list coloring vertex.  Solutions returned always
+satisfy the instance's own constraints; callers can re-validate with the
+check_* helpers.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
 from .instances import (
     CapExceeded,
+    CapSettingError,
     Graph,
     InvariantViolation,
     ListColoringInstance,
@@ -44,13 +49,26 @@ DEFAULT_CAP = 1 << 20
 TCMC_MODES = ("clique", "independent-set")
 
 
+def parse_cap(text: str) -> int:
+    """An oracle cap written as text: decimal digits, an integer >= 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise CapSettingError(f"must be an integer >= 0, not {text!r}")
+    return int(text)
+
+
 def resolve_cap(cap: int | None = None) -> int:
+    """The cap itself when given, else XALPWB_CAP read by parse_cap (an
+    empty value counts as unset), else DEFAULT_CAP.  A malformed XALPWB_CAP
+    raises CapSettingError naming it."""
     if cap is not None:
         return cap
     env = os.environ.get("XALPWB_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return parse_cap(env)
+    except CapSettingError as exc:
+        raise CapSettingError(f"XALPWB_CAP {exc}") from None
 
 
 def _guard(size: int, cap: int | None, what: str):
@@ -131,12 +149,9 @@ def solve_tcmc_bruteforce(instance: TcmcInstance, mode: str = "clique",
         raise InvariantViolation(f"unknown tcmc mode {mode!r}")
     keys = [(i, j) for i in instance.tree.preorder()
             for j in range(1, instance.k + 1)]
-    space = 1
-    for key in keys:
-        space *= max(len(instance.classes[key]), 1)
-    _guard(space, cap, "class choice space")
     if any(not instance.classes[key] for key in keys):
         return False, None
+    _guard(math.prod(len(instance.classes[key]) for key in keys), cap, "class choice space")
     index = {key: pos for pos, key in enumerate(keys)}
     earlier: dict[tuple[int, int], list[tuple[int, int]]] = {key: [] for key in keys}
     for a, b in instance.constrained_pairs():
@@ -250,23 +265,18 @@ def solve_cnf_bruteforce(instance: TreeChainedCnf, cap: int | None = None):
     Returns (satisfiable, frozenset of true variables or None)."""
     if instance.variant == "general":
         groups = []
-        space = 1
         for i in sorted(instance.variable_sets):
             xs = sorted(instance.variable_sets[i])
             opts = []
             for r in range(0, min(instance.k, len(xs)) + 1):
                 opts.extend(_mask(part) for part in itertools.combinations(xs, r))
             groups.append(opts)
-            space *= max(len(opts), 1)
-        _guard(space, cap, "assignment space")
     else:
-        assert instance.partition is not None
-        cells = sorted(instance.partition)
-        space = 1
-        for cell in cells:
-            space *= max(len(instance.partition[cell]), 1)
-        _guard(space, cap, "assignment space")
-        groups = [[1 << x for x in sorted(instance.partition[cell])] for cell in cells]
+        groups = [[1 << x for x in sorted(instance.partition[cell])]
+                  for cell in sorted(instance.partition)]
+    if not all(groups) or not all(instance.clauses):
+        return False, None
+    _guard(math.prod(map(len, groups)), cap, "assignment space")
     # the groups' variables are disjoint, so a sum is their union
     found = _first_satisfying(map(sum, itertools.product(*groups)), instance.clauses)
     if found is None:
@@ -293,19 +303,17 @@ def solve_listcoloring(instance: ListColoringInstance, cap: int | None = None):
 
     Precolored vertices are assigned first (they never branch), so the cap
     is the product over free vertices of the colors that survive their
-    precolored neighborhood."""
+    precolored neighborhood; a free vertex with none left answers "no"
+    before the cap is read."""
     adj = instance.graph.adjacency()
     forced = sorted(instance.precolored)
     free = sorted(v for v in instance.graph.vertices() if v not in instance.precolored)
-    options: dict[int, list[int]] = {}
-    space = 1
-    for v in free:
-        avail = sorted(
-            c for c in instance.effective_list(v)
-            if all(instance.precolored.get(u) != c for u in adj[v]))
-        options[v] = avail
-        space *= max(len(avail), 1)
-    _guard(space, cap, "coloring space")
+    options = {v: sorted(c for c in instance.effective_list(v)
+                         if all(instance.precolored.get(u) != c for u in adj[v]))
+               for v in free}
+    if not all(options.values()):
+        return False, None
+    _guard(math.prod(map(len, options.values())), cap, "coloring space")
     coloring: dict[int, int] = {v: instance.precolored[v] for v in forced}
     for u, w in instance.graph.edges:
         if u in coloring and w in coloring and coloring[u] == coloring[w]:

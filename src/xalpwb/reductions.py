@@ -77,12 +77,6 @@ def _grow_decomposition(tree: OrderedTree, bags: dict[int, frozenset[int]],
     return TreeDecomposition(tree=grown, bags=bags)
 
 
-def _require_nonempty_classes(instance: TcmcInstance, what: str):
-    for key in sorted(instance.classes):
-        if not instance.classes[key]:
-            raise DomainError(f"{what} requires nonempty classes, {key} is empty")
-
-
 # ==================================== shaped machine acceptance to cliques
 
 
@@ -338,7 +332,6 @@ def reduce_tcmis_to_listcoloring(instance: TcmcInstance) -> ReductionArtifact:
     """One class vertex per (node, color) with its class as color list, one
     degree-2 conflict vertex per source edge; colorable iff a tree-chained
     multicolor independent set exists.  Emits the 2k-1 width witness."""
-    _require_nonempty_classes(instance, "tcmis-listcol")
     keys = sorted(instance.classes)
     class_vertex = {key: idx for idx, key in enumerate(keys, start=1)}
     nxt = len(keys) + 1
@@ -456,7 +449,6 @@ def reduce_tcmis_to_negcnf(instance: TcmcInstance) -> ReductionArtifact:
     """One variable per vertex, cells mirroring the classes, one all-negative
     clause per edge; satisfiable under exactly-one-per-cell iff a
     tree-chained multicolor independent set exists."""
-    _require_nonempty_classes(instance, "tcmis-negcnf")
     variable_sets = {
         i: frozenset(v for j in range(1, instance.k + 1)
                      for v in instance.classes[(i, j)])
@@ -570,9 +562,6 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
     if instance.variant != "positive-partitioned":
         raise DomainError("poscnf-logtwis needs a positive-partitioned instance")
     assert instance.partition is not None
-    for key in sorted(instance.partition):
-        if not instance.partition[key]:
-            raise DomainError(f"cell {key} is empty")
 
     cell_keys = sorted(instance.partition)
     cell_vars = {key: sorted(instance.partition[key]) for key in cell_keys}

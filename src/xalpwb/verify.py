@@ -1,8 +1,8 @@
 """Randomized small-instance generators and the cross-validation harness
 certifying every reduction and evaluator-equivalence claim.
 
-Each problem family's format, exact oracle, solution checker and CLI
-solvers sit in one registry, FAMILIES, which the CLI reads too; the atm
+Each problem family's format, exact oracle, solution checker, CLI solvers
+and generator sit in one registry, FAMILIES, which the CLI reads too; the atm
 source of atm-tcmc is one more family, decided by its shaped run.  Each
 reduction trial solves its source and its target once; the verdicts are
 compared and the solutions they come with are carried across the reduction
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,6 +69,7 @@ from .reductions import (
 )
 
 SKIP_BUDGET = 0.2  # reports fail past this fraction of skipped trials
+RATIO_C = 8  # an accepted stack run's stackalt tree stays within C*(steps+1) nodes
 
 
 @dataclass
@@ -118,21 +120,6 @@ class VerificationReport:
 
 
 # ------------------------------------------------------------- generators
-
-_DEFAULT_PROFILES = {
-    "graph": {"n": 6, "edge_prob": 0.35},
-    "tcmc": {"tree_nodes": 3, "k": 2, "max_class": 2, "max_edges": 12},
-    "tcmis": {"tree_nodes": 3, "k": 2, "max_class": 2, "max_edges": 12},
-    "listcol": {"n": 5, "palette": 4, "edge_prob": 0.4},
-    "negcnf": {"tree_nodes": 3, "k": 2, "max_cell": 2, "clauses": 5},
-    "poscnf": {"tree_nodes": 2, "k": 2, "max_cell": 2, "clauses": 4},
-    "logtw-is": {"tree_nodes": 3, "n": 7, "max_bag": 4},
-    "logtw-vc": {"tree_nodes": 3, "n": 7, "max_bag": 4},
-    "logtw-rbds": {"tree_nodes": 2, "n": 5, "max_bag": 3},
-    "atm": {"states": 3, "shape_nodes": 4, "min_shape_nodes": 1,
-            "input_len": 2, "blocks": 2, "beta": 1},
-}
-
 
 def _rng_for(family: str, profile: dict, seed: int) -> random.Random:
     key = f"{family}|{seed}|" + ",".join(f"{k}={profile[k]}" for k in sorted(profile))
@@ -262,6 +249,11 @@ def _generate_logtw(rng: random.Random, profile: dict, problem: str) -> LogTwGra
                               target_weight=target, k=k, problem=problem)
 
 
+def _generate_logtw_rbds(rng: random.Random, profile: dict) -> LogTwGraphInstance:
+    # through this module's reduce_vc_to_rbds, which a tracer may rebind
+    return reduce_vc_to_rbds(_generate_logtw(rng, profile, "vc")).target
+
+
 def _generate_atm(rng: random.Random, profile: dict) -> AtmInstance:
     """A small stack-free machine plus shape tree, input, and block layout.
 
@@ -315,36 +307,14 @@ def _generate_atm(rng: random.Random, profile: dict) -> AtmInstance:
 
 
 def generate_instance(family: str, size_profile: dict | None = None, seed: int = 0):
-    """Deterministic random instance of the family; profiles are merged over
-    per-family defaults and biased toward boundary structures."""
-    if family not in _DEFAULT_PROFILES:
+    """Deterministic random instance of the family, drawn by its FAMILIES
+    entry; profiles are merged over the entry's default profile and biased
+    toward boundary structures."""
+    entry = FAMILIES.get(family)
+    if entry is None or entry.generate is None:
         raise InvariantViolation(f"unknown generator family {family!r}")
-    profile = dict(_DEFAULT_PROFILES[family])
-    profile.update(size_profile or {})
-    rng = _rng_for(family, profile, seed)
-    if family == "graph":
-        n = rng.randint(1, profile["n"])
-        edges = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-                 if rng.random() < profile["edge_prob"]}
-        return Graph(n=n, edges=frozenset(edges))
-    if family in ("tcmc", "tcmis"):
-        return _generate_tcmc(rng, profile)
-    if family == "listcol":
-        return _generate_listcol(rng, profile)
-    if family == "negcnf":
-        return _generate_cnf(rng, profile, "negative-partitioned")
-    if family == "poscnf":
-        return _generate_cnf(rng, profile, "positive-partitioned")
-    if family == "logtw-is":
-        return _generate_logtw(rng, profile, "is")
-    if family == "logtw-vc":
-        return _generate_logtw(rng, profile, "vc")
-    if family == "logtw-rbds":
-        vc = _generate_logtw(rng, profile, "vc")
-        return reduce_vc_to_rbds(vc).target
-    if family == "atm":
-        return _generate_atm(rng, profile)
-    raise AssertionError(family)
+    profile = {**entry.profile, **(size_profile or {})}
+    return entry.generate(_rng_for(family, profile, seed), profile)
 
 
 # ------------------------------------------------------- family registry
@@ -355,7 +325,10 @@ class Family:
     """One problem family: its CLI --problem name (None when the CLI does not
     solve it), its parse_instance format tag, the exact oracle verify
     decides it by, its solution checker, the CLI solvers, and
-    parameter(instance), which measures the instance's parameter.
+    parameter(instance), which measures the instance's parameter.  A family
+    that trials draw sources from has generate(rng, profile), which draws one
+    from a random.Random and its default profile updated by the caller's;
+    the others have None.
 
     decide(instance, cap, witness) and every solver(instance, cap,
     threshold) return (solvable, solution or None).  witness=False lets the
@@ -375,6 +348,12 @@ class Family:
     check: Callable
     solvers: dict[str, Callable] = field(default_factory=dict)
     parameter: Callable = lambda instance: instance.k
+    generate: Callable | None = None
+    profile: dict = field(default_factory=dict)
+
+
+_TCMC_PROFILE = {"tree_nodes": 3, "k": 2, "max_class": 2, "max_edges": 12}
+_LOGTW_PROFILE = {"tree_nodes": 3, "n": 7, "max_bag": 4}
 
 
 def _tcmc_family(problem: str, mode: str) -> Family:
@@ -388,10 +367,11 @@ def _tcmc_family(problem: str, mode: str) -> Family:
         lambda instance, choice: oracles.check_tcmc_solution(instance, mode, choice),
         {"brute": lambda instance, cap, threshold:
             oracles.solve_tcmc_bruteforce(instance, mode, cap=cap),
-         "traversal": lambda instance, cap, threshold: decide(instance, cap)})
+         "traversal": lambda instance, cap, threshold: decide(instance, cap)},
+        generate=_generate_tcmc, profile=_TCMC_PROFILE)
 
 
-def _logtw_family(problem: str) -> Family:
+def _logtw_family(problem: str, **draw) -> Family:
     def treedp(instance, cap, threshold, witness=True, on=None):
         best, solution = oracles.optimum_treedp(instance, problem, cap=cap,
                                                 witness=witness, on=on)
@@ -415,7 +395,7 @@ def _logtw_family(problem: str) -> Family:
         problem, "logtw", decide, check,
         {"brute": lambda instance, cap, threshold:
             oracles.solve_is_ds_vc(instance.graph, problem, threshold, cap=cap),
-         "treedp": treedp})
+         "treedp": treedp}, **draw)
 
 
 def _cnf_decide(instance, cap, witness=True):
@@ -431,27 +411,41 @@ def _atm_decide(instance: AtmInstance, cap, witness=True):
     return run is not None, run
 
 
-_CNF = Family(
-    "cnf", "cnf", _cnf_decide,
-    lambda instance, true_vars: oracles.check_cnf_solution(instance, frozenset(true_vars)),
-    {"brute": lambda instance, cap, threshold: _cnf_decide(instance, cap)})
+def _cnf_family(**draw) -> Family:
+    return Family(
+        "cnf", "cnf", _cnf_decide,
+        lambda instance, true_vars: oracles.check_cnf_solution(instance, frozenset(true_vars)),
+        {"brute": lambda instance, cap, threshold: _cnf_decide(instance, cap)}, **draw)
+
 
 # family name -> Family; the families of every contract in CONTRACTS have
 # an entry
 FAMILIES = {
     "atm": Family(None, "atm", _atm_decide, check_shaped_run,
-                  parameter=lambda instance: instance.blocks),
+                  parameter=lambda instance: instance.blocks, generate=_generate_atm,
+                  profile={"states": 3, "shape_nodes": 4, "min_shape_nodes": 1,
+                           "input_len": 2, "blocks": 2, "beta": 1}),
     "tcmc": _tcmc_family("tcmc", "clique"),
     "tcmis": _tcmc_family("tcmis", "independent-set"),
     "listcol": Family(
         "listcol", "listcol", _listcol_decide,
         lambda instance, coloring: oracles.check_coloring(instance, coloring),
         {"brute": lambda instance, cap, threshold: _listcol_decide(instance, cap)},
-        lambda instance: 0 if instance.width is None else instance.width),
-    "negcnf": _CNF,
-    "poscnf": _CNF,
-    "gencnf": _CNF,
-    **{f"logtw-{p}": _logtw_family(p) for p in ("is", "vc", "rbds", "ds")},
+        lambda instance: 0 if instance.width is None else instance.width,
+        generate=_generate_listcol, profile={"n": 5, "palette": 4, "edge_prob": 0.4}),
+    "negcnf": _cnf_family(
+        generate=functools.partial(_generate_cnf, variant="negative-partitioned"),
+        profile={"tree_nodes": 3, "k": 2, "max_cell": 2, "clauses": 5}),
+    "poscnf": _cnf_family(
+        generate=functools.partial(_generate_cnf, variant="positive-partitioned"),
+        profile={"tree_nodes": 2, "k": 2, "max_cell": 2, "clauses": 4}),
+    "gencnf": _cnf_family(),
+    **{f"logtw-{p}": _logtw_family(
+        p, generate=functools.partial(_generate_logtw, problem=p), profile=_LOGTW_PROFILE)
+       for p in ("is", "vc")},
+    "logtw-rbds": _logtw_family("rbds", generate=_generate_logtw_rbds,
+                                profile={"tree_nodes": 2, "n": 5, "max_bag": 3}),
+    "logtw-ds": _logtw_family("ds"),
 }
 
 
@@ -614,6 +608,7 @@ def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
     contract's parameter rules."""
     reduce, contract = _lookup_reduction(name), CONTRACTS[name]
     src, tgt = FAMILIES[contract.sources[0]], FAMILIES[contract.target]
+    cap = oracles.resolve_cap(cap)  # a malformed XALPWB_CAP raises, never a trial outcome
 
     def trial():
         art = reduce(source)
@@ -716,6 +711,7 @@ def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOu
     the stages' forward lifts; when every stage accepts it, it proves the
     end solvable, and only otherwise does the end's oracle decide."""
     src_family, end_family = check_chain(chain)
+    cap = oracles.resolve_cap(cap)  # a malformed XALPWB_CAP raises, never a trial outcome
 
     def trial():
         artifacts, current = [], source
@@ -755,8 +751,7 @@ def verify_chain(chain: list[str], trials: int, seed: int,
 
 
 def verify_machine_equivalences(corpus: dict[str, MachineSpec],
-                                budget, max_len: int = 6,
-                                ratio_c: int = 8) -> VerificationReport:
+                                budget, max_len: int = 6) -> VerificationReport:
     """Acceptance agreement of all applicable evaluators per corpus machine
     and input, plus the tree-size ratio and co-nondeterministic depth
     assertions."""
@@ -776,8 +771,8 @@ def verify_machine_equivalences(corpus: dict[str, MachineSpec],
                     continue  # the evaluator's guard: not a machine it decides
             problems = []
             st, via = stats.get("stack"), stats.get("stackalt")
-            if st is not None and st.accepted and via.tree_nodes > ratio_c * (st.steps_used + 1):
-                problems.append(f"tree size {via.tree_nodes} > {ratio_c}*steps+{ratio_c}")
+            if st is not None and st.accepted and via.tree_nodes > RATIO_C * (st.steps_used + 1):
+                problems.append(f"tree size {via.tree_nodes} > {RATIO_C}*steps+{RATIO_C}")
             bal = stats.get("balanced")
             if bal is not None and bal.accepted and bal.max_co_nondet_on_path > co_bound:
                 problems.append(f"co-nondet {bal.max_co_nondet_on_path} > {co_bound:.2f}")

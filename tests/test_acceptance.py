@@ -25,7 +25,12 @@ from xalpwb.reductions import (
     reduce_rbds_to_ds,
     reduce_tcmis_to_listcoloring,
 )
-from xalpwb.verify import generate_instance, verify_machine_equivalences, verify_reduction
+from xalpwb.verify import (
+    RATIO_C,
+    generate_instance,
+    verify_machine_equivalences,
+    verify_reduction,
+)
 
 TRIALS = 50
 BIGCAP = 1 << 44
@@ -156,13 +161,12 @@ def test_criterion_6_machine_equivalence_suite():
     required = {"accept_now", "reject_now", "push_pop", "universal_pair",
                 "palindrome"}
     ok = len(corpus) >= 10 and required <= set(corpus)
-    ratio_c = 8
-    rep = verify_machine_equivalences(corpus, CORPUS_BUDGET, max_len=6, ratio_c=ratio_c)
+    rep = verify_machine_equivalences(corpus, CORPUS_BUDGET, max_len=6)
     ok = ok and rep.ok
     report("6 (machine equivalence suite)", ok,
            f"{len(corpus)} machines, {rep.trials} machine/input pairs, "
            f"{len(rep.disagreements)} failing (evaluators disagree, tree-size "
-           f"ratio C={ratio_c} or co-nondet bound 2*log2({CORPUS_BUDGET.tree_size})+4 "
+           f"ratio C={RATIO_C} or co-nondet bound 2*log2({CORPUS_BUDGET.tree_size})+4 "
            "violated)"
            + "".join(f"; {detail}" for _, detail in rep.disagreements[:3]))
 

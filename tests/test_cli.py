@@ -229,7 +229,7 @@ def test_solve_cap_exit_3(workdir, capsys):
                  "--cap", "2"]) == 3
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", " 7"])
 def test_a_malformed_cap_variable_exits_2_naming_it(workdir, capsys, monkeypatch, value):
     _write_instance("g.logtw", "logtw-is", seed=3)
     monkeypatch.setenv("XALPWB_CAP", value)
@@ -283,17 +283,28 @@ def test_verify_fault_chain_exit_1_with_replayable_counterexample(workdir):
 
 
 def test_verify_names_each_skip_reason_and_the_skip_budget(workdir, capsys):
-    chain = "atm-tcmc,tcmc-tcmis,tcmis-negcnf,negcnf-poscnf,part-gencnf"
-    assert main(["verify", "--chain", chain, "--trials", "50", "--seed", "0"]) == 1
+    assert main(["verify", "--reduction", "is-vc", "--trials", "50", "--seed", "0",
+                 "--cap", "8"]) == 1
     lines = capsys.readouterr().out.splitlines()
     skipped = [ln.split()[1] for ln in lines if ln.startswith("trial ") and ln.endswith(" skip")]
     notes = [ln.removeprefix("note trial ").split(" skip: ") for ln in lines
-             if ln.startswith("note trial ")]
-    assert len(skipped) == 29
+             if ln.startswith("note trial ") and " skip: " in ln]
+    assert len(skipped) == 24
     assert [t for t, _ in notes] == skipped
-    assert all(reason for _, reason in notes)
-    assert lines[-1] == ("agreements=21 disagreements=0 skips=29 "
+    assert all(reason.endswith("> cap 8") for _, reason in notes)
+    assert lines[-1] == ("agreements=26 disagreements=0 skips=24 "
                          "(over the skip budget 10 = 0.2 x 50 trials)")
+
+
+def test_default_atm_chain_passes_within_the_skip_budget(workdir, capsys):
+    # atm-tcmc's empty classes reach the CNF end as unsolvable targets; the
+    # skips left are the CNF brute force's cap
+    chain = "atm-tcmc,tcmc-tcmis,tcmis-negcnf,negcnf-poscnf,part-gencnf"
+    assert main(["verify", "--chain", chain, "--trials", "50", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    notes = [ln for ln in lines if ln.startswith("note trial ")]
+    assert len(notes) == 5 and all("assignment space" in ln for ln in notes)
+    assert lines[-1] == "agreements=45 disagreements=0 skips=5"
 
 
 def test_verify_summary_names_no_budget_within_it(workdir, capsys):

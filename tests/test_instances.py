@@ -20,8 +20,18 @@ from xalpwb.instances import (
     first_workable,
     validate_decomposition,
 )
+from xalpwb.oracles import solve_listcoloring
 from xalpwb.reductions import reduce_listcoloring_to_precoloring
 from xalpwb.verify import generate_instance
+
+
+def random_graph(seed: int, n: int = 6, edge_prob: float = 0.35) -> Graph:
+    """A seeded graph on 1..n vertices, each edge drawn with edge_prob."""
+    rng = random.Random(f"graph|{seed}")
+    n = rng.randint(1, n)
+    edges = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if rng.random() < edge_prob}
+    return Graph(n=n, edges=frozenset(edges))
 
 
 def test_parse_smallest_graph():
@@ -331,7 +341,7 @@ ROUND_TRIP_FAMILIES = ["graph", "tcmc", "tcmis", "listcol", "negcnf",
 @pytest.mark.parametrize("family", ROUND_TRIP_FAMILIES)
 def test_round_trip(family):
     for seed in range(8):
-        inst = generate_instance(family, None, seed=seed)
+        inst = random_graph(seed) if family == "graph" else generate_instance(family, None, seed)
         tag = {"tcmis": "tcmc", "negcnf": "cnf", "poscnf": "cnf",
                "logtw-is": "logtw", "logtw-rbds": "logtw"}.get(family, family)
         text = serialize_instance(inst)
@@ -357,8 +367,9 @@ def test_every_format_tag_round_trips(corpus):
         dec = generate_instance("logtw-is", None, seed=seed).decomposition
         cases += [("decomposition", dec), ("tree", dec.tree)]
     cases += [(tag, generate_instance(family, None, seed=0))
-              for family, tag in (("graph", "graph"), ("tcmc", "tcmc"), ("negcnf", "cnf"),
+              for family, tag in (("tcmc", "tcmc"), ("negcnf", "cnf"),
                                   ("listcol", "listcol"), ("logtw-is", "logtw"))]
+    cases.append(("graph", random_graph(0)))
     cases += [("atm", generate_instance("atm", None, seed=seed)) for seed in range(8)]
     assert any(inst.x for tag, inst in cases if tag == "atm")
     assert {tag for tag, _ in cases} == set(FORMATS)
@@ -389,6 +400,24 @@ def test_round_trip_single_clause_cnf():
     assert parse_instance("cnf", text) == inst
 
 
+def test_empty_lists_and_cells_round_trip():
+    # what an empty class becomes: a list with no colour, and a partitioned
+    # CNF whose cells are all empty
+    listcol = ListColoringInstance(graph=Graph(n=2, edges=frozenset({(1, 2)})),
+                                   palette=frozenset({1}),
+                                   lists={1: frozenset(), 2: frozenset({1})})
+    assert "\nlist 1\n" in serialize_instance(listcol)
+    tree = OrderedTree(n=2, children={1: (2,)})
+    cases = [("listcol", listcol)]
+    for variant, clauses in (("positive-partitioned", ((),)), ("negative-partitioned", ())):
+        cases.append(("cnf", TreeChainedCnf(
+            tree=tree, variable_sets={1: frozenset(), 2: frozenset()}, clauses=clauses,
+            variant=variant, k=2, partition={(i, j): frozenset() for i in (1, 2)
+                                             for j in (1, 2)})))
+    for tag, inst in cases:
+        assert parse_instance(tag, serialize_instance(inst)) == inst
+
+
 def test_header_required():
     with pytest.raises(FormatError, match="header"):
         parse_instance("graph", "p graph 1 0\n")
@@ -401,9 +430,9 @@ def test_parse_error_carries_line_number():
 
 def test_listcol_invariants():
     g = Graph(n=1)
-    with pytest.raises(InvariantViolation, match="empty list"):
-        ListColoringInstance(graph=g, palette=frozenset({1}),
-                             lists={1: frozenset()})
+    # an empty list is accepted: no colouring meets it
+    empty = ListColoringInstance(graph=g, palette=frozenset({1}), lists={1: frozenset()})
+    assert solve_listcoloring(empty) == (False, None)
     with pytest.raises(InvariantViolation, match="outside its list"):
         ListColoringInstance(graph=g, palette=frozenset({1, 2}),
                              lists={1: frozenset({1})}, precolored={1: 2})

@@ -176,12 +176,37 @@ def _cnf_cases():
     yield TreeChainedCnf(tree=OrderedTree(n=1), variable_sets={1: frozenset({1, 2})},
                          clauses=((1,), (2,)), variant="positive-partitioned", k=1,
                          partition={(1, 1): frozenset({1, 2})})
-    # cells are nonempty by construction; an emptied one leaves no assignment
-    inst = TreeChainedCnf(tree=OrderedTree(n=1), variable_sets={1: frozenset({1, 2})},
-                          clauses=(), variant="positive-partitioned", k=2,
-                          partition={(1, 1): frozenset({1}), (1, 2): frozenset({2})})
-    object.__setattr__(inst, "partition", {(1, 1): frozenset({1, 2}), (1, 2): frozenset()})
-    yield inst
+    # an empty cell leaves no assignment
+    yield TreeChainedCnf(tree=OrderedTree(n=1), variable_sets={1: frozenset({1, 2})},
+                         clauses=(), variant="positive-partitioned", k=2,
+                         partition={(1, 1): frozenset({1, 2}), (1, 2): frozenset()})
+
+
+def test_an_empty_choice_set_is_no_before_the_cap():
+    tree = OrderedTree(n=2, children={1: (2,)})
+    tcmc = TcmcInstance(tree=tree, k=1, classes={(1, 1): frozenset({1}), (2, 1): frozenset()},
+                        graph=Graph(n=1))
+    cell = TreeChainedCnf(tree=OrderedTree(n=1), variable_sets={1: frozenset({1})},
+                          clauses=(), variant="negative-partitioned", k=2,
+                          partition={(1, 1): frozenset({1}), (1, 2): frozenset()})
+    clause = TreeChainedCnf(tree=OrderedTree(n=1), variable_sets={1: frozenset({1})},
+                            clauses=((1,), ()), variant="general", k=1)
+    empty_list = ListColoringInstance(graph=Graph(n=2), palette=frozenset({1}),
+                                      lists={1: frozenset({1}), 2: frozenset()})
+    # vertex 2's one colour is taken by its precolored neighbour
+    none_left = ListColoringInstance(graph=Graph(n=2, edges=frozenset({(1, 2)})),
+                                     palette=frozenset({1}),
+                                     lists={1: frozenset({1}), 2: frozenset({1})},
+                                     precolored={1: 1})
+    for mode in oracles.TCMC_MODES:
+        assert solve_tcmc_bruteforce(tcmc, mode, cap=0) == (False, None)
+    for inst in (cell, clause):
+        assert solve_cnf_bruteforce(inst, cap=0) == (False, None)
+    for inst in (empty_list, none_left):
+        assert solve_listcoloring(inst, cap=0) == (False, None)
+    # with every choice set filled, cap 0 is exceeded
+    with pytest.raises(CapExceeded):
+        solve_cnf_bruteforce(dataclasses.replace(clause, clauses=((1,),)), cap=0)
 
 
 def test_cnf_masks_match_the_frozenset_enumeration():

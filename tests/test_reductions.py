@@ -106,6 +106,45 @@ def test_atm_tcmc_per_class_size_cap():
     assert all(len(vs) <= cap for vs in art.target.classes.values())
 
 
+ATM_TCMC_LIFT = """\
+lift s@1/1/0 v1
+lift s@1/after/0 v2
+lift t@0/before/0 v3
+lift t@0/before/1 v4
+lift t@0/after/0 v5
+lift t@0/after/1 v6
+lift t@0/1/0 v7
+lift t@0/1/1 v8
+lift t@1/before/0 v9
+lift t@1/before/1 v10
+lift t@1/after/0 v11
+lift t@1/after/1 v12
+lift t@1/1/0 v13
+lift t@1/1/1 v14
+lift t@0/before/0 v15
+lift t@0/before/1 v16
+lift t@0/after/0 v17
+lift t@0/after/1 v18
+lift t@0/1/0 v19
+lift t@0/1/1 v20
+lift t@1/before/0 v21
+lift t@1/before/1 v22
+lift t@1/after/0 v23
+lift t@1/after/1 v24
+lift t@1/1/0 v25
+lift t@1/1/1 v26
+"""
+
+
+def test_atm_tcmc_lift_records_are_the_vertex_labels():
+    # one record per target vertex: state@input head/block tag/block content
+    m = make_machine(["s", "t"], "s", ["t"], {"s": "exist", "t": "det"}, 2, "01",
+                     {("s", "#", "0"): [("t", "1", 0, 0, None)]})
+    shape = OrderedTree(n=2, children={1: (2,)})
+    art = reduce_atm_to_tcmc(AtmInstance(m, "", shape, 2, 1))
+    assert art.lift.serialize() == ATM_TCMC_LIFT
+
+
 def test_atm_tcmc_rejects_bad_layout():
     m = make_machine(["a"], "a", ["a"], {"a": "det"}, 3, "01", {})
     with pytest.raises(InvariantViolation, match="blocks"):
@@ -554,6 +593,42 @@ def test_logtw_empty_clause_source_unsat():
     art = reduce_poscnf_to_logtw_is(inst)
     met, best = solve_is_treedp(art.target)
     assert not met and best == art.target.target_weight - 1
+
+
+def _emptied(inst: TcmcInstance, key) -> TcmcInstance:
+    """inst with class key emptied: its vertices and their edges go, and the
+    other vertices keep their order under dense ids."""
+    kept = [v for v in inst.graph.vertices() if v not in inst.classes[key]]
+    new = {v: i for i, v in enumerate(kept, start=1)}
+    return TcmcInstance(
+        tree=inst.tree, k=inst.k,
+        classes={c: frozenset(new[v] for v in vs if v in new)
+                 for c, vs in inst.classes.items()},
+        graph=Graph(n=len(kept), edges=frozenset(
+            (new[u], new[v]) for u, v in inst.graph.edges if u in new and v in new)))
+
+
+def test_empty_class_sources_agree_on_every_reduction():
+    # an empty class is a no-instance: each construction maps it to a target
+    # with an empty list, cell or clause, which its oracle refutes
+    from xalpwb.verify import CONTRACTS, run_trial
+
+    cases = []
+    for seed in range(10):
+        inst = generate_instance("tcmis", None, seed=seed)
+        for key in sorted(inst.classes):
+            tcmis = _emptied(inst, key)
+            negcnf = reduce_tcmis_to_negcnf(tcmis).target
+            poscnf = reduce_negcnf_to_poscnf(negcnf).target
+            cases += [("tcmis-listcol", tcmis), ("tcmis-negcnf", tcmis),
+                      ("listcol-precol", reduce_tcmis_to_listcoloring(tcmis).target),
+                      ("negcnf-poscnf", negcnf), ("part-gencnf", negcnf),
+                      ("part-gencnf", poscnf), ("poscnf-logtwis", poscnf)]
+    for name, source in cases:
+        assert FAMILIES[CONTRACTS[name].sources[0]].decide(source, None) == (False, None)
+        outcome = run_trial(name, source)
+        assert outcome.status == "agree", (name, outcome.detail)
+    assert len(cases) >= 200
 
 
 def test_lift_map_serialization_format():

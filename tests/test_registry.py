@@ -7,10 +7,11 @@ import pytest
 from xalpwb import oracles, verify
 from xalpwb.cli import main
 from xalpwb.formats import parse_instance, serialize_instance
+from xalpwb.instances import InvariantViolation
 from xalpwb.reductions import reduce_rbds_to_ds
 from xalpwb.verify import CONTRACTS, FAMILIES, _RULES, generate_instance
 
-GENERATED = [f for f in FAMILIES if f in verify._DEFAULT_PROFILES]
+GENERATED = [f for f, entry in FAMILIES.items() if entry.generate]
 
 # --problem name -> a family of that problem
 PROBLEM_FAMILY = {e.problem: f for f, e in reversed(FAMILIES.items()) if e.problem}
@@ -59,6 +60,12 @@ def test_instances_round_trip_and_decided_solutions_check(family):
         else:
             assert solution is None, seed
     assert solvable
+
+
+@pytest.mark.parametrize("family", ["gencnf", "logtw-ds", "graph"])
+def test_only_source_families_draw(family):
+    with pytest.raises(InvariantViolation, match="unknown generator family"):
+        generate_instance(family)
 
 
 @pytest.mark.parametrize("problem", sorted(PROBLEM_FAMILY))

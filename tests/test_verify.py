@@ -6,7 +6,13 @@ import pytest
 
 from conftest import DS_CHAIN, DS_PROFILE, ds_chain_target
 from xalpwb import oracles, verify
-from xalpwb.instances import FormatError, InvariantViolation, TreeDecomposition, ceil_log2
+from xalpwb.instances import (
+    CapSettingError,
+    FormatError,
+    InvariantViolation,
+    TreeDecomposition,
+    ceil_log2,
+)
 from xalpwb.reductions import REDUCTION_NAMES, REDUCTIONS
 from xalpwb.verify import (
     CONTRACTS,
@@ -201,19 +207,14 @@ def test_machine_encoding_chains_into_cnf_family():
     assert report.agreements == 8
 
 
-def test_chain_domain_exit_counts_as_skip():
-    # a single-node shape with a non-accepting initial state gives an empty
-    # class, and the partition-based stage rejects it: the trial skips
+def test_chain_domain_exit_counts_as_skip(corpus):
+    # atm-tcmc is defined on stack-free machines: a source whose machine
+    # uses the stack is outside its domain, and the trial skips
     from xalpwb.verify import run_chain_trial
 
-    chain = ["atm-tcmc", "tcmc-tcmis", "tcmis-negcnf"]
-    for t in range(60):
-        src = generate_instance("atm", {"shape_nodes": 1}, seed=t)
-        outcome = run_chain_trial(chain, src)
-        assert outcome.status in ("agree", "skip")
-        if outcome.status == "skip" and "nonempty classes" in outcome.detail:
-            return
-    raise AssertionError("expected at least one domain-exit skip")
+    src = generate_instance("atm", None, seed=0)._replace(machine=corpus["push_pop"])
+    outcome = run_chain_trial(["atm-tcmc", "tcmc-tcmis", "tcmis-negcnf"], src)
+    assert (outcome.status, outcome.detail) == ("skip", "atm-tcmc requires a stack-free machine")
 
 
 def test_cap_skips_carry_the_cap_message():
@@ -224,6 +225,28 @@ def test_cap_skips_carry_the_cap_message():
     chain = verify_chain(["is-vc", "vc-rbds"], trials=2, seed=0, cap=1)
     assert chain.skips == [0, 1]
     assert chain.resource_notes[1].startswith("trial 1 skip: instance too large")
+
+
+@pytest.mark.parametrize("value", ["-1", " 7", "abc", "1.5"])
+def test_a_malformed_cap_variable_raises_and_is_never_a_trial_outcome(monkeypatch, value):
+    cex = verify_reduction("negcnf-poscnf!faulty", trials=20, seed=5).disagreements[0][1]
+    monkeypatch.setenv("XALPWB_CAP", value)
+    message = f"XALPWB_CAP must be an integer >= 0, not {value!r}"
+    for run in (lambda: verify_reduction("is-vc", 3, 0),
+                lambda: verify_chain(["is-vc", "vc-rbds"], 2, 0),
+                lambda: replay_counterexample(cex)):
+        with pytest.raises(CapSettingError) as info:
+            run()
+        assert str(info.value) == message
+    # a cap given by the caller is used as it is
+    assert verify_reduction("is-vc", 3, 0, cap=1 << 20).ok
+
+
+def test_an_empty_cap_variable_counts_as_unset(monkeypatch):
+    monkeypatch.setenv("XALPWB_CAP", "")
+    assert oracles.resolve_cap() == oracles.DEFAULT_CAP
+    monkeypatch.setenv("XALPWB_CAP", "007")
+    assert oracles.resolve_cap() == 7
 
 
 def _count_validations(monkeypatch, *modules) -> list:
