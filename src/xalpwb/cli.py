@@ -27,7 +27,7 @@ EXIT_CAP = 3
 # --problem name -> its family entry; the three CNF families share the name
 # and differ only in how trials draw them
 _PROBLEMS = {f.problem: f for f in verify.FAMILIES.values() if f.problem}
-_SOLVERS = tuple(dict.fromkeys(name for f in _PROBLEMS.values() for name in f.solvers))
+_SOLVERS = tuple(sorted({name for f in _PROBLEMS.values() for name in f.solvers}))
 
 
 class UsageError(XalpwbError):
@@ -84,19 +84,18 @@ def cmd_solve(args) -> int:
     solve = family.solvers.get(args.solver)
     if solve is None:
         raise UsageError(f"--problem {args.problem} takes --solver "
-                         + " or ".join(family.solvers))
-    logtw = family.format == "logtw"  # only these instances carry a size target
-    if args.threshold is not None and not logtw:
+                         + " or ".join(sorted(family.solvers)))
+    # only logtw instances carry a size target; a solver reads None as it
+    if args.threshold is not None and family.format != "logtw":
         raise UsageError("--threshold applies to --problem "
                          + ", ".join(p for p, f in _PROBLEMS.items() if f.format == "logtw"))
     instance = parse_instance(family.format, _read(args.input))
-    threshold = instance.target_weight if logtw and args.threshold is None else args.threshold
     if args.solver == "treedp":
         # built once: the width line reports it, and the DP solves on it
         on = oracles.dp_decomposition(instance, args.problem)
         print(f"dp width {on[1]} (witness {instance.width})", file=sys.stderr)
         solve = functools.partial(solve, on=on)
-    ok, sol = solve(instance, args.cap, threshold)
+    ok, sol = solve(instance, args.cap, args.threshold)
     print("YES" if ok else "NO")
     if ok and sol is not None and args.output:
         _write(args.output, _solution_line(sol))

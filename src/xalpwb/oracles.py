@@ -1,14 +1,15 @@
 """Ground-truth solvers: the tree traversal that decides tcmc and tcmis
 (first_workable over the structure tree), with the exhaustive brute force
 as its cross-check; exhaustive deciders for every other problem family; and
-the witness-producing decomposition DP for the logtw families.  The DP solves
-IS and VC on the instance's own decomposition, and DS and RBDS on a
-validated min-degree elimination of the graph when that is narrower
-(dp_decomposition picks).  The DP is the verification harness's oracle
-for those families; subset enumeration (optimum_subset) is its
-independent small-n cross-check.  dominator_packing bounds DS and RBDS from
-below, which lets verify refute an instance before the DP and lets the
-subset walk stop at the first set that meets the bound.
+the decomposition DP for the logtw families, which always returns an
+optimum with its witness.  The DP solves IS and VC on the instance's own
+decomposition, and DS and RBDS on a validated min-degree elimination of the
+graph when that is narrower (dp_decomposition picks).  The DP is the
+verification harness's oracle for those families; subset enumeration
+(optimum_subset) is its independent small-n cross-check.  dominator_packing
+bounds DS and RBDS from below, which lets the families' treedp solver, the
+first entry of their one solve table in verify, refute an instance before
+the DP, and lets the subset walk stop at the first set that meets the bound.
 The four subset problems are described once, on vertex masks, in
 SUBSET_PROBLEMS, which the subset checker, enumeration and DP all read.
 
@@ -547,12 +548,12 @@ def _run_dp(dec: TreeDecomposition, leaf: dict, introduce, forget, join) -> dict
     return move(tables.pop(tree.root), bags[tree.root], frozenset())
 
 
-def _is_steps(nbr: list[int], shift: int, track: int):
+def _is_steps(nbr: list[int], shift: int):
     """Max independent set: tables map the in-set part of the bag to the
     best packed value."""
 
     def introduce(table, v, bag):
-        bit, around, gain = 1 << v, nbr[v], (1 << shift) + ((1 << v) & track)
+        bit, around, gain = 1 << v, nbr[v], (1 << shift) + (1 << v)
         out = dict(table)
         for mask, val in table.items():
             if not mask & around:
@@ -570,13 +571,13 @@ def _is_steps(nbr: list[int], shift: int, track: int):
 
     def join(left, right):
         # the bag's chosen vertices are counted on both sides, and only they are
-        return {mask: val + right[mask] - ((mask.bit_count() << shift) + (mask & track))
+        return {mask: val + right[mask] - ((mask.bit_count() << shift) + mask)
                 for mask, val in left.items() if mask in right}
 
     return {0: 0}, introduce, forget, join
 
 
-def _ds_steps(nbr: list[int], shift: int, track: int, allowed: int, must: int):
+def _ds_steps(nbr: list[int], shift: int, allowed: int, must: int):
     """Min dominating set restricted to the allowed vertices, dominating the
     must vertices: all/all gives DS, blue/red gives RBDS.
 
@@ -589,7 +590,7 @@ def _ds_steps(nbr: list[int], shift: int, track: int, allowed: int, must: int):
     INF = float("inf")
 
     def introduce(table, v, bag):
-        bit, around, gain = 1 << v, nbr[v] & bag, (1 << shift) + ((1 << v) & track)
+        bit, around, gain = 1 << v, nbr[v] & bag, (1 << shift) + (1 << v)
         free = 0 if must & bit else bit
         joinable = allowed & bit
         out = {}
@@ -619,7 +620,7 @@ def _ds_steps(nbr: list[int], shift: int, track: int, allowed: int, must: int):
             by_in.setdefault(ins, []).append((dom, val))
         out = {}
         for (ins, dom1), val1 in left.items():
-            base = val1 - ((ins.bit_count() << shift) + (ins & track))
+            base = val1 - ((ins.bit_count() << shift) + ins)
             for dom2, val2 in by_in.get(ins, ()):
                 key = (ins, dom1 | dom2)
                 if base + val2 < out.get(key, INF):
@@ -690,8 +691,7 @@ def dp_decomposition(instance: LogTwGraphInstance,
 
 
 def optimum_treedp(instance: LogTwGraphInstance, problem: str,
-                   cap: int | None = None, witness: bool = True,
-                   on: tuple[TreeDecomposition, int] | None = None):
+                   cap: int | None = None, on: tuple[TreeDecomposition, int] | None = None):
     """Optimal size and one witness (max IS, min VC, min DS or min RBDS;
     infinity and None when no feasible set exists), by dynamic programming
     over the decomposition dp_decomposition picks: the instance's own for
@@ -709,34 +709,34 @@ def optimum_treedp(instance: LogTwGraphInstance, problem: str,
     witness is the optimal set of least mask for VC, DS and RBDS, as
     optimum_subset gives it, and of greatest mask for IS (where
     optimum_subset takes the least).  VC is solved as the complement of
-    IS.  With witness False the values are plain sizes, which is cheaper,
-    and the witness returned is None.  on is dp_decomposition's result for
-    this instance and problem when the caller has it already."""
+    IS.  There is one value form: every table packs its witness.  on is
+    dp_decomposition's result for this instance and problem when the caller
+    has it already."""
     graph = instance.graph
     rule, allowed, must = _subset_rule(graph, problem)
     dec, width = on or dp_decomposition(instance, problem)
     nbr = graph.neighbour_masks
-    shift, track = (graph.n + 1, -1) if witness else (0, 0)
+    shift = graph.n + 1
     if rule.condition == "dominate":
         _guard(3 ** (width + 1), cap, "bag state space")
-        best = _run_dp(dec, *_ds_steps(nbr, shift, track, allowed, must)).get((0, 0))
+        best = _run_dp(dec, *_ds_steps(nbr, shift, allowed, must)).get((0, 0))
         if best is None:
             return float("inf"), None
     else:
         _guard(1 << width + 1, cap, "bag mask space")
-        best = _run_dp(dec, *_is_steps(nbr, shift, track))[0]
+        best = _run_dp(dec, *_is_steps(nbr, shift))[0]
         if rule.condition == "cover":
             # the least cover of least size is the complement of the greatest
             # independent set of greatest size: take its packed value from
             # the packed value of all vertices
-            best = (graph.n << shift) + (allowed & track) - best
-    return best >> shift, frozenset(_bits(best & ((1 << shift) - 1))) if witness else None
+            best = (graph.n << shift) + allowed - best
+    return best >> shift, frozenset(_bits(best & ((1 << shift) - 1)))
 
 
 def solve_is_treedp(instance: LogTwGraphInstance, cap: int | None = None):
     """Maximum independent set by the decomposition DP.
     Returns (decision vs target_weight, optimum size)."""
-    best, _ = optimum_treedp(instance, "is", cap=cap, witness=False)
+    best, _ = optimum_treedp(instance, "is", cap=cap)
     return meets_target("is", best, instance.target_weight), best
 
 
@@ -744,5 +744,5 @@ def solve_ds_treedp(instance: LogTwGraphInstance, cap: int | None = None):
     """Minimum dominating set by the decomposition DP.  Returns (decision vs
     target_weight, optimum), the optimum being infinity when no dominating
     set exists."""
-    best, _ = optimum_treedp(instance, "ds", cap=cap, witness=False)
+    best, _ = optimum_treedp(instance, "ds", cap=cap)
     return meets_target("ds", best, instance.target_weight), best

@@ -1,9 +1,10 @@
 """Randomized small-instance generators and the cross-validation harness
 certifying every reduction and evaluator-equivalence claim.
 
-Each problem family's format, exact oracle, solution checker, CLI solvers
-and generator sit in one registry, FAMILIES, which the CLI reads too; the atm
-source of atm-tcmc is one more family, decided by its shaped run.  Each
+Each problem family's format, solution checker, solve table and generator
+sit in one registry, FAMILIES, which the CLI reads too; the first entry of
+a family's solve table is its exact oracle.  The atm source of atm-tcmc is
+one more family, decided by its shaped run.  Each
 reduction trial solves its source and its target once; the verdicts are
 compared and the solutions they come with are carried across the reduction
 by its lift maps: forward, backward, and backward then forward again, each
@@ -11,11 +12,12 @@ checked on the side it lands on.  A chain trial solves its source and
 carries a solvable source's solution forward through every stage, checked
 on each stage's target; only when no carried solution reaches the end does
 the end's oracle decide it.  The logtw families are solved by the
-witness-producing decomposition DP; a DS or RBDS instance is first tried
-against a dominator packing, which refutes it when larger than its
-threshold, and the DP decides the rest.  Subset enumeration stays the
-oracles' small-n cross-check.  Each reduction's contract (CONTRACTS) names
-its families and the parameter rules its measured k and k' obey.  Trials are
+decomposition DP; a DS or RBDS instance is first tried against a dominator
+packing, which refutes it when larger than its threshold, and the DP
+decides the rest.  Subset enumeration stays the oracles' small-n
+cross-check.  Each reduction's contract (CONTRACTS) names its families, the
+parameter rules its measured k and k' obey, and for some the size rules
+its target obeys.  Trials are
 deterministic in (name, profile, seed); disagreements, any error a trial
 raises among them, carry a replayable serialized counterexample and their
 detail as a note.  Skips (an oracle's cap reached, or a stage's source
@@ -323,33 +325,38 @@ def generate_instance(family: str, size_profile: dict | None = None, seed: int =
 @dataclass(frozen=True)
 class Family:
     """One problem family: its CLI --problem name (None when the CLI does not
-    solve it), its parse_instance format tag, the exact oracle verify
-    decides it by, its solution checker, the CLI solvers, and
-    parameter(instance), which measures the instance's parameter.  A family
-    that trials draw sources from has generate(rng, profile), which draws one
-    from a random.Random and its default profile updated by the caller's;
-    the others have None.
+    solve it), its parse_instance format tag, its solution checker, its
+    solvers, and parameter(instance), which measures the instance's
+    parameter.  A family that trials draw sources from has generate(rng,
+    profile), which draws one from a random.Random and its default profile
+    updated by the caller's; the others have None.
 
-    decide(instance, cap, witness) and every solver(instance, cap,
-    threshold) return (solvable, solution or None).  witness=False lets the
-    logtw DP skip its solution, which a chain's end, decided by its oracle
-    only when no carried solution reached it, does not need.  The DS and
-    RBDS decide returns (False, None) without the DP when a dominator
-    packing is larger than the threshold, and runs the DP otherwise; the
-    CLI's treedp solver always runs the DP.  The tcmc and tcmis decide is
-    the tree traversal alone, as the CLI's traversal solver.  Every
-    callable looks its oracle up in the oracles module (atm's decide: this
-    module's shaped_run) when called, so rebinding an oracle there reaches
-    the registry."""
+    solvers is the family's one solve table: solver name -> solve(instance,
+    cap, threshold), returning (solvable, solution or None), with threshold
+    None meaning the instance's own size target (only logtw instances carry
+    one; the other solvers ignore it).  Its first entry is the exact oracle
+    that decide runs; the CLI's --solver picks any entry.  tcmc and tcmis
+    list the tree traversal first, whose choice is the brute force's
+    wherever the brute force fits its cap.  The logtw families list treedp
+    first, which for DS and RBDS returns (False, None) without the DP when a
+    dominator packing is larger than the threshold, and runs the DP
+    otherwise.  atm's one solver is its shaped run, which the CLI does not
+    offer.  Every solver looks its oracle up in the oracles module (atm's:
+    this module's shaped_run) when called, so rebinding an oracle there
+    reaches the registry."""
 
     problem: str | None
     format: str
-    decide: Callable
     check: Callable
-    solvers: dict[str, Callable] = field(default_factory=dict)
+    solvers: dict[str, Callable]
     parameter: Callable = lambda instance: instance.k
     generate: Callable | None = None
     profile: dict = field(default_factory=dict)
+
+    def decide(self, instance, cap):
+        """The first solver's verdict and solution at the instance's own
+        threshold."""
+        return next(iter(self.solvers.values()))(instance, cap, None)
 
 
 _TCMC_PROFILE = {"tree_nodes": 3, "k": 2, "max_class": 2, "max_edges": 12}
@@ -357,80 +364,65 @@ _LOGTW_PROFILE = {"tree_nodes": 3, "n": 7, "max_bag": 4}
 
 
 def _tcmc_family(problem: str, mode: str) -> Family:
-    # the traversal decides; its choice is the brute force's wherever the
-    # brute force fits its cap (both take the first solution in preorder)
-    def decide(instance, cap, witness=True):
-        return oracles.solve_tcmc_traversal(instance, mode, cap=cap)
-
     return Family(
-        problem, "tcmc", decide,
+        problem, "tcmc",
         lambda instance, choice: oracles.check_tcmc_solution(instance, mode, choice),
-        {"brute": lambda instance, cap, threshold:
-            oracles.solve_tcmc_bruteforce(instance, mode, cap=cap),
-         "traversal": lambda instance, cap, threshold: decide(instance, cap)},
+        {"traversal": lambda instance, cap, threshold:
+            oracles.solve_tcmc_traversal(instance, mode, cap=cap),
+         "brute": lambda instance, cap, threshold:
+            oracles.solve_tcmc_bruteforce(instance, mode, cap=cap)},
         generate=_generate_tcmc, profile=_TCMC_PROFILE)
 
 
 def _logtw_family(problem: str, **draw) -> Family:
-    def treedp(instance, cap, threshold, witness=True, on=None):
-        best, solution = oracles.optimum_treedp(instance, problem, cap=cap,
-                                                witness=witness, on=on)
+    dominate = oracles.SUBSET_PROBLEMS[problem].condition == "dominate"
+
+    def treedp(instance, cap, threshold, on=None):
+        threshold = instance.target_weight if threshold is None else threshold
+        if dominate and oracles.dominator_packing(instance.graph, problem) > threshold:
+            return False, None
+        best, solution = oracles.optimum_treedp(instance, problem, cap=cap, on=on)
         ok = oracles.meets_target(problem, best, threshold)
         return ok, solution if ok else None
+
+    def brute(instance, cap, threshold):
+        threshold = instance.target_weight if threshold is None else threshold
+        return oracles.solve_is_ds_vc(instance.graph, problem, threshold, cap=cap)
 
     def check(instance, solution):
         s = frozenset(solution)
         return (oracles.check_subset_solution(instance.graph, problem, s)
                 and oracles.meets_target(problem, len(s), instance.target_weight))
 
-    dominate = oracles.SUBSET_PROBLEMS[problem].condition == "dominate"
-
-    def decide(instance, cap, witness=True):
-        if dominate and (oracles.dominator_packing(instance.graph, problem)
-                         > instance.target_weight):
-            return False, None
-        return treedp(instance, cap, instance.target_weight, witness)
-
-    return Family(
-        problem, "logtw", decide, check,
-        {"brute": lambda instance, cap, threshold:
-            oracles.solve_is_ds_vc(instance.graph, problem, threshold, cap=cap),
-         "treedp": treedp}, **draw)
+    return Family(problem, "logtw", check, {"treedp": treedp, "brute": brute}, **draw)
 
 
-def _cnf_decide(instance, cap, witness=True):
-    return oracles.solve_cnf_bruteforce(instance, cap=cap)
-
-
-def _listcol_decide(instance, cap, witness=True):
-    return oracles.solve_listcoloring(instance, cap=cap)
-
-
-def _atm_decide(instance: AtmInstance, cap, witness=True):
+def _shaped(instance: AtmInstance, cap, threshold):
     run = shaped_run(instance.machine, instance.x, instance.shape)
     return run is not None, run
 
 
 def _cnf_family(**draw) -> Family:
     return Family(
-        "cnf", "cnf", _cnf_decide,
+        "cnf", "cnf",
         lambda instance, true_vars: oracles.check_cnf_solution(instance, frozenset(true_vars)),
-        {"brute": lambda instance, cap, threshold: _cnf_decide(instance, cap)}, **draw)
+        {"brute": lambda instance, cap, threshold: oracles.solve_cnf_bruteforce(instance, cap=cap)},
+        **draw)
 
 
 # family name -> Family; the families of every contract in CONTRACTS have
 # an entry
 FAMILIES = {
-    "atm": Family(None, "atm", _atm_decide, check_shaped_run,
+    "atm": Family(None, "atm", check_shaped_run, {"shaped": _shaped},
                   parameter=lambda instance: instance.blocks, generate=_generate_atm,
                   profile={"states": 3, "shape_nodes": 4, "min_shape_nodes": 1,
                            "input_len": 2, "blocks": 2, "beta": 1}),
     "tcmc": _tcmc_family("tcmc", "clique"),
     "tcmis": _tcmc_family("tcmis", "independent-set"),
     "listcol": Family(
-        "listcol", "listcol", _listcol_decide,
+        "listcol", "listcol",
         lambda instance, coloring: oracles.check_coloring(instance, coloring),
-        {"brute": lambda instance, cap, threshold: _listcol_decide(instance, cap)},
+        {"brute": lambda instance, cap, threshold: oracles.solve_listcoloring(instance, cap=cap)},
         lambda instance: 0 if instance.width is None else instance.width,
         generate=_generate_listcol, profile={"n": 5, "palette": 4, "edge_prob": 0.4}),
     "negcnf": _cnf_family(
@@ -510,6 +502,48 @@ def _size_target(source: TreeChainedCnf, art: ReductionArtifact) -> str | None:
     return f"size target {weight} != {expect}" if weight != expect else None
 
 
+def _graph_measures(instance: LogTwGraphInstance) -> dict[str, int]:
+    """n, m, the blue and red label counts, the decomposition's tree nodes
+    and the size target W of a logtw instance."""
+    labels = list(instance.graph.labels.values())
+    return {"n": instance.graph.n, "m": len(instance.graph.edges),
+            "blue": labels.count("blue"), "red": labels.count("red"),
+            "nodes": instance.decomposition.tree.n, "W": instance.target_weight}
+
+
+def _measures_differ(target: LogTwGraphInstance, want: dict[str, int]) -> str | None:
+    got = _graph_measures(target)
+    wrong = [f"{key}' {got[key]} != {value}" for key, value in want.items() if got[key] != value]
+    return "size rule: " + ", ".join(wrong) if wrong else None
+
+
+def _is_vc_sizes(source: LogTwGraphInstance, art: ReductionArtifact) -> str | None:
+    """is-vc keeps the source's graph and decomposition, with W' = n - W
+    (reduce_is_to_vc)."""
+    if (art.target.graph, art.target.decomposition) != (source.graph, source.decomposition):
+        return "size rule: the target's graph or decomposition is not the source's"
+    return _measures_differ(art.target, {"W": source.graph.n - source.target_weight})
+
+
+def _vc_rbds_sizes(source: LogTwGraphInstance, art: ReductionArtifact) -> str | None:
+    """vc-rbds subdivides each of the m edges by a red vertex, labels the n
+    source vertices blue and hangs one tree node per edge: n' = n + m,
+    m' = 2m, n blue and m red, m more nodes, W' = W (reduce_vc_to_rbds)."""
+    n, m = source.graph.n, len(source.graph.edges)
+    return _measures_differ(art.target, {
+        "n": n + m, "m": 2 * m, "blue": n, "red": m,
+        "nodes": source.decomposition.tree.n + m, "W": source.target_weight})
+
+
+def _rbds_ds_sizes(source: LogTwGraphInstance, art: ReductionArtifact) -> str | None:
+    """rbds-ds adds x0 and x1, the edge x0x1, an edge from x1 to every blue
+    vertex and one tree node: n' = n + 2, m' = m + 1 + #blue, one more node,
+    W' = W + 1 (reduce_rbds_to_ds)."""
+    return _measures_differ(art.target, {
+        "n": source.graph.n + 2, "m": len(source.graph.edges) + 1 + len(source.blue_vertices()),
+        "nodes": source.decomposition.tree.n + 1, "W": source.target_weight + 1})
+
+
 # reduction or fault fixture name -> its contract
 CONTRACTS = {
     "atm-tcmc": Contract(("atm",), "tcmc", ("k'=k",)),
@@ -521,11 +555,11 @@ CONTRACTS = {
     "part-gencnf": Contract(("poscnf", "negcnf"), "gencnf", ("k'=k",)),
     "poscnf-logtwis": Contract(("poscnf",), "logtw-is", ("k'=ceil(width/ceil(log2 n))",),
                                (_size_target,)),
-    "is-vc": Contract(("logtw-is",), "logtw-vc", ("k'=k",)),
+    "is-vc": Contract(("logtw-is",), "logtw-vc", ("k'=k",), (_is_vc_sizes,)),
     "vc-rbds": Contract(("logtw-vc",), "logtw-rbds",
-                        ("width+<=1", "k'=ceil(width/ceil(log2 n))")),
+                        ("width+<=1", "k'=ceil(width/ceil(log2 n))"), (_vc_rbds_sizes,)),
     "rbds-ds": Contract(("logtw-rbds",), "logtw-ds",
-                        ("width+<=1", "k'=ceil(width/ceil(log2 n))")),
+                        ("width+<=1", "k'=ceil(width/ceil(log2 n))"), (_rbds_ds_sizes,)),
     # the fault fixture (FIXTURES) breaks negcnf-poscnf
     "negcnf-poscnf!faulty": Contract(("negcnf",), "poscnf", ("k'=k",)),
 }
@@ -721,7 +755,7 @@ def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOu
         src_ok, solution = FAMILIES[src_family].decide(source, cap)
         tgt_ok = src_ok and _carried(chain, artifacts, solution)
         if not tgt_ok:
-            tgt_ok = FAMILIES[end_family].decide(current, cap, witness=False)[0]
+            tgt_ok = FAMILIES[end_family].decide(current, cap)[0]
         if src_ok != tgt_ok:
             return TrialOutcome("disagree", detail=f"source {src_ok} end {tgt_ok}")
         return TrialOutcome("agree")

@@ -205,7 +205,7 @@ def test_solve_listcol_on_a_deep_path(workdir, capsys, clash, verdict):
 def test_solve_treedp_reports_the_width_it_solves_on(workdir, capsys, problem, line):
     target = ds_chain_target(0)
     pathlib.Path("d.logtw").write_text(serialize_instance(target))
-    best, _ = oracles.optimum_treedp(target, problem, witness=False)
+    best, _ = oracles.optimum_treedp(target, problem)
     verdict = "YES" if oracles.meets_target(problem, best, target.target_weight) else "NO"
     assert main(["solve", "--problem", problem, "-i", "d.logtw", "--solver", "treedp"]) == 0
     assert capsys.readouterr() == (verdict + "\n", line)
@@ -221,6 +221,21 @@ def test_solve_treedp_builds_the_elimination_once(workdir, monkeypatch, problem)
     pathlib.Path("d.logtw").write_text(serialize_instance(target))
     assert main(["solve", "--problem", problem, "-i", "d.logtw", "--solver", "treedp"]) == 0
     assert len(built) == 1
+
+
+def test_solve_treedp_refutes_ds_by_its_packing_before_the_dp(workdir, capsys, monkeypatch):
+    # seed 5's end has a dominator packing of 15 against a threshold of 13:
+    # the treedp solver answers NO from the packing, as verify's decide does
+    target = ds_chain_target(5)
+    assert oracles.dominator_packing(target.graph, "ds") > target.target_weight
+
+    def dp(*args, **kwargs):
+        raise AssertionError("optimum_treedp called")
+
+    pathlib.Path("d.logtw").write_text(serialize_instance(target))
+    monkeypatch.setattr(oracles, "optimum_treedp", dp)
+    assert main(["solve", "--problem", "ds", "-i", "d.logtw", "--solver", "treedp"]) == 0
+    assert capsys.readouterr() == ("NO\n", "dp width 3 (witness 5)\n")
 
 
 def test_solve_cap_exit_3(workdir, capsys):

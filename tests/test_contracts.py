@@ -10,7 +10,7 @@ from xalpwb import verify
 from xalpwb.cli import main
 from xalpwb.formats import serialize_instance
 from xalpwb.instances import InvariantViolation, OrderedTree, TreeChainedCnf, TreeDecomposition
-from xalpwb.oracles import validate_decomposition
+from xalpwb.oracles import min_degree_decomposition, validate_decomposition
 from xalpwb.reductions import REDUCTIONS, reduce_listcoloring_to_precoloring
 from xalpwb.verify import (
     generate_instance,
@@ -75,6 +75,53 @@ def test_a_target_that_breaks_its_contract_is_a_disagreement(monkeypatch, name, 
     monkeypatch.setitem(REDUCTIONS, name, broken)
     report = verify_reduction(name, 20, 1)
     assert any(problem in note for note in report.resource_notes if " disagree: " in note)
+
+
+# ------------------------------------------------------ the size rules
+
+
+def _rebuilt_decomposition(real, source):
+    art = real(source)
+    art.target = dataclasses.replace(
+        art.target, decomposition=min_degree_decomposition(source.graph))
+    return art
+
+
+def _last_edge_unsubdivided(real, source):
+    # the last edge gets no red vertex: the target is that of the source
+    # without it
+    graph = source.graph
+    return real(dataclasses.replace(source, graph=dataclasses.replace(
+        graph, edges=graph.edges - {max(graph.edges)})))
+
+
+def _no_x0_x1_edge(real, source):
+    art = real(source)
+    graph, x0 = art.target.graph, source.graph.n + 1
+    art.target = dataclasses.replace(art.target, graph=dataclasses.replace(
+        graph, edges=graph.edges - {(x0, x0 + 1)}))
+    return art
+
+
+@pytest.mark.parametrize("name, mutant, seed, problem", [
+    ("is-vc", _rebuilt_decomposition, 0,
+     "size rule: the target's graph or decomposition is not the source's"),
+    ("vc-rbds", _last_edge_unsubdivided, 1,
+     "size rule: n' 10 != 11, m' 10 != 12, red' 5 != 6, nodes' 6 != 7"),
+    # an unsolvable source: the lift checks that catch this mutant elsewhere
+    # do not run
+    ("rbds-ds", _no_x0_x1_edge, 12, "size rule: m' 15 != 16"),
+])
+def test_a_size_rule_catches_its_mutant_on_trial_0(monkeypatch, name, mutant, seed, problem):
+    real = REDUCTIONS[name]
+    monkeypatch.setitem(REDUCTIONS, name, lambda source: mutant(real, source))
+    report = verify_reduction(name, 1, seed)
+    assert report.disagreements
+    assert f"trial 0 disagree: {problem}" in report.resource_notes
+    # without its size rule the same trial agrees
+    monkeypatch.setitem(verify.CONTRACTS, name,
+                        dataclasses.replace(verify.CONTRACTS[name], checks=()))
+    assert verify_reduction(name, 1, seed).ok
 
 
 # ------------------------------------------------------ the width+<=1 rule

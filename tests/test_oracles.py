@@ -641,8 +641,14 @@ def test_witness_dp_on_hand_built_decompositions(dec):
                 expected = (best.bit_count(),
                             frozenset(v for v in graph.vertices() if best >> v & 1))
             assert optimum_treedp(inst, problem, on=on) == expected, (trial, problem)
-            assert optimum_treedp(inst, problem, witness=False, on=on) == (
-                expected[0], None), (trial, problem)
+            # the family's treedp solver meets the optimum with its witness,
+            # and no threshold one step past it
+            solve = FAMILIES[f"logtw-{problem}"].solvers["treedp"]
+            best, past = expected[0], n
+            if best < float("inf"):
+                assert solve(inst, None, best, on=on) == (True, expected[1]), (trial, problem)
+                past = best + 1 if problem == "is" else best - 1
+            assert solve(inst, None, past, on=on) == (False, None), (trial, problem)
 
 
 def test_rbds_red_vertex_without_blue_neighbour_is_infeasible():

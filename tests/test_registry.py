@@ -1,5 +1,7 @@
 """The problem-family registry that verify and the CLI both read."""
 
+import dataclasses
+import inspect
 import pathlib
 
 import pytest
@@ -44,6 +46,23 @@ def test_every_reduction_family_has_an_entry(name):
         assert family in FAMILIES, (name, family)
     for rule in contract.rules:
         assert rule in _RULES, (name, rule)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_each_family_decides_by_the_first_entry_of_its_solve_table(family):
+    # the solve table is the one place that says how a family is solved
+    assert "decide" not in {f.name for f in dataclasses.fields(verify.Family)}
+    entry = FAMILIES[family]
+    assert entry.solvers, family
+    for name, solve in entry.solvers.items():
+        params = list(inspect.signature(solve).parameters.values())
+        assert [p.name for p in params[:3]] == ["instance", "cap", "threshold"], name
+        assert all(p.default is not p.empty for p in params[3:]), name
+    if entry.generate:
+        first = next(iter(entry.solvers.values()))
+        for seed in range(20):
+            inst = generate_instance(family, None, seed=seed)
+            assert entry.decide(inst, None) == first(inst, None, None), seed
 
 
 @pytest.mark.parametrize("family", GENERATED)

@@ -477,17 +477,18 @@ def _with(monkeypatch, family: str, **fields):
 
 
 def _counted_end(monkeypatch, family: str, raises=None) -> list:
-    """Record each call of the family's oracle; with raises, the oracle
-    raises it instead of deciding."""
-    real, calls = verify.FAMILIES[family].decide, []
+    """Record each call of the family's oracle, the first entry of its solve
+    table; with raises, the oracle raises it instead of deciding."""
+    solvers, calls = verify.FAMILIES[family].solvers, []
+    name, real = next(iter(solvers.items()))
 
-    def decide(instance, cap, witness=True):
+    def solve(instance, cap, threshold):
         calls.append(instance)
         if raises is not None:
             raise raises
-        return real(instance, cap, witness)
+        return real(instance, cap, threshold)
 
-    _with(monkeypatch, family, decide=decide)
+    _with(monkeypatch, family, solvers={**solvers, name: solve})
     return calls
 
 
