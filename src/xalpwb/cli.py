@@ -13,7 +13,7 @@ import functools
 import sys
 
 from . import oracles, verify
-from .corpus import CORPUS_BUDGET, load_corpus
+from .corpus import CORPUS_BUDGET, MAX_INPUT_LEN, load_corpus
 from .formats import parse_instance, serialize_instance
 from .instances import CapExceeded, CapSettingError, ResourceBudget, XalpwbError
 from .machines import EVALUATORS, shaped_run
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.add_argument("--budget-steps", type=int, default=CORPUS_BUDGET.time_steps)
     p.add_argument("--budget-tree", type=int, default=CORPUS_BUDGET.tree_size)
-    p.add_argument("--max-input-len", type=int, default=6)
+    p.add_argument("--max-input-len", type=int, default=MAX_INPUT_LEN)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("machine", help="evaluate a machine")

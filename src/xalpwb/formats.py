@@ -2,13 +2,18 @@
 
 All files are UTF-8, one record per line, lines whose first token starts
 with '#' are comments, and the first record is the versioned header
-"xalpwb 1".  parse_instance(tag, text) and serialize_instance(x) round-trip:
+"xalpwb 1".  One grammar reads every format: _SYNTAX gives each record's
+syntax, _collect checks a text's records against it and groups them by
+token, and a format's reader only assembles its instance from the groups.
+parse_instance(tag, text) and serialize_instance(x) round-trip:
 parse(serialize(x)) is structurally equal to x.  Both read only FORMATS,
 the table at the end of this module.
 """
 
 from __future__ import annotations
 
+import sys
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .instances import (
@@ -26,70 +31,184 @@ from .machines import Action, AtmInstance, MachineSpec
 
 HEADER = "xalpwb 1"
 
-_GRAPH_TOKENS = ("p", "e", "label")
-_TREE_TOKENS = ("t", "a")
-_DECOMPOSITION_TOKENS = (*_TREE_TOKENS, "bag")
-_MACHINE_TOKENS = ("m", "init", "accept", "mode", "work", "tr")
+# Each record's syntax, as error messages quote it: its token, literal
+# words, <field>s, and last an optional [<field>], or a rest field that
+# takes one or more (<field...>) or any number ([<field>...]) of tokens.
+_SYNTAX = {
+    "p": "p graph <n> <m>",
+    "e": "e <u> <v>",
+    "label": "label <v> <text...>",
+    "t": "t <nodes>",
+    "a": "a <parent> <child> <order>",
+    "bag": "bag <node> [<v>...]",
+    "tcmc": "tcmc <k>",
+    "class": "class <node> <color> [<v>...]",
+    "cnf": "cnf <variant> <k>",
+    "var": "var <node> <name> [<slot>]",
+    "c": "c [<lit>...]",
+    "listcol": "listcol",
+    "palette": "palette [<c>...]",
+    "list": "list <v> [<c>...]",
+    "pre": "pre <v> <c>",
+    "logtw": "logtw <k> <W>",
+    "problem": "problem <tag>",
+    "m": "m states <q...>",
+    "init": "init <q>",
+    "accept": "accept [<q>...]",
+    "mode": "mode <q> <det|exist|univ>",
+    "work": "work <cells> <alphabet>",
+    "tr": "tr <q> <in> <work> -> <q'> <write> <dw> <di> <op>",
+    "atm": "atm <blocks> <beta> [<x>]",
+}
+# the fields read as integers, by name
+_INT_FIELDS = {"n", "m", "u", "v", "nodes", "parent", "child", "order", "node", "color",
+               "k", "slot", "c", "W", "cells", "dw", "di", "blocks", "beta"}
+# the records a text holds at most once
+_SINGLE = {"p", "t", "tcmc", "cnf", "listcol", "palette", "logtw", "problem",
+           "m", "init", "accept", "work", "atm"}
+
+
+def _compile(syntax: str) -> Callable:
+    """The field reader of one syntax: it checks a record's literal words
+    and arity and returns its fields in order, integers read by name, an
+    absent optional field as None and a rest field as a list."""
+    words = syntax.split()
+    rest = words[-1].endswith(("...>", "...]"))
+    optional = words[-1].startswith("[") and not rest
+    open_end = rest or optional
+    lo = len(words) - words[-1].startswith("[")
+    hi = sys.maxsize if rest else len(words)
+    literals = [pos for pos, w in enumerate(words) if pos and w[0] not in "<["]
+    # one itemgetter call compares every literal word at once
+    literal = itemgetter(*literals) if literals else None
+    want = literal(words) if literals else None
+    dropped = [pos - 1 for pos in reversed(literals)]  # in the tokens after the first
+    # the field name at each position; a rest field's names every later one
+    names = [w.strip("[<.>]") if pos and w[0] in "<[" else None for pos, w in enumerate(words)]
+    fields = [name for name in names if name]
+    last = len(fields) - 1
+    ints = [i for i, name in enumerate(fields)
+            if name in _INT_FIELDS and not (open_end and i == last)]
+    tail_int = open_end and fields[last] in _INT_FIELDS
+    all_int = not literals and not optional and all(name in _INT_FIELDS for name in fields)
+
+    def bad_integer(toks: list[str], lineno: int) -> FormatError:
+        for pos, tok in enumerate(toks):
+            name = names[min(pos, len(names) - 1)]
+            if name in _INT_FIELDS:
+                try:
+                    int(tok)
+                except ValueError:
+                    return FormatError(
+                        f"expected integer for <{name}> in '{syntax}', got {tok!r}", lineno)
+
+    def read(toks: list[str], lineno: int) -> list:
+        if not lo <= len(toks) <= hi or literal and literal(toks) != want:
+            raise FormatError(f"expected '{syntax}'", lineno)
+        try:
+            out = toks[1:]
+            for i in dropped:
+                del out[i]
+            if rest:
+                out[last:] = [out[last:]]
+            elif len(out) == last:
+                out.append(None)
+            for i in ints:
+                out[i] = int(out[i])
+            if tail_int and out[last] is not None:
+                out[last] = [*map(int, out[last])] if rest else int(out[last])
+            return out
+        except ValueError:
+            raise bad_integer(toks, lineno) from None
+
+    if not all_int:
+        return read
+
+    def read_ints(toks: list[str], lineno: int) -> list:
+        # the fast path of an all-integer record; read() names what is wrong
+        if lo <= len(toks) <= hi:
+            try:
+                out = [*map(int, toks[1:])]
+            except ValueError:
+                pass
+            else:
+                if rest:
+                    out[last:] = [out[last:]]
+                return out
+        return read(toks, lineno)
+
+    return read_ints
+
+
+_READ = {tok: _compile(syntax) for tok, syntax in _SYNTAX.items()}
 
 
 class Format(NamedTuple):
-    """One entry of FORMATS: the instance type a tag reads and writes, its
-    writer (the lines after the header) and its reader (the records after
-    the header)."""
+    """One entry of FORMATS: the instance type a tag reads and writes, the
+    tokens of the records it holds, its writer (the lines after the header)
+    and its reader (the instance from the records grouped by token)."""
 
     type: type
+    tokens: tuple[str, ...]
     lines: Callable
     parse: Callable
 
 
-def _records(text: str) -> list[tuple[int, list[str]]]:
-    out = []
+def _collect(text: str, fmt: str) -> dict[str, list[tuple[int, list]]]:
+    """The records after text's header, as (line, fields) pairs in line
+    order under their token; every token of the format has a list.  A
+    record the format does not hold, a malformed record or a second copy
+    of a single record raises at its line."""
+    groups: dict[str, list] = {tok: [] for tok in FORMATS[fmt].tokens}
+    header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
             continue
-        out.append((lineno, line.split()))
-    return out
-
-
-def _check_header(recs: list[tuple[int, list[str]]]) -> list[tuple[int, list[str]]]:
-    if not recs:
+        if not header:
+            if toks != HEADER.split():
+                raise FormatError(f"expected header {HEADER!r}", lineno)
+            header = True
+            continue
+        tok = toks[0]
+        rows = groups.get(tok)
+        if rows is None:
+            raise FormatError(f"unexpected record {tok!r} in {fmt}", lineno)
+        if rows and tok in _SINGLE:
+            raise FormatError(f"duplicate {tok!r} record", lineno)
+        rows.append((lineno, _READ[tok](toks, lineno)))
+    if not header:
         raise FormatError("empty instance text")
-    lineno, toks = recs[0]
-    if toks != HEADER.split():
-        raise FormatError(f"expected header {HEADER!r}", lineno)
-    return recs[1:]
+    return groups
 
 
-def _int(tok: str, lineno: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise FormatError(f"{what}: expected integer, got {tok!r}", lineno)
+def _one(groups, tok: str, default: list | None = None) -> list:
+    """The fields of the single tok record, or default when it is absent
+    and a default is given."""
+    if groups[tok]:
+        return groups[tok][0][1]
+    if default is None:
+        raise FormatError(f"missing {tok!r} record")
+    return default
 
 
-def _route(recs, fmt: str, own: tuple[str, ...], *groups):
-    """Yield the records of a composite format whose first token is in own,
-    in line order, and append each record of an embedded part to the list
-    of the (tokens, list) group whose tokens hold its first token.  Any
-    other record raises at its line, in order with the yielded ones."""
-    for lineno, toks in recs:
-        if toks[0] in own:
-            yield lineno, toks
-            continue
-        for tokens, out in groups:
-            if toks[0] in tokens:
-                out.append((lineno, toks))
-                break
-        else:
-            raise FormatError(f"unexpected record {toks[0]!r} in {fmt}", lineno)
+def _keyed(rows, what: str) -> dict:
+    """Records whose fields are a key and a value, as a dict; the key is
+    the first field, or the tuple of all fields but the last."""
+    out = {}
+    for lineno, fields in rows:
+        key = fields[0] if len(fields) == 2 else tuple(fields[:-1])
+        if key in out:
+            raise FormatError(f"duplicate {what} {key}", lineno)
+        out[key] = fields[-1]
+    return out
 
 
 def parse_instance(format_tag: str, text: str):
     """Parse text in the tagged format into a validated instance."""
     if format_tag not in FORMATS:
         raise FormatError(f"unknown format tag {format_tag!r}")
-    return FORMATS[format_tag].parse(_check_header(_records(text)))
+    return FORMATS[format_tag].parse(_collect(text, format_tag))
 
 
 def serialize_instance(instance) -> str:
@@ -111,36 +230,17 @@ def _graph_lines(g: Graph) -> list[str]:
     return lines
 
 
-def _parse_graph_records(recs) -> Graph:
-    n = m = None
+def _parse_graph(groups) -> Graph:
+    n, m = _one(groups, "p")
     edges = set()
-    labels = {}
-    for lineno, toks in recs:
-        if toks[0] == "p":
-            if len(toks) != 4 or toks[1] != "graph":
-                raise FormatError("expected 'p graph <n> <m>'", lineno)
-            if n is not None:
-                raise FormatError("duplicate 'p graph' record", lineno)
-            n = _int(toks[2], lineno, "vertex count")
-            m = _int(toks[3], lineno, "edge count")
-        elif toks[0] == "e":
-            if len(toks) != 3:
-                raise FormatError("expected 'e <u> <v>'", lineno)
-            u = _int(toks[1], lineno, "edge endpoint")
-            v = _int(toks[2], lineno, "edge endpoint")
-            if u == v:
-                raise FormatError(f"self-loop at vertex {u}", lineno)
-            edges.add(normalize_edge(u, v))
-        elif toks[0] == "label":
-            if len(toks) < 3:
-                raise FormatError("expected 'label <v> <text>'", lineno)
-            labels[_int(toks[1], lineno, "label vertex")] = " ".join(toks[2:])
-        else:
-            raise FormatError(f"unexpected record {toks[0]!r} in graph", lineno)
-    if n is None:
-        raise FormatError("missing 'p graph' record")
+    for lineno, (u, v) in groups["e"]:
+        if u == v:
+            raise FormatError(f"self-loop at vertex {u}", lineno)
+        edges.add(normalize_edge(u, v))
     if len(edges) != m:
-        raise FormatError(f"header declares {m} edges, found {len(edges)}")
+        raise FormatError(f"header declares {m} edges, found {len(edges)}", groups["p"][0][0])
+    labels = _keyed(groups["label"], "label for vertex")
+    labels = {v: " ".join(text) for v, text in labels.items()}
     return Graph(n=n, edges=frozenset(edges), labels=labels)
 
 
@@ -154,31 +254,15 @@ def _tree_lines(t: OrderedTree) -> list[str]:
     return lines
 
 
-def _parse_tree_records(recs) -> OrderedTree:
-    n = None
+def _parse_tree(groups) -> OrderedTree:
+    n, = _one(groups, "t")
     arcs: dict[int, dict[int, int]] = {}
-    for lineno, toks in recs:
-        if toks[0] == "t":
-            if len(toks) != 2:
-                raise FormatError("expected 't <nodes>'", lineno)
-            if n is not None:
-                raise FormatError("duplicate 't' record", lineno)
-            n = _int(toks[1], lineno, "node count")
-        elif toks[0] == "a":
-            if len(toks) != 4:
-                raise FormatError("expected 'a <parent> <child> <order>'", lineno)
-            p = _int(toks[1], lineno, "parent")
-            c = _int(toks[2], lineno, "child")
-            order = _int(toks[3], lineno, "child order")
-            if order < 1:
-                raise FormatError("child order must be >= 1", lineno)
-            if order in arcs.setdefault(p, {}):
-                raise FormatError(f"duplicate child order {order} at node {p}", lineno)
-            arcs[p][order] = c
-        else:
-            raise FormatError(f"unexpected record {toks[0]!r} in tree", lineno)
-    if n is None:
-        raise FormatError("missing 't' record")
+    for lineno, (p, c, order) in groups["a"]:
+        if order < 1:
+            raise FormatError("child order must be >= 1", lineno)
+        if order in arcs.setdefault(p, {}):
+            raise FormatError(f"duplicate child order {order} at node {p}", lineno)
+        arcs[p][order] = c
     children = {}
     for p, by_order in arcs.items():
         orders = sorted(by_order)
@@ -198,20 +282,9 @@ def _decomposition_lines(dec: TreeDecomposition) -> list[str]:
     return lines
 
 
-def _parse_decomposition_records(recs) -> TreeDecomposition:
-    bag_recs = []
-    tree_recs = []
-    for lineno, toks in _route(recs, "decomposition", ("bag",), (_TREE_TOKENS, tree_recs)):
-        if len(toks) < 2:
-            raise FormatError("expected 'bag <node> <v...>'", lineno)
-        i = _int(toks[1], lineno, "bag node")
-        bag_recs.append((lineno, i, [_int(v, lineno, "bag vertex") for v in toks[2:]]))
-    tree = _parse_tree_records(tree_recs)
-    bags: dict[int, frozenset[int]] = {}
-    for lineno, i, vs in bag_recs:
-        if i in bags:
-            raise FormatError(f"duplicate bag for node {i}", lineno)
-        bags[i] = frozenset(vs)
+def _parse_decomposition(groups) -> TreeDecomposition:
+    tree = _parse_tree(groups)
+    bags = {i: frozenset(vs) for i, vs in _keyed(groups["bag"], "bag for node").items()}
     for i in tree.nodes():
         bags.setdefault(i, frozenset())
     return TreeDecomposition(tree=tree, bags=bags)
@@ -227,33 +300,11 @@ def _tcmc_lines(inst: TcmcInstance) -> list[str]:
     return lines
 
 
-def _parse_tcmc(recs) -> TcmcInstance:
-    k = None
-    class_recs = []
-    graph_recs = []
-    tree_recs = []
-    for lineno, toks in _route(recs, "tcmc", ("tcmc", "class"),
-                               (_GRAPH_TOKENS, graph_recs), (_TREE_TOKENS, tree_recs)):
-        if toks[0] == "tcmc":
-            if len(toks) != 2:
-                raise FormatError("expected 'tcmc <k>'", lineno)
-            k = _int(toks[1], lineno, "color count")
-        elif toks[0] == "class":
-            if len(toks) < 3:
-                raise FormatError("expected 'class <node> <color> <v...>'", lineno)
-            i = _int(toks[1], lineno, "class node")
-            j = _int(toks[2], lineno, "class color")
-            vs = [_int(v, lineno, "class vertex") for v in toks[3:]]
-            class_recs.append((lineno, i, j, vs))
-    if k is None:
-        raise FormatError("missing 'tcmc <k>' record")
-    graph = _parse_graph_records(graph_recs)
-    tree = _parse_tree_records(tree_recs)
-    classes: dict[tuple[int, int], frozenset[int]] = {}
-    for lineno, i, j, vs in class_recs:
-        if (i, j) in classes:
-            raise FormatError(f"duplicate class ({i},{j})", lineno)
-        classes[(i, j)] = frozenset(vs)
+def _parse_tcmc(groups) -> TcmcInstance:
+    k, = _one(groups, "tcmc")
+    graph = _parse_graph(groups)
+    tree = _parse_tree(groups)
+    classes = {key: frozenset(vs) for key, vs in _keyed(groups["class"], "class").items()}
     for i in tree.nodes():
         for j in range(1, k + 1):
             classes.setdefault((i, j), frozenset())
@@ -284,34 +335,14 @@ def _cnf_lines(inst: TreeChainedCnf) -> list[str]:
     return lines
 
 
-def _parse_cnf(recs) -> TreeChainedCnf:
-    variant = None
-    k = None
-    var_recs = []
-    clause_recs = []
-    tree_recs = []
-    for lineno, toks in _route(recs, "cnf", ("cnf", "var", "c"), (_TREE_TOKENS, tree_recs)):
-        if toks[0] == "cnf":
-            if len(toks) != 3:
-                raise FormatError("expected 'cnf <variant> <k>'", lineno)
-            variant = toks[1]
-            k = _int(toks[2], lineno, "parameter k")
-        elif toks[0] == "var":
-            if len(toks) not in (3, 4):
-                raise FormatError("expected 'var <node> <name> [<slot>]'", lineno)
-            node = _int(toks[1], lineno, "variable node")
-            slot = _int(toks[3], lineno, "variable slot") if len(toks) == 4 else None
-            var_recs.append((lineno, node, toks[2], slot))
-        elif toks[0] == "c":
-            clause_recs.append((lineno, toks[1:]))
-    if variant is None:
-        raise FormatError("missing 'cnf <variant> <k>' record")
-    tree = _parse_tree_records(tree_recs)
+def _parse_cnf(groups) -> TreeChainedCnf:
+    variant, k = _one(groups, "cnf")
+    tree = _parse_tree(groups)
     variable_sets: dict[int, set[int]] = {i: set() for i in tree.nodes()}
     var_names: dict[int, str] = {}
     id_of: dict[str, int] = {}
     partition: dict[tuple[int, int], set[int]] = {}
-    for idx, (lineno, node, name, slot) in enumerate(var_recs, start=1):
+    for idx, (lineno, (node, name, slot)) in enumerate(groups["var"], start=1):
         if name in id_of:
             raise FormatError(f"duplicate variable name {name!r}", lineno)
         if name.startswith("-"):
@@ -324,7 +355,7 @@ def _parse_cnf(recs) -> TreeChainedCnf:
         if slot is not None:
             partition.setdefault((node, slot), set()).add(idx)
     clauses = []
-    for lineno, lits in clause_recs:
+    for lineno, (lits,) in groups["c"]:
         clause = []
         for tok in lits:
             neg = tok.startswith("-")
@@ -366,36 +397,15 @@ def _listcol_lines(inst: ListColoringInstance) -> list[str]:
     return lines
 
 
-def _parse_listcol(recs) -> ListColoringInstance:
-    palette = None
-    lists: dict[int, frozenset[int]] = {}
-    precolored: dict[int, int] = {}
-    graph_recs = []
-    dec_recs = []
-    for lineno, toks in _route(recs, "listcol", ("listcol", "palette", "list", "pre"),
-                               (_GRAPH_TOKENS, graph_recs), (_DECOMPOSITION_TOKENS, dec_recs)):
-        if toks[0] == "palette":
-            palette = frozenset(_int(c, lineno, "palette color") for c in toks[1:])
-        elif toks[0] == "list":
-            if len(toks) < 2:
-                raise FormatError("expected 'list <v> [<c>...]'", lineno)
-            v = _int(toks[1], lineno, "list vertex")
-            if v in lists:
-                raise FormatError(f"duplicate list for vertex {v}", lineno)
-            lists[v] = frozenset(_int(c, lineno, "list color") for c in toks[2:])
-        elif toks[0] == "pre":
-            if len(toks) != 3:
-                raise FormatError("expected 'pre <v> <c>'", lineno)
-            v = _int(toks[1], lineno, "precolored vertex")
-            if v in precolored:
-                raise FormatError(f"duplicate precoloring of vertex {v}", lineno)
-            precolored[v] = _int(toks[2], lineno, "precolor")
-    if palette is None:
-        raise FormatError("missing 'palette' record")
-    graph = _parse_graph_records(graph_recs)
-    dec = _parse_decomposition_records(dec_recs) if dec_recs else None
-    return ListColoringInstance(graph=graph, palette=palette, lists=lists,
-                                precolored=precolored, decomposition=dec)
+def _parse_listcol(groups) -> ListColoringInstance:
+    palette, = _one(groups, "palette")
+    lists = {v: frozenset(cs) for v, cs in _keyed(groups["list"], "list for vertex").items()}
+    precolored = _keyed(groups["pre"], "precoloring of vertex")
+    graph = _parse_graph(groups)
+    has_dec = groups["t"] or groups["a"] or groups["bag"]
+    return ListColoringInstance(graph=graph, palette=frozenset(palette), lists=lists,
+                                precolored=precolored,
+                                decomposition=_parse_decomposition(groups) if has_dec else None)
 
 
 # --------------------------------------------------------------- logtw
@@ -405,27 +415,11 @@ def _logtw_lines(inst: LogTwGraphInstance) -> list[str]:
             *_graph_lines(inst.graph), *_decomposition_lines(inst.decomposition)]
 
 
-def _parse_logtw(recs) -> LogTwGraphInstance:
-    k = weight = None
-    problem = "is"
-    graph_recs = []
-    dec_recs = []
-    for lineno, toks in _route(recs, "logtw", ("logtw", "problem"),
-                               (_GRAPH_TOKENS, graph_recs), (_DECOMPOSITION_TOKENS, dec_recs)):
-        if toks[0] == "logtw":
-            if len(toks) != 3:
-                raise FormatError("expected 'logtw <k> <W>'", lineno)
-            k = _int(toks[1], lineno, "parameter k")
-            weight = _int(toks[2], lineno, "target weight")
-        elif toks[0] == "problem":
-            if len(toks) != 2:
-                raise FormatError("expected 'problem <tag>'", lineno)
-            problem = toks[1]
-    if k is None or weight is None:
-        raise FormatError("missing 'logtw <k> <W>' record")
-    graph = _parse_graph_records(graph_recs)
-    dec = _parse_decomposition_records(dec_recs)
-    return LogTwGraphInstance(graph=graph, decomposition=dec,
+def _parse_logtw(groups) -> LogTwGraphInstance:
+    k, weight = _one(groups, "logtw")
+    problem, = _one(groups, "problem", default=["is"])
+    return LogTwGraphInstance(graph=_parse_graph(groups),
+                              decomposition=_parse_decomposition(groups),
                               target_weight=weight, k=k, problem=problem)
 
 
@@ -457,69 +451,29 @@ def _machine_lines(m: MachineSpec) -> list[str]:
 def _parse_stackop(tok: str, lineno: int):
     if tok == "none":
         return None
-    if ":" not in tok:
-        raise FormatError(f"bad stack op {tok!r}", lineno)
-    kind, sym = tok.split(":", 1)
-    if kind not in ("push", "pop") or len(sym) != 1:
+    kind, colon, sym = tok.partition(":")
+    if not colon or kind not in ("push", "pop") or len(sym) != 1:
         raise FormatError(f"bad stack op {tok!r}", lineno)
     return (kind, sym)
 
 
-def _parse_machine(recs) -> MachineSpec:
-    states = None
-    initial = None
-    accepting = None
-    mode: dict[str, str] = {}
-    work_cells = None
-    work_alphabet = None
+def _parse_machine(groups) -> MachineSpec:
+    states, = _one(groups, "m")
+    initial, = _one(groups, "init")
+    accepting, = _one(groups, "accept")
+    work_cells, work_alphabet = _one(groups, "work")
     transitions: dict[tuple[str, str, str], list[Action]] = {}
-    for lineno, toks in recs:
-        if toks[0] == "m":
-            if len(toks) < 3 or toks[1] != "states":
-                raise FormatError("expected 'm states <q...>'", lineno)
-            states = tuple(toks[2:])
-        elif toks[0] == "init":
-            if len(toks) != 2:
-                raise FormatError("expected 'init <q>'", lineno)
-            initial = toks[1]
-        elif toks[0] == "accept":
-            accepting = frozenset(toks[1:])
-        elif toks[0] == "mode":
-            if len(toks) != 3:
-                raise FormatError("expected 'mode <q> <det|exist|univ>'", lineno)
-            mode[toks[1]] = toks[2]
-        elif toks[0] == "work":
-            if len(toks) != 3:
-                raise FormatError("expected 'work <cells> <alphabet>'", lineno)
-            work_cells = _int(toks[1], lineno, "work cells")
-            work_alphabet = tuple(toks[2])
-        elif toks[0] == "tr":
-            if len(toks) != 10 or toks[4] != "->":
-                raise FormatError(
-                    "expected 'tr <q> <in> <work> -> <q'> <write> <dw> <di> <op>'",
-                    lineno)
-            key = (toks[1], toks[2], toks[3])
-            act = Action(
-                state=toks[5],
-                write=toks[6],
-                dw=_int(toks[7], lineno, "work move"),
-                di=_int(toks[8], lineno, "input move"),
-                stack_op=_parse_stackop(toks[9], lineno),
-            )
-            transitions.setdefault(key, []).append(act)
-        else:
-            raise FormatError(f"unexpected record {toks[0]!r} in machine", lineno)
-    if states is None or initial is None or accepting is None:
-        raise FormatError("machine needs 'm states', 'init' and 'accept' records")
-    if work_cells is None or work_alphabet is None:
-        raise FormatError("machine needs a 'work <cells> <alphabet>' record")
+    for lineno, (q, a, w, state, write, dw, di, op) in groups["tr"]:
+        transitions.setdefault((q, a, w), []).append(
+            Action(state=state, write=write, dw=dw, di=di,
+                   stack_op=_parse_stackop(op, lineno)))
     return MachineSpec(
-        states=states,
+        states=tuple(states),
         initial=initial,
-        accepting=accepting,
-        mode=mode,
+        accepting=frozenset(accepting),
+        mode=_keyed(groups["mode"], "mode for state"),
         work_cells=work_cells,
-        work_alphabet=work_alphabet,
+        work_alphabet=tuple(work_alphabet),
         transitions={k: tuple(v) for k, v in transitions.items()},
     )
 
@@ -533,36 +487,31 @@ def _atm_lines(inst: AtmInstance) -> list[str]:
             *_machine_lines(inst.machine), *_tree_lines(inst.shape)]
 
 
-def _parse_atm(recs) -> AtmInstance:
-    head = None
-    machine_recs = []
-    tree_recs = []
-    for lineno, toks in _route(recs, "atm", ("atm",),
-                               (_MACHINE_TOKENS, machine_recs), (_TREE_TOKENS, tree_recs)):
-        if len(toks) not in (3, 4):
-            raise FormatError("expected 'atm <blocks> <beta> [<x>]'", lineno)
-        head = (_int(toks[1], lineno, "blocks"), _int(toks[2], lineno, "beta"),
-                toks[3] if len(toks) == 4 else "")
-    if head is None:
-        raise FormatError("missing 'atm <blocks> <beta> [<x>]' record")
-    blocks, beta, x = head
-    return AtmInstance(machine=_parse_machine(machine_recs), x=x,
-                       shape=_parse_tree_records(tree_recs), blocks=blocks, beta=beta)
+def _parse_atm(groups) -> AtmInstance:
+    blocks, beta, x = _one(groups, "atm")
+    return AtmInstance(machine=_parse_machine(groups), x=x or "",
+                       shape=_parse_tree(groups), blocks=blocks, beta=beta)
 
 
 # --------------------------------------------------------------- table
 
 FORMATS = {
-    "graph": Format(Graph, _graph_lines, _parse_graph_records),
-    "tree": Format(OrderedTree, _tree_lines, _parse_tree_records),
-    "decomposition": Format(TreeDecomposition, _decomposition_lines,
-                            _parse_decomposition_records),
-    "tcmc": Format(TcmcInstance, _tcmc_lines, _parse_tcmc),
-    "cnf": Format(TreeChainedCnf, _cnf_lines, _parse_cnf),
-    "listcol": Format(ListColoringInstance, _listcol_lines, _parse_listcol),
-    "logtw": Format(LogTwGraphInstance, _logtw_lines, _parse_logtw),
-    "machine": Format(MachineSpec, _machine_lines, _parse_machine),
-    "atm": Format(AtmInstance, _atm_lines, _parse_atm),
+    "graph": Format(Graph, ("p", "e", "label"), _graph_lines, _parse_graph),
+    "tree": Format(OrderedTree, ("t", "a"), _tree_lines, _parse_tree),
+    "decomposition": Format(TreeDecomposition, ("t", "a", "bag"),
+                            _decomposition_lines, _parse_decomposition),
+    "tcmc": Format(TcmcInstance, ("tcmc", "class", "p", "e", "label", "t", "a"),
+                   _tcmc_lines, _parse_tcmc),
+    "cnf": Format(TreeChainedCnf, ("cnf", "var", "c", "t", "a"), _cnf_lines, _parse_cnf),
+    "listcol": Format(ListColoringInstance,
+                      ("listcol", "palette", "list", "pre", "p", "e", "label", "t", "a", "bag"),
+                      _listcol_lines, _parse_listcol),
+    "logtw": Format(LogTwGraphInstance, ("logtw", "problem", "p", "e", "label", "t", "a", "bag"),
+                    _logtw_lines, _parse_logtw),
+    "machine": Format(MachineSpec, ("m", "init", "accept", "mode", "work", "tr"),
+                      _machine_lines, _parse_machine),
+    "atm": Format(AtmInstance, ("atm", "m", "init", "accept", "mode", "work", "tr", "t", "a"),
+                  _atm_lines, _parse_atm),
 }
 
 _FORMAT_OF_TYPE = {fmt.type: fmt for fmt in FORMATS.values()}

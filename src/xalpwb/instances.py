@@ -54,6 +54,12 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def log_width_parameter(width: int, n: int) -> int:
+    """The least k >= 1 with width <= k * ceil_log2(n): the parameter of a
+    log-treewidth instance on n vertices whose decomposition has width."""
+    return max(-(-width // ceil_log2(n)), 1)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph on vertices 1..n without loops or parallel edges."""

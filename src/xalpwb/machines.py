@@ -850,13 +850,6 @@ def _balanced_co_meter(kids: list[tuple[int, ...]], parent: list[int | None],
             above = parent[above]
         return [hole if kid == above else None for kid in kids[node]]
 
-    def walk(top: int, hole: int | None) -> int:
-        if top == hole or not kids[top]:
-            return 0  # the advice, or a leaf: accept
-        if len(kids[top]) == 1:
-            return walk(kids[top][0], hole)
-        return 1 + max(walk(k, s) for k, s in zip(kids[top], route(top, hole)))
-
     def hole_path(top: int, hole: int) -> list[int]:
         out = []
         node = parent[hole]
@@ -878,7 +871,7 @@ def _balanced_co_meter(kids: list[tuple[int, ...]], parent: list[int | None],
     def meter(top: int, hole: int | None) -> int:
         region = size[top] - (size[hole] if hole is not None else 0)
         if region <= 3:
-            return walk(top, hole)
+            return step_through(top, hole)
         if hole is None:
             # fresh advice: guess a separator configuration, descending into
             # the first largest child until it weighs at most 2/3 of the

@@ -185,11 +185,11 @@ def solve_tcmc_traversal(instance: TcmcInstance, mode: str = "clique",
     if mode not in TCMC_MODES:
         raise InvariantViolation(f"unknown tcmc mode {mode!r}")
     ks = range(1, instance.k + 1)
+    if any(not instance.classes[(i, j)] for i in instance.tree.nodes() for j in ks):
+        return False, None
     for i in instance.tree.nodes():
-        space = 1
-        for j in ks:
-            space *= max(len(instance.classes[(i, j)]), 1)
-        _guard(space, cap, f"per-node choice space at {i}")
+        _guard(math.prod(len(instance.classes[(i, j)]) for j in ks), cap,
+               f"per-node choice space at {i}")
     nbr = instance.graph.neighbour_masks
     clique = mode == "clique"
 

@@ -25,7 +25,7 @@ from .instances import (
     TcmcInstance,
     TreeChainedCnf,
     TreeDecomposition,
-    ceil_log2,
+    log_width_parameter,
     normalize_edge,
 )
 from .machines import AtmInstance, input_symbol
@@ -672,7 +672,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
             parent = tree.n + len(extra)  # the window just added
     witness = _grow_decomposition(tree, {i: frozenset(base[i]) for i in tree.nodes()}, extra)
     target = LogTwGraphInstance(graph=graph, decomposition=witness, target_weight=weight,
-                                k=-(-witness.width() // ceil_log2(n)), problem="is")
+                                k=log_width_parameter(witness.width(), n), problem="is")
 
     def forward(true_vars: frozenset[int]) -> frozenset[int]:
         chosen: set[int] = set()
@@ -764,7 +764,7 @@ def reduce_vc_to_rbds(instance: LogTwGraphInstance) -> ReductionArtifact:
         both = occ[u] & occ[v]
         extra.append(((both & -both).bit_length() - 1, frozenset({u, v, r})))
     witness = _grow_decomposition(dec.tree, dec.bags, extra)
-    k_out = max(-(-witness.width() // ceil_log2(graph.n)), 1)
+    k_out = log_width_parameter(witness.width(), graph.n)
     target = LogTwGraphInstance(graph=graph, decomposition=witness,
                                 target_weight=instance.target_weight,
                                 k=k_out, problem="rbds")
@@ -794,7 +794,7 @@ def reduce_rbds_to_ds(instance: LogTwGraphInstance) -> ReductionArtifact:
     witness = _grow_decomposition(
         dec.tree, {i: b | {x1} for i, b in dec.bags.items()},
         [(dec.tree.root, frozenset({x0, x1}))])
-    k_out = max(-(-witness.width() // ceil_log2(graph.n)), 1)
+    k_out = log_width_parameter(witness.width(), graph.n)
     target = LogTwGraphInstance(graph=graph, decomposition=witness,
                                 target_weight=instance.target_weight + 1,
                                 k=k_out, problem="ds")

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import oracles
+from .corpus import MAX_INPUT_LEN, corpus_inputs
 from .formats import parse_instance, serialize_instance
 from .instances import (
     CapExceeded,
@@ -48,8 +49,8 @@ from .instances import (
     TreeChainedCnf,
     TreeDecomposition,
     XalpwbError,
-    ceil_log2,
     constrained_class_pairs,
+    log_width_parameter,
     normalize_edge,
 )
 from .machines import (
@@ -244,11 +245,9 @@ def _generate_logtw(rng: random.Random, profile: dict, problem: str) -> LogTwGra
                 if u < v and rng.random() < 0.45:
                     edges.add((u, v))
     graph = Graph(n=n, edges=frozenset(edges))
-    width = max(dec.width(), 1)
-    k = max(-(-width // ceil_log2(n)), 1)
     target = rng.randint(0, n)
-    return LogTwGraphInstance(graph=graph, decomposition=dec,
-                              target_weight=target, k=k, problem=problem)
+    return LogTwGraphInstance(graph=graph, decomposition=dec, target_weight=target,
+                              k=log_width_parameter(dec.width(), n), problem=problem)
 
 
 def _generate_logtw_rbds(rng: random.Random, profile: dict) -> LogTwGraphInstance:
@@ -483,10 +482,9 @@ _RULES = {
         None if k_out == k else "parameter changed under a k'=k reduction",
     "k'<=2k-1": _at_most_2k_minus_1,
     "width+<=1": _width_plus_one,
-    # on the width of the target's own decomposition, which its k bounds;
-    # at least 1, the least k a LogTwGraphInstance takes
+    # on the width of the target's own decomposition, which its k bounds
     "k'=ceil(width/ceil(log2 n))": lambda k, k_out, width_in, art, notes:
-        None if k_out == max(-(-art.target.width // ceil_log2(art.target.graph.n)), 1)
+        None if k_out == log_width_parameter(art.target.width, art.target.graph.n)
         else f"k' {k_out} does not match ceil(width/ceil(log2 n))",
 }
 
@@ -596,7 +594,8 @@ def parse_counterexample(text: str):
     tag = _source_format(head[1])
     if section != ["section", "instance", tag]:
         raise InvariantViolation(f"missing 'section instance {tag}' record")
-    return head[1], parse_instance(tag, "xalpwb 1\n" + "\n".join(lines[3:]))
+    # blank lines in place of the two records read here keep line numbers
+    return head[1], parse_instance(tag, "\n".join([header, "", "", *lines[3:]]))
 
 
 def replay_counterexample(text: str, cap: int | None = None) -> bool:
@@ -785,12 +784,10 @@ def verify_chain(chain: list[str], trials: int, seed: int,
 
 
 def verify_machine_equivalences(corpus: dict[str, MachineSpec],
-                                budget, max_len: int = 6) -> VerificationReport:
+                                budget, max_len: int = MAX_INPUT_LEN) -> VerificationReport:
     """Acceptance agreement of all applicable evaluators per corpus machine
     and input, plus the tree-size ratio and co-nondeterministic depth
     assertions."""
-    from .corpus import corpus_inputs
-
     report = VerificationReport(name="machine-equivalences", seed=0, trials=0)
     co_bound = 2 * math.log2(budget.tree_size) + 4
     for name in sorted(corpus):

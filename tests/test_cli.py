@@ -405,6 +405,14 @@ def test_parse_failure_exit_2(workdir):
     assert main(["solve", "--problem", "tcmc", "-i", "junk.tcmc"]) == 2
 
 
+def test_a_single_record_given_twice_exits_2_at_its_line(workdir, capsys):
+    # the second header record was once read over the first
+    pathlib.Path("twice.lt").write_text(
+        "xalpwb 1\nlogtw 1 1\nproblem is\np graph 2 1\ne 1 2\nt 1\nbag 1 1 2\nlogtw 1 2\n")
+    assert main(["solve", "--problem", "is", "-i", "twice.lt"]) == 2
+    assert capsys.readouterr().err == "error: line 8: duplicate 'logtw' record\n"
+
+
 def test_reduce_witnessless_reduction_rejects_witness_flag(workdir):
     _write_instance("src.tcmc", "tcmis", seed=6)
     assert main(["reduce", "--name", "tcmc-tcmis", "-i", "src.tcmc",

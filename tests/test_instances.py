@@ -2,9 +2,11 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
+from xalpwb import formats
 from xalpwb.formats import FORMATS, parse_instance, serialize_instance
 from xalpwb.instances import (
     DecompositionCheck,
@@ -18,6 +20,7 @@ from xalpwb.instances import (
     TreeDecomposition,
     ceil_log2,
     first_workable,
+    log_width_parameter,
     validate_decomposition,
 )
 from xalpwb.oracles import solve_listcoloring
@@ -124,6 +127,14 @@ def test_ceil_log2_convention():
     assert ceil_log2(8) == 3
     with pytest.raises(InvariantViolation):
         ceil_log2(0)
+
+
+def test_log_width_parameter_is_the_least_k_that_bounds_the_width():
+    for n in range(1, 40):
+        for width in range(-1, 3 * n):
+            k = log_width_parameter(width, n)
+            assert k >= 1 and width <= k * ceil_log2(n)
+            assert k == 1 or width > (k - 1) * ceil_log2(n)
 
 
 def test_validate_decomposition_trivial_bag():
@@ -384,6 +395,132 @@ def test_composite_format_reports_foreign_record_at_its_line(tag):
         parse_instance(tag, "xalpwb 1\nzzz 1\n")
 
 
+def _one_text_of_each_tag() -> dict[str, str]:
+    logtw = generate_instance("logtw-is", None, seed=0)
+    atm = generate_instance("atm", None, seed=0)
+    cases = {"graph": logtw.graph, "tree": logtw.decomposition.tree,
+             "decomposition": logtw.decomposition, "logtw": logtw,
+             "machine": atm.machine, "atm": atm}
+    for family, tag in (("tcmc", "tcmc"), ("negcnf", "cnf"), ("listcol", "listcol")):
+        cases[tag] = generate_instance(family, None, seed=0)
+    assert set(cases) == set(FORMATS)
+    return {tag: serialize_instance(inst) for tag, inst in cases.items()}
+
+
+@pytest.mark.parametrize("tok", sorted(formats._SINGLE))
+def test_a_second_copy_of_a_single_record_is_rejected_at_its_line(tok):
+    checked = 0
+    for tag, text in _one_text_of_each_tag().items():
+        lines = text.splitlines()
+        first = [line for line in lines if line.split()[0] == tok]
+        if not first:
+            continue
+        lines.append(first[0])
+        with pytest.raises(FormatError, match=f"^line {len(lines)}: duplicate '{tok}' record$"):
+            parse_instance(tag, "\n".join(lines))
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("tok", sorted(formats._SINGLE - {"listcol", "problem"}))
+def test_a_missing_single_record_is_named(tok):
+    checked = 0
+    for tag, text in _one_text_of_each_tag().items():
+        lines = text.splitlines()
+        kept = [line for line in lines if line.split()[0] != tok]
+        if kept == lines:
+            continue
+        with pytest.raises(FormatError, match=f"^missing '{tok}' record$"):
+            parse_instance(tag, "\n".join(kept))
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("tag,records,message", [
+    ("graph", "p graph 2 0\nlabel 1 red\nlabel 1 blue", "line 4: duplicate label for vertex 1"),
+    ("tree", "t 3\na 1 2 1\na 1 3 1", "line 4: duplicate child order 1 at node 1"),
+    ("decomposition", "t 1\nbag 1 1\nbag 1 2", "line 4: duplicate bag for node 1"),
+    ("tcmc", "tcmc 1\np graph 1 0\nt 1\nclass 1 1 1\nclass 1 1 1",
+     "line 6: duplicate class (1, 1)"),
+    ("listcol", "listcol\np graph 1 0\npalette 1\nlist 1 1\nlist 1",
+     "line 6: duplicate list for vertex 1"),
+    ("listcol", "listcol\np graph 1 0\npalette 1\npre 1 1\npre 1 1",
+     "line 6: duplicate precoloring of vertex 1"),
+    ("machine", "m states q\ninit q\naccept q\nmode q det\nmode q univ\nwork 1 0",
+     "line 6: duplicate mode for state q"),
+])
+def test_a_second_record_of_one_key_is_rejected_at_its_line(tag, records, message):
+    with pytest.raises(FormatError, match=re.escape(message)):
+        parse_instance(tag, f"xalpwb 1\n{records}\n")
+
+
+def _syntax_record(syntax: str, length: int) -> str:
+    """A record of the syntax's literal words, every field '1', cut or
+    padded to length tokens."""
+    words = [w if not w.startswith(("<", "[")) else "1" for w in syntax.split()]
+    return " ".join((words + ["1"] * length)[:length])
+
+
+def _arity_bounds(syntax: str) -> tuple[int, float]:
+    words = syntax.split()
+    if words[-1].endswith(("...>", "...]")):
+        return len(words) - words[-1].startswith("["), float("inf")
+    return len(words) - words[-1].startswith("["), len(words)
+
+
+def test_only_any_number_records_have_no_wrong_arity():
+    free = [tok for tok, syntax in formats._SYNTAX.items()
+            if _arity_bounds(syntax) == (1, float("inf"))]
+    assert sorted(free) == ["accept", "c", "palette"]
+
+
+@pytest.mark.parametrize("tok", sorted(tok for tok, syntax in formats._SYNTAX.items()
+                                       if _arity_bounds(syntax) != (1, float("inf"))))
+def test_a_record_of_the_wrong_arity_quotes_its_syntax(tok):
+    syntax = formats._SYNTAX[tok]
+    tag = next(tag for tag, fmt in FORMATS.items() if tok in fmt.tokens)
+    lo, hi = _arity_bounds(syntax)
+    lengths = [n for n in (lo - 1, hi + 1) if 1 <= n < float("inf")]
+    assert lengths
+    for length in lengths:
+        record = _syntax_record(syntax, length)
+        with pytest.raises(FormatError, match=re.escape(f"line 2: expected '{syntax}'")):
+            parse_instance(tag, f"xalpwb 1\n{record}\n")
+
+
+def test_a_literal_word_out_of_place_quotes_its_syntax():
+    for tag, record in (("graph", "p grph 1 0"), ("machine", "m state q"),
+                        ("machine", "tr q 0 0 => q 0 0 0 none")):
+        syntax = formats._SYNTAX[record.split()[0]]
+        with pytest.raises(FormatError, match=re.escape(f"line 2: expected '{syntax}'")):
+            parse_instance(tag, f"xalpwb 1\n{record}\n")
+
+
+def test_a_non_integer_field_is_named_with_its_syntax():
+    named = []
+    for tok, syntax in formats._SYNTAX.items():
+        tag = next(tag for tag, fmt in FORMATS.items() if tok in fmt.tokens)
+        words = syntax.split()
+        for pos, word in enumerate(words[1:], start=1):
+            name = word.strip("[<.>]")
+            record = _syntax_record(syntax, len(words)).split()
+            record[pos] = "x"
+            try:
+                parse_instance(tag, "xalpwb 1\n" + " ".join(record) + "\n")
+            except FormatError as exc:
+                if "expected integer" in str(exc):
+                    assert str(exc) == (f"line 2: expected integer for <{name}> "
+                                        f"in '{syntax}', got 'x'")
+                    named.append(f"{tok} {name}")
+            except InvariantViolation:
+                pass
+    assert named == [
+        "p n", "p m", "e u", "e v", "label v", "t nodes", "a parent", "a child", "a order",
+        "bag node", "bag v", "tcmc k", "class node", "class color", "class v", "cnf k",
+        "var node", "var slot", "palette c", "list v", "list c", "pre v", "pre c",
+        "logtw k", "logtw W", "work cells", "tr dw", "tr di", "atm blocks", "atm beta"]
+
+
 def test_round_trip_empty_edge_graph():
     g = Graph(n=3)
     text = serialize_instance(g)
@@ -475,14 +612,22 @@ def _mutate(rng, text):
     return "\n".join(lines) + "\n"
 
 
+# the part of a generated instance a format tag fuzzes, where it is not the whole
+_FUZZED_PART = {"graph": lambda x: x.graph, "tree": lambda x: x.decomposition.tree,
+                "decomposition": lambda x: x.decomposition, "machine": lambda x: x.machine}
+
+
 @pytest.mark.parametrize("family,tag", [("tcmc", "tcmc"), ("poscnf", "cnf"),
                                         ("listcol", "listcol"),
-                                        ("logtw-is", "logtw")])
+                                        ("logtw-is", "logtw"), ("logtw-is", "graph"),
+                                        ("logtw-is", "tree"), ("logtw-is", "decomposition"),
+                                        ("atm", "machine"), ("atm", "atm")])
 def test_fuzzed_mutations_never_misaccepted(family, tag):
     """Mutations either fail to parse or still satisfy every invariant; a
     parse success implies the constructors re-validated everything."""
-    rng = random.Random(hash(family) % 10000)
-    base = serialize_instance(generate_instance(family, None, seed=1))
+    rng = random.Random(f"{family}|{tag}")
+    inst = generate_instance(family, None, seed=1)
+    base = serialize_instance(_FUZZED_PART.get(tag, lambda x: x)(inst))
     for _ in range(200):
         mutated = _mutate(rng, base)
         try:

@@ -102,6 +102,22 @@ def test_tcmc_forced_chain_unique_solution():
     assert solve_tcmc_traversal(inst, "clique") == (True, sol)
 
 
+def test_tcmc_solvers_answer_no_on_an_empty_class_before_their_cap():
+    # node 1's choice space, 2 * 2, is past the cap; node 2's empty class
+    # settles the answer without it
+    classes = {(1, 1): frozenset({1, 2}), (1, 2): frozenset({3, 4}),
+               (2, 1): frozenset({5}), (2, 2): frozenset()}
+    inst = TcmcInstance(tree=OrderedTree(n=2, children={1: (2,)}), k=2,
+                        classes=classes, graph=Graph(n=5))
+    for solve in (solve_tcmc_bruteforce, solve_tcmc_traversal):
+        assert solve(inst, "clique", cap=3) == (False, None)
+    nonempty = dict(classes)
+    nonempty[(2, 2)] = frozenset({6})
+    with pytest.raises(CapExceeded, match="per-node choice space at 1 4 > cap 3"):
+        solve_tcmc_traversal(dataclasses.replace(inst, classes=nonempty, graph=Graph(n=6)),
+                             cap=3)
+
+
 def test_tcmc_solvers_handle_deep_trees():
     inst = deep_path_tcmc(1200)
     expected = {(i, 1): i for i in range(1, 1201)}

@@ -439,11 +439,11 @@ def test_logtw_weight_iff_satisfiable():
 
 
 def _logtw(graph, W, problem="is"):
-    from xalpwb.instances import ceil_log2
+    from xalpwb.instances import log_width_parameter
 
     dec = TreeDecomposition(tree=OrderedTree(n=1),
                             bags={1: frozenset(graph.vertices())})
-    k = max(-(-max(dec.width(), 1) // ceil_log2(graph.n)), 1)
+    k = log_width_parameter(dec.width(), graph.n)
     return LogTwGraphInstance(graph=graph, decomposition=dec,
                               target_weight=W, k=k, problem=problem)
 

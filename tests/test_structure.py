@@ -85,12 +85,11 @@ def test_recursion_stays_where_its_depth_is_bounded():
     """Deep inputs must not raise RecursionError, so every walk runs on an
     explicit stack except these: the altstack search, whose depth is the
     tree-size budget (a known defect, on ROADMAP), and the balanced meter's
-    walk and meter, whose depth is logarithmic in the tree's size."""
+    meter, whose depth is logarithmic in the tree's size."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += _self_callers(path.read_text(encoding="utf-8"), path.stem)
     assert found == ["machines._balanced_co_meter.meter",
-                     "machines._balanced_co_meter.walk",
                      "machines.eval_alternating_as_stack.search"]
 
 

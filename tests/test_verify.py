@@ -11,7 +11,7 @@ from xalpwb.instances import (
     FormatError,
     InvariantViolation,
     TreeDecomposition,
-    ceil_log2,
+    log_width_parameter,
 )
 from xalpwb.reductions import REDUCTION_NAMES, REDUCTIONS
 from xalpwb.verify import (
@@ -138,6 +138,15 @@ def test_truncated_atm_counterexample_raises_a_format_error():
     text = serialize_counterexample("atm-tcmc", generate_instance("atm", None, seed=3))
     with pytest.raises(FormatError, match="missing 't' record"):
         parse_counterexample(text[:text.index("\nt ")])
+
+
+def test_a_counterexample_parse_error_names_its_line_in_the_file():
+    text = serialize_counterexample("tcmc-tcmis", generate_instance("tcmis", None, seed=0))
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("class "))
+    lines[at] += " x"
+    with pytest.raises(FormatError, match=f"^line {at + 1}: expected integer for <v>"):
+        parse_counterexample("\n".join(lines))
 
 
 def test_chain_type_compatibility():
@@ -450,7 +459,7 @@ def test_witness_grown_by_two_is_a_disagreement(monkeypatch, name):
         dec = _widened(target.decomposition, target.graph.vertices(), src.width + 2)
         fields = {"decomposition": dec}
         if hasattr(target, "k"):  # a log-treewidth target's k' follows its width
-            fields["k"] = max(-(-dec.width() // ceil_log2(target.graph.n)), 1)
+            fields["k"] = log_width_parameter(dec.width(), target.graph.n)
         art.target = dataclasses.replace(target, **fields)
         return art
 
