@@ -16,12 +16,19 @@ second way, through alternation.  Shaped runs, which fix the shape of the
 computation tree in advance, are separate from them.  All evaluators are
 pure and deterministic: guessing is realized by exhaustive enumeration in a
 fixed order.
+
+One step rule, _step, says what a stack-free configuration does next: it is
+a leaf, a dead end, an existential step or a universal step.  _reach walks
+the parts reachable from the initial one; over _step it gives the table that
+alt and balanced cost and altstack replays, and the shaped runs read _step
+node by node.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 from .instances import (
@@ -275,53 +282,51 @@ def eval_stack(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
 # ------------------------------------------------------- alternating core
 
 
-def _explore_alternation(m: MachineSpec, x: str):
-    """Forward closure of the stack-free configuration space.
+def _step(m: MachineSpec, x: str, part: Part) -> tuple[str, tuple[Part, ...]]:
+    """What a configuration does next: ("leaf", ()) in an accepting state,
+    ("and", (c1, c2)) in a universal state with exactly two applicable
+    actions, ("or", children in table order) in any other non-universal
+    state with applicable actions, and ("dead", ()) otherwise."""
+    if part[0] in m.accepting:
+        return "leaf", ()
+    acts = _applicable(m, part, x)
+    if m.mode[part[0]] == "univ":
+        if len(acts) == 2:
+            return "and", (_apply(part, acts[0]), _apply(part, acts[1]))
+    elif acts:
+        return "or", tuple(_apply(part, act) for act in acts)
+    return "dead", ()
 
-    Returns (succ, parents) where succ maps each part to one of
-    ("leaf",), ("dead",), ("or", children) or ("and", (c1, c2)).
-    """
-    init = initial_part(m, x)
-    succ: dict[Part, tuple] = {}
+
+def _reach(m: MachineSpec, x: str, expand) -> dict[Part, tuple]:
+    """Map every part reachable from the initial part to expand(part), whose
+    second field lists the part's successors; depth-first, and
+    CapExceeded once more than MAX_CONFIGS parts are reached."""
+    table: dict[Part, tuple] = {}
+    todo = [initial_part(m, x)]
+    while todo:
+        part = todo.pop()
+        if part in table:
+            continue
+        table[part] = entry = expand(part)
+        todo.extend(entry[1])  # parts already reached are skipped when popped
+        if len(table) > MAX_CONFIGS:
+            raise CapExceeded("machine configuration space too large")
+    return table
+
+
+def _min_tree_costs(succ) -> dict[Part, int]:
+    """Minimal accepting computation-tree size per configuration of a _step
+    table, by Dijkstra-style finalization (min over 1+child; 1+sum for
+    universal)."""
     parents: dict[Part, list[Part]] = {}
-    stack = [init]
-    while stack:
-        part = stack.pop()
-        if part in succ:
-            continue
-        if part[0] in m.accepting:
-            succ[part] = ("leaf",)
-            continue
-        acts = _applicable(m, part, x)
-        mode = m.mode[part[0]]
-        if mode == "univ":
-            if len(acts) != 2:
-                succ[part] = ("dead",)
-                continue
-            kids = tuple(_apply(part, a) for a in acts)
-            succ[part] = ("and", kids)
-        elif acts:
-            kids = tuple(_apply(part, a) for a in acts)
-            succ[part] = ("or", kids)
-        else:
-            succ[part] = ("dead",)
-            continue
+    for part, (_, kids) in succ.items():
         for kid in kids:
             parents.setdefault(kid, []).append(part)
-            if kid not in succ:
-                stack.append(kid)
-        if len(succ) > MAX_CONFIGS:
-            raise CapExceeded("machine configuration space too large")
-    return succ, parents
-
-
-def _min_tree_costs(succ, parents) -> dict[Part, int]:
-    """Minimal accepting computation-tree size per configuration, by
-    Dijkstra-style finalization (min over 1+child; 1+sum for universal)."""
     cost: dict[Part, int] = {}
     heap: list[tuple[int, Part]] = []
-    for part, desc in succ.items():
-        if desc[0] == "leaf":
+    for part, (kind, _) in succ.items():
+        if kind == "leaf":
             heapq.heappush(heap, (1, part))
     while heap:
         c, part = heapq.heappop(heap)
@@ -331,7 +336,7 @@ def _min_tree_costs(succ, parents) -> dict[Part, int]:
         for par in parents.get(part, ()):
             if par in cost:
                 continue
-            kind, kids = succ[par][0], succ[par][1] if len(succ[par]) > 1 else ()
+            kind, kids = succ[par]
             if kind == "or":
                 heapq.heappush(heap, (c + 1, par))
             elif kind == "and":
@@ -357,13 +362,9 @@ def _smallest_run(succ, cost, root) -> tuple[list[Part], list[tuple[int, ...]], 
     kids: list[tuple[int, ...]] = []
     parent: list[int | None] = [None]
     for i, part in enumerate(parts):  # parts grows as the loop runs
-        kind = succ[part][0]
-        if kind == "leaf":
-            step = ()
-        elif kind == "or":
+        kind, step = succ[part]
+        if kind == "or":
             step = (_pick_child(succ, cost, part),)
-        else:
-            step = succ[part][1]
         kids.append(tuple(range(len(parts), len(parts) + len(step))))
         parts.extend(step)
         parent.extend([i] * len(step))
@@ -379,8 +380,8 @@ def _smallest_tree(m: MachineSpec, x: str, budget: ResourceBudget, what: str):
     max_co_nondet_on_path the most universal nodes above any node."""
     _require_stack_free(m, what)
     _require_budget(budget, "tree_size")
-    succ, parents = _explore_alternation(m, x)
-    cost = _min_tree_costs(succ, parents)
+    succ = _reach(m, x, partial(_step, m, x))
+    cost = _min_tree_costs(succ)
     init = initial_part(m, x)
     best = cost.get(init)
     if best is None or best > budget.tree_size:
@@ -438,18 +439,13 @@ def _shaped_steps(m: MachineSpec, x: str, part: Part, arity: int) -> tuple[tuple
 
     Accepting states sit exactly at leaves, a 1-child node takes one
     deterministic or existential step, and a 2-child node takes the first
-    and second universal transition toward its first and second child.
+    and second universal transition toward its first and second child:
+    _step's "leaf", "or" and "and" read at arity 0, 1 and 2.
     """
-    accepting = part[0] in m.accepting
-    if accepting or arity == 0:
-        return ((),) if accepting and arity == 0 else ()
-    acts = _applicable(m, part, x)
-    universal = m.mode[part[0]] == "univ"
-    if arity == 1 and not universal:
-        return tuple((_apply(part, a),) for a in acts)
-    if arity == 2 and universal and len(acts) == 2:
-        return ((_apply(part, acts[0]), _apply(part, acts[1])),)
-    return ()
+    kind, kids = _step(m, x, part)
+    if kind == "or" and arity == 1:
+        return tuple((kid,) for kid in kids)
+    return (kids,) if (kind, arity) in (("and", 2), ("leaf", 0)) else ()
 
 
 def shaped_run(m: MachineSpec, x: str, shape: OrderedTree) -> dict[int, Part] | None:
@@ -491,22 +487,15 @@ def check_shaped_run(instance: AtmInstance, run) -> bool:
 # ------------------------------------------------- stack via alternation
 
 
-def _overapprox_parts(m: MachineSpec, x: str) -> dict[Part, list[tuple[Action, Part]]]:
+def _overapprox_parts(m: MachineSpec, x: str) -> dict[Part, tuple[tuple, tuple]]:
     """Machine parts reachable when stack guards are ignored, a superset of
     the parts reachable in any stack-respecting run, each with its
-    applicable actions and their results."""
-    init = initial_part(m, x)
-    moves: dict[Part, list[tuple[Action, Part]]] = {}
-    stack = [init]
-    while stack:
-        part = stack.pop()
-        if part in moves:
-            continue
-        moves[part] = [(act, _apply(part, act)) for act in _applicable(m, part, x)]
-        stack.extend(nxt for _, nxt in moves[part] if nxt not in moves)
-        if len(moves) > MAX_CONFIGS:
-            raise CapExceeded("machine configuration space too large")
-    return moves
+    applicable actions and their results, as two tuples."""
+    def moves(part: Part):
+        acts = _applicable(m, part, x)
+        return acts, tuple(_apply(part, act) for act in acts)
+
+    return _reach(m, x, moves)
 
 
 class _Segments:
@@ -541,7 +530,7 @@ class _Segments:
             if part[0] in m.accepting:
                 accepting |= 1 << k
             own, step = [], 0
-            for act, nxt in part_moves[part]:
+            for act, nxt in zip(*part_moves[part]):
                 j = index[nxt]
                 preds[j].append(k)
                 op = act.stack_op
@@ -777,9 +766,16 @@ def eval_stack_via_alternation(m: MachineSpec, x: str, budget: ResourceBudget) -
 def eval_alternating_as_stack(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
     """Depth-first replay of an alternating machine with an explicit stack of
     pending universal branches: at a universal step the second branch is
-    pushed, at an accepting leaf a pending branch is popped and resumed."""
+    pushed, at an accepting leaf a pending branch is popped and resumed.
+
+    The replay reads each part's step from the _step table that alt and
+    balanced build, but keeps its own memoised search over (part, pending
+    branches, nodes left), so its agreement with alt checks the stack replay
+    apart from the cost table.  Like them it raises CapExceeded past
+    MAX_CONFIGS reachable parts."""
     _require_stack_free(m, "eval_alternating_as_stack")
     _require_budget(budget, "tree_size")
+    succ = _reach(m, x, partial(_step, m, x))
     exhausted = False
     memo: dict = {}
 
@@ -789,30 +785,27 @@ def eval_alternating_as_stack(m: MachineSpec, x: str, budget: ResourceBudget) ->
         if key in memo:
             return memo[key]
         res = None
+        kind, kids = succ[part]
         if left <= 0:
             exhausted = True
-        elif part[0] in m.accepting:
+        elif kind == "leaf":
             if not pending:
                 res = (1, 0)
             else:
                 sub = search(pending[-1], pending[:-1], left - 1)
                 if sub is not None:
                     res = (1 + sub[0], max(len(pending), sub[1]))
-        else:
-            acts = _applicable(m, part, x)
-            mode = m.mode[part[0]]
-            if mode == "univ":
-                if len(acts) == 2:
-                    grown = pending + (_apply(part, acts[1]),)
-                    sub = search(_apply(part, acts[0]), grown, left - 1)
-                    if sub is not None:
-                        res = (1 + sub[0], max(len(grown), sub[1]))
-            else:
-                for act in acts:
-                    sub = search(_apply(part, act), pending, left - 1)
-                    if sub is not None:
-                        res = (1 + sub[0], max(len(pending), sub[1]))
-                        break
+        elif kind == "and":
+            grown = pending + (kids[1],)
+            sub = search(kids[0], grown, left - 1)
+            if sub is not None:
+                res = (1 + sub[0], max(len(grown), sub[1]))
+        elif kind == "or":
+            for kid in kids:
+                sub = search(kid, pending, left - 1)
+                if sub is not None:
+                    res = (1 + sub[0], max(len(pending), sub[1]))
+                    break
         memo[key] = res
         return res
 

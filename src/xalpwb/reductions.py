@@ -77,6 +77,21 @@ def _grow_decomposition(tree: OrderedTree, bags: dict[int, frozenset[int]],
     return TreeDecomposition(tree=grown, bags=bags)
 
 
+def _parent_closed_bags(tree: OrderedTree, own: dict[int, set[int]]) -> dict[int, frozenset[int]]:
+    """Per structure node the base bag of its own vertices and its parent's."""
+    return {i: frozenset(own[i]).union(own.get(tree.parent(i), ())) for i in tree.nodes()}
+
+
+def _host_node(tree: OrderedTree, scope: set[int]) -> int:
+    """The structure node under which a gadget over the nodes of scope (one
+    node, or the two ends of a tree edge) hangs: the single node, the child
+    end of the edge, or the root when scope is empty."""
+    if not scope:
+        return tree.root
+    a, b = min(scope), max(scope)  # a == b for a single node
+    return a if tree.parent(a) == b else b
+
+
 # ==================================== shaped machine acceptance to cliques
 
 
@@ -354,27 +369,16 @@ def reduce_tcmis_to_listcoloring(instance: TcmcInstance) -> ReductionArtifact:
     # witness: per structure node the bag of its own and its parent's class
     # vertices; per conflict vertex a 3-element bag under the deeper node
     tree = instance.tree
-    base_bags: dict[int, set[int]] = {}
-    for i in tree.nodes():
-        bag = {class_vertex[(i, j)] for j in range(1, instance.k + 1)}
-        p = tree.parent(i)
-        if p is not None:
-            bag |= {class_vertex[(p, j)] for j in range(1, instance.k + 1)}
-        base_bags[i] = bag
+    base_bags = _parent_closed_bags(tree, {
+        i: {class_vertex[(i, j)] for j in range(1, instance.k + 1)} for i in tree.nodes()})
     extra = []
     for e in sorted(conflict_vertex):
         u, w = e
-        iu, _ = instance.class_of(u)
-        iw, _ = instance.class_of(w)
-        if iu == iw:
-            host = iu
-        else:
-            host = iu if tree.parent(iu) == iw else iw
+        host = _host_node(tree, {instance.class_of(u)[0], instance.class_of(w)[0]})
         cu = class_vertex[instance.class_of(u)]
         cw = class_vertex[instance.class_of(w)]
         extra.append((host, frozenset({conflict_vertex[e], cu, cw})))
-    witness = _grow_decomposition(
-        tree, {i: frozenset(base_bags[i]) for i in tree.nodes()}, extra)
+    witness = _grow_decomposition(tree, base_bags, extra)
     target = ListColoringInstance(graph=graph, palette=frozenset(instance.graph.vertices()),
                                   lists=lists, decomposition=witness)
 
@@ -643,23 +647,10 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
     for key in cell_keys:
         for alpha in range(1, bits_of[key] + 1):
             gvs[key[0]].update((hat[(key, alpha, 0)], hat[(key, alpha, 1)]))
-    base: dict[int, set[int]] = {}
-    for i in tree.nodes():
-        bag = set(gvs[i])
-        parent = tree.parent(i)
-        if parent is not None:
-            bag |= gvs[parent]
-        base[i] = bag
+    base = _parent_closed_bags(tree, gvs)
     extra = []
     for g in gadget:
-        scope = {cell_of[lit][0] for lit in g["lits"] if lit is not None}
-        if not scope:
-            host = tree.root
-        elif len(scope) == 1:
-            host = next(iter(scope))
-        else:
-            a, b = sorted(scope)
-            host = a if tree.parent(a) == b else b
+        host = _host_node(tree, {cell_of[lit][0] for lit in g["lits"] if lit is not None})
         parent = host
         for t in range(0, g["ell"] + 1):
             window = {g["p"][t], g["p"][t + 1]}
@@ -670,7 +661,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
                     window.add(g["lit_vertex"][tt])
             extra.append((parent, frozenset(window | base[host])))
             parent = tree.n + len(extra)  # the window just added
-    witness = _grow_decomposition(tree, {i: frozenset(base[i]) for i in tree.nodes()}, extra)
+    witness = _grow_decomposition(tree, base, extra)
     target = LogTwGraphInstance(graph=graph, decomposition=witness, target_weight=weight,
                                 k=log_width_parameter(witness.width(), n), problem="is")
 

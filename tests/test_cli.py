@@ -356,6 +356,18 @@ def test_machine_eval_contract(workdir, corpus, capsys):
     assert main(["machine", "eval", "--semantics", "alt", "-m", "pp.mach"]) == 2
 
 
+def test_machine_eval_past_the_configuration_cap_exits_3(workdir, corpus, capsys,
+                                                         monkeypatch):
+    from xalpwb import machines
+
+    pathlib.Path("find.mach").write_text(serialize_instance(corpus["find_one"]))
+    monkeypatch.setattr(machines, "MAX_CONFIGS", 6)  # find_one on 000000 reaches 7
+    for semantics in ("alt", "balanced", "altstack"):
+        assert main(["machine", "eval", "--semantics", semantics, "-m", "find.mach",
+                     "-x", "000000"]) == 3
+        assert "configuration space too large" in capsys.readouterr().err
+
+
 def test_python_m_runs_the_cli(workdir):
     machine = pathlib.Path(oracles.__file__).parent / "corpus" / "push_pop.mach"
     done = subprocess.run(

@@ -1,14 +1,17 @@
 """The four acceptance semantics: spec'd toy traces, corpus agreement,
 budget monotonicity, and metering determinism."""
 
+import dataclasses
 import hashlib
 from collections import Counter
 
 import pytest
 
 from conftest import make_machine
+from xalpwb import machines
 from xalpwb.corpus import CORPUS_BUDGET, corpus_inputs
-from xalpwb.instances import InvariantViolation, OrderedTree, ResourceBudget
+from xalpwb.formats import parse_instance, serialize_instance
+from xalpwb.instances import CapExceeded, InvariantViolation, OrderedTree, ResourceBudget
 from xalpwb.machines import (
     AtmInstance,
     SemanticsMismatch,
@@ -202,6 +205,103 @@ def test_alternating_meters_pinned_on_the_corpus(corpus, budget):
     assert {name: dict(c) for name, c in counts.items()} == ALT_COUNTS
     listed = "\n".join(f"{name} {x!r} {meters}" for name, x, meters in rows)
     assert hashlib.sha256(listed.encode()).hexdigest()[:16] == ALT_DIGEST
+
+
+# altstack's and balanced's RunStats (every field, in declaration order) on
+# every stack-free corpus input, recorded before altstack read the _step
+# table: per machine, the inputs giving each tuple, and a digest of the rows
+# input by input.  Both are the same at CORPUS_BUDGET and at tree size 500.
+ALTSTACK_COUNTS = {
+    "accept_now": {(True, 1, 0, 0, 0, False): 1},
+    "all_zeros_nonempty": {(False, 0, 0, 0, 0, False): 121, (True, 6, 0, 1, 5, False): 1,
+                           (True, 7, 0, 1, 6, False): 1, (True, 8, 0, 1, 7, False): 1,
+                           (True, 9, 0, 1, 8, False): 1, (True, 10, 0, 1, 9, False): 1,
+                           (True, 11, 0, 1, 10, False): 1},
+    "alt_depth2": {(True, 6, 0, 1, 5, False): 1},
+    "copy_check": {(False, 0, 0, 0, 0, False): 65, (True, 3, 0, 0, 2, False): 62},
+    "even_ones": {(False, 0, 0, 0, 0, False): 63, (True, 2, 0, 0, 1, False): 1,
+                  (True, 3, 0, 0, 2, False): 1, (True, 4, 0, 0, 3, False): 2,
+                  (True, 5, 0, 0, 4, False): 4, (True, 6, 0, 0, 5, False): 8,
+                  (True, 7, 0, 0, 6, False): 16, (True, 8, 0, 0, 7, False): 32},
+    "find_one": {(False, 0, 0, 0, 0, False): 7, (True, 2, 0, 0, 1, False): 63,
+                 (True, 3, 0, 0, 2, False): 31, (True, 4, 0, 0, 3, False): 15,
+                 (True, 5, 0, 0, 4, False): 7, (True, 6, 0, 0, 5, False): 3,
+                 (True, 7, 0, 0, 6, False): 1},
+    "reject_now": {(False, 0, 0, 0, 0, False): 1},
+    "spin": {(False, 0, 0, 0, 0, True): 127},
+    "universal_pair": {(True, 3, 0, 1, 2, False): 127},
+}
+BALANCED_COUNTS = {
+    "accept_now": {(True, 1, 0, 0, 0, False): 1},
+    "all_zeros_nonempty": {(False, 0, 0, 0, 0, False): 121, (True, 6, 2, 0, 3, False): 1,
+                           (True, 7, 2, 0, 4, False): 1, (True, 8, 2, 0, 5, False): 1,
+                           (True, 9, 3, 0, 6, False): 1, (True, 10, 3, 0, 7, False): 1,
+                           (True, 11, 3, 0, 8, False): 1},
+    "alt_depth2": {(True, 6, 2, 0, 3, False): 1},
+    "copy_check": {(False, 0, 0, 0, 0, False): 65, (True, 3, 0, 0, 2, False): 62},
+    "even_ones": {(False, 0, 0, 0, 0, False): 63, (True, 2, 0, 0, 1, False): 1,
+                  (True, 3, 0, 0, 2, False): 1, (True, 4, 1, 0, 3, False): 2,
+                  (True, 5, 1, 0, 4, False): 4, (True, 6, 2, 0, 5, False): 8,
+                  (True, 7, 2, 0, 6, False): 16, (True, 8, 2, 0, 7, False): 32},
+    "find_one": {(False, 0, 0, 0, 0, False): 7, (True, 2, 0, 0, 1, False): 63,
+                 (True, 3, 0, 0, 2, False): 31, (True, 4, 1, 0, 3, False): 15,
+                 (True, 5, 1, 0, 4, False): 7, (True, 6, 2, 0, 5, False): 3,
+                 (True, 7, 2, 0, 6, False): 1},
+    "reject_now": {(False, 0, 0, 0, 0, False): 1},
+    "spin": {(False, 0, 0, 0, 0, False): 127},
+    "universal_pair": {(True, 3, 1, 0, 1, False): 127},
+}
+PINNED = {eval_alternating_as_stack: (ALTSTACK_COUNTS, "5826e87dd13854d4"),
+          eval_balanced: (BALANCED_COUNTS, "7e935c11128ce4a9")}
+
+
+@pytest.mark.parametrize("budget", [CORPUS_BUDGET, ResourceBudget(tree_size=500)])
+@pytest.mark.parametrize("evaluate", list(PINNED), ids=["altstack", "balanced"])
+def test_altstack_and_balanced_meters_pinned_on_the_corpus(corpus, evaluate, budget):
+    rows = [(name, x, dataclasses.astuple(evaluate(m, x, budget)))
+            for name, m in corpus.items() if not m.uses_stack for x in corpus_inputs(m)]
+    counts: dict[str, Counter] = {}
+    for name, _, meters in rows:
+        counts.setdefault(name, Counter())[meters] += 1
+    want_counts, want_digest = PINNED[evaluate]
+    assert {name: dict(c) for name, c in counts.items()} == want_counts
+    listed = "\n".join(f"{name} {x!r} {meters}" for name, x, meters in rows)
+    assert hashlib.sha256(listed.encode()).hexdigest()[:16] == want_digest
+
+
+@pytest.mark.parametrize("evaluate", [eval_alternating, eval_balanced,
+                                      eval_alternating_as_stack])
+def test_every_reached_part_counts_toward_the_configuration_cap(corpus, monkeypatch,
+                                                                evaluate):
+    # find_one on 000000 reaches 7 parts: the head at input positions 1..7,
+    # the last one a dead end
+    m, x = corpus["find_one"], "000000"
+    monkeypatch.setattr(machines, "MAX_CONFIGS", 7)
+    assert not evaluate(m, x, CORPUS_BUDGET).accepted
+    monkeypatch.setattr(machines, "MAX_CONFIGS", 6)
+    with pytest.raises(CapExceeded):
+        evaluate(m, x, CORPUS_BUDGET)
+
+
+# a repeated tr record is a second, equal action; in a universal state the
+# two make a binary branch into one configuration
+TWIN_TR = ("xalpwb 1\nm states q acc\ninit q\naccept acc\nmode q univ\nmode acc det\n"
+           "work 1 0\ntr q # 0 -> {0}\ntr q # 0 -> {0}\n")
+
+
+@pytest.mark.parametrize("step, accepts", [("q 0 0 1 none", False),
+                                           ("acc 0 0 0 none", True)])
+def test_twin_universal_actions_branch_into_one_configuration(step, accepts):
+    m = parse_instance("machine", TWIN_TR.format(step))
+    assert parse_instance("machine", serialize_instance(m)) == m
+    assert len(m.transitions[("q", "#", "0")]) == 2
+    got = [evaluate(m, "", B) for evaluate in
+           (eval_alternating, eval_balanced, eval_alternating_as_stack)]
+    assert {st.accepted for st in got} == {accepts}
+    if accepts:
+        alt, _, altstack = got
+        assert (alt.tree_nodes, alt.max_co_nondet_on_path) == (3, 1)
+        assert (altstack.tree_nodes, altstack.peak_stack_height) == (3, 1)
 
 
 # --------------------------------------------------------- shaped runs

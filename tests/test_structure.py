@@ -93,6 +93,31 @@ def test_recursion_stays_where_its_depth_is_bounded():
                      "machines.eval_alternating_as_stack.search"]
 
 
+def _top_level_callers(source: str, name: str) -> list[str]:
+    """The module-level functions and classes whose body calls name(...) at
+    any depth."""
+    return sorted(node.name for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and any(_calls(call, name) for call in ast.walk(node)))
+
+
+def test_top_level_caller_scan_sees_nested_calls():
+    source = ("def outer():\n    def inner(p):\n        return step(p)\n    return inner\n"
+              "class Walk:\n    def go(self):\n        return step(1)\n"
+              "def other():\n    return stepper(2)\n")
+    assert _top_level_callers(source, "step") == ["Walk", "outer"]
+
+
+def test_one_step_rule_reads_the_transition_table():
+    """_step alone says what a stack-free configuration does next; the
+    stack search and the stack-guard-free closure of stackalt are the only
+    other readers of the transition table."""
+    source = (PACKAGE / "machines.py").read_text(encoding="utf-8")
+    readers = ["_overapprox_parts", "_stack_search", "_step"]
+    assert _top_level_callers(source, "_applicable") == readers
+    assert _top_level_callers(source, "_apply") == readers
+
+
 def test_a_reduction_takes_only_its_source():
     # a decomposition travels inside its instance, never beside it
     takes = {name: list(inspect.signature(fn).parameters)
