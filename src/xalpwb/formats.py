@@ -256,6 +256,10 @@ def _tree_lines(t: OrderedTree) -> list[str]:
 
 def _parse_tree(groups) -> OrderedTree:
     n, = _one(groups, "t")
+    if n >= 1 and len(groups["a"]) != n - 1:
+        # the declared size is witnessed by the records before it is trusted
+        raise FormatError(f"a tree of {n} nodes needs {n - 1} 'a' records, "
+                          f"found {len(groups['a'])}", groups["t"][0][0])
     arcs: dict[int, dict[int, int]] = {}
     for lineno, (p, c, order) in groups["a"]:
         if order < 1:
@@ -315,18 +319,10 @@ def _parse_tcmc(groups) -> TcmcInstance:
 
 def _cnf_lines(inst: TreeChainedCnf) -> list[str]:
     lines = [f"cnf {inst.variant} {inst.k}", *_tree_lines(inst.tree)]
-    slot = {}
-    if inst.partition is not None:
-        for (i, j), cell in inst.partition.items():
-            for x in cell:
-                slot[x] = j
     for x in inst.all_variables():
-        i = inst.node_of_var(x)
-        name = inst.var_names[x]
-        if x in slot:
-            lines.append(f"var {i} {name} {slot[x]}")
-        else:
-            lines.append(f"var {i} {name}")
+        line = f"var {inst.node_of_var(x)} {inst.var_names[x]}"
+        # a partition, when given, holds every variable
+        lines.append(line if inst.partition is None else f"{line} {inst.cell_of_var(x)[1]}")
     for clause in inst.clauses:
         lits = " ".join(
             inst.var_names[lit] if lit > 0 else "-" + inst.var_names[-lit]

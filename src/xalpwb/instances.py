@@ -270,6 +270,18 @@ class TreeDecomposition:
     def width(self) -> int:
         return max(len(b) for b in self.bags.values()) - 1
 
+    @cached_property
+    def occurrences(self) -> dict[int, int]:
+        """Each bag vertex mapped to the int with bit 1 << i for each tree
+        node i whose bag holds it, in order of first occurrence.  Computed
+        on first use and kept on the instance."""
+        occ: dict[int, int] = {}
+        for i, bag in self.bags.items():
+            bit = 1 << i
+            for v in bag:
+                occ[v] = occ.get(v, 0) | bit
+        return occ
+
 
 @dataclass(frozen=True)
 class DecompositionCheck:
@@ -303,20 +315,16 @@ def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> Decompositio
 
 
 def _check_decomposition(graph: Graph, dec: TreeDecomposition) -> DecompositionCheck:
+    # bounded by the bags: once every bag vertex is in range and none is
+    # missing, the graph has no more vertices than the bags hold
     n = graph.n
-    occ = [0] * (n + 1)  # v -> its tree nodes as bits
-    width = -1
-    for i, bag in dec.bags.items():
-        bit = 1 << i
-        for v in bag:
-            if not 0 < v <= n:
-                return DecompositionCheck(
-                    False, violation=f"bag vertex out of range: {v}", witness=v)
-            occ[v] |= bit
-        if len(bag) > width:
-            width = len(bag)
-    if 0 in occ[1:]:
-        v = occ.index(0, 1)
+    occ = dec.occurrences
+    for v in occ:
+        if not 0 < v <= n:
+            return DecompositionCheck(
+                False, violation=f"bag vertex out of range: {v}", witness=v)
+    if len(occ) < n:
+        v = next(v for v in range(1, n + 1) if v not in occ)
         return DecompositionCheck(
             False, violation=f"vertex uncovered: {v}", witness=v)
     uncovered = [e for e in graph.edges if not occ[e[0]] & occ[e[1]]]
@@ -324,7 +332,7 @@ def _check_decomposition(graph: Graph, dec: TreeDecomposition) -> DecompositionC
         u, v = min(uncovered)
         return DecompositionCheck(
             False, violation=f"edge uncovered: {{{u},{v}}}", witness=(u, v))
-    links = [1] * (n + 1)  # v -> one more than the tree edges inside occ[v]
+    links = dict.fromkeys(occ, 1)  # v -> one more than the tree edges inside occ[v]
     bags = dec.bags
     for p, cs in dec.tree.children.items():
         up = bags[p]
@@ -335,7 +343,7 @@ def _check_decomposition(graph: Graph, dec: TreeDecomposition) -> DecompositionC
         if occ[v].bit_count() != links[v]:
             return DecompositionCheck(
                 False, violation=f"occurrences disconnected: {v}", witness=v)
-    return DecompositionCheck(True, width=width - 1)
+    return DecompositionCheck(True, width=dec.width())
 
 
 class _Decomposed:
@@ -377,20 +385,9 @@ class TcmcInstance:
             raise InvariantViolation("color count k must be >= 1")
         classes = {key: frozenset(vs) for key, vs in self.classes.items()}
         object.__setattr__(self, "classes", classes)
-        expected = {(i, j) for i in self.tree.nodes() for j in range(1, self.k + 1)}
-        if set(classes) != expected:
-            missing = sorted(expected - set(classes))
-            extra = sorted(set(classes) - expected)
-            raise InvariantViolation(
-                f"class map must cover every (node,color): missing {missing}, extra {extra}")
-        owner: dict[int, tuple[int, int]] = {}
-        for key in sorted(classes):
-            for v in classes[key]:
-                if v in owner:
-                    raise InvariantViolation(
-                        f"vertex {v} in classes {owner[v]} and {key}")
-                owner[v] = key
-        if set(owner) != set(self.graph.vertices()):
+        owner = _cell_owners(self.tree, self.k, classes, "class map")
+        n = self.graph.n
+        if len(owner) != n or not all(0 < v <= n for v in owner):
             raise InvariantViolation(
                 "union of classes must equal the graph's vertex set")
         object.__setattr__(self, "_owner", owner)
@@ -431,6 +428,26 @@ def constrained_class_pairs(tree: OrderedTree, k: int
     return pairs
 
 
+def _cell_owners(tree: OrderedTree, k: int, cells: dict[tuple[int, int], frozenset[int]],
+                 what: str) -> dict[int, tuple[int, int]]:
+    """Check that cells is a k-cell partition over tree: a cell for every
+    (node, 1..k) and no member in two cells.  Returns each member's cell
+    key, members in order of their cells."""
+    expected = {(i, j) for i in tree.nodes() for j in range(1, k + 1)}
+    if cells.keys() != expected:
+        missing = sorted(expected - cells.keys())
+        extra = sorted(cells.keys() - expected)
+        raise InvariantViolation(
+            f"{what} must have a cell for every (node, 1..k): missing {missing}, extra {extra}")
+    owner: dict[int, tuple[int, int]] = {}
+    for key in sorted(cells):
+        for v in cells[key]:
+            if v in owner:
+                raise InvariantViolation(f"{what} puts {v} in cells {owner[v]} and {key}")
+            owner[v] = key
+    return owner
+
+
 CNF_VARIANTS = ("general", "positive-partitioned", "negative-partitioned")
 
 
@@ -440,7 +457,8 @@ class TreeChainedCnf:
     tree edges, in one of three variants.
 
     Clause literals are signed variable ids; variables are grouped per node
-    and, for the partitioned variants, split into k cells per node.
+    and, for the partitioned variants, split into k cells per node.  A
+    general instance may be given such a partition too; it is checked alike.
     """
 
     tree: OrderedTree
@@ -498,34 +516,28 @@ class TreeChainedCnf:
         if self.variant == "positive-partitioned":
             if any(lit < 0 for c in self.clauses for lit in c):
                 raise InvariantViolation("positive-partitioned clause has a negative literal")
-            self._check_partition()
         elif self.variant == "negative-partitioned":
             if any(lit > 0 for c in self.clauses for lit in c):
                 raise InvariantViolation("negative-partitioned clause has a positive literal")
-            self._check_partition()
-
-    def _check_partition(self):
-        if self.partition is None:
+        cell_of: dict[int, tuple[int, int]] = {}
+        if self.partition is not None:
+            cells = {key: frozenset(vs) for key, vs in self.partition.items()}
+            object.__setattr__(self, "partition", cells)
+            cell_of = _cell_owners(self.tree, self.k, cells, "partition")
+            if len(cell_of) != len(node_of) or any(
+                    cell_of.get(x, (0,))[0] != i for x, i in node_of.items()):
+                raise InvariantViolation("partition cells must hold exactly their node's variables")
+        elif self.variant != "general":
             raise InvariantViolation(f"{self.variant} instance needs a partition")
-        cells = {key: frozenset(vs) for key, vs in self.partition.items()}
-        object.__setattr__(self, "partition", cells)
-        expected = {(i, j) for i in self.tree.nodes() for j in range(1, self.k + 1)}
-        if set(cells) != expected:
-            raise InvariantViolation(
-                "partition must have cells (node, 1..k) for every node")
-        for i in self.tree.nodes():
-            union: set[int] = set()
-            for j in range(1, self.k + 1):
-                cell = cells[(i, j)]
-                if union & cell:
-                    raise InvariantViolation(f"partition cells overlap at node {i}")
-                union |= cell
-            if union != self.variable_sets[i]:
-                raise InvariantViolation(
-                    f"partition of node {i} does not cover its variable set")
+        object.__setattr__(self, "_cell_of", cell_of)
 
     def node_of_var(self, x: int) -> int:
         return self._node_of[x]  # type: ignore[attr-defined]
+
+    def cell_of_var(self, x: int) -> tuple[int, int]:
+        """The (node, cell) key of x's partition cell; only an instance
+        given a partition has cells."""
+        return self._cell_of[x]  # type: ignore[attr-defined]
 
     def all_variables(self) -> list[int]:
         return sorted(v for vs in self.variable_sets.values() for v in vs)

@@ -75,7 +75,10 @@ def resolve_cap(cap: int | None = None) -> int:
 def _guard(size: int, cap: int | None, what: str):
     cap = resolve_cap(cap)
     if size > cap:
-        raise CapExceeded(f"instance too large for oracle: {what} {size} > cap {cap}")
+        # a size past 64 bits is named by its bit length: Python prints no
+        # integer of more than 4300 decimal digits
+        shown = size if size.bit_length() <= 64 else f"of {size.bit_length()} bits"
+        raise CapExceeded(f"instance too large for oracle: {what} {shown} > cap {cap}")
 
 
 def _mask(vertices) -> int:

@@ -25,6 +25,7 @@ from .instances import (
     TcmcInstance,
     TreeChainedCnf,
     TreeDecomposition,
+    constrained_class_pairs,
     log_width_parameter,
     normalize_edge,
 )
@@ -77,6 +78,11 @@ def _grow_decomposition(tree: OrderedTree, bags: dict[int, frozenset[int]],
     return TreeDecomposition(tree=grown, bags=bags)
 
 
+def _least_node(occurrence: int) -> int:
+    """The least tree node of an occurrence mask (bit 1 << i for node i)."""
+    return (occurrence & -occurrence).bit_length() - 1
+
+
 def _parent_closed_bags(tree: OrderedTree, own: dict[int, set[int]]) -> dict[int, frozenset[int]]:
     """Per structure node the base bag of its own vertices and its parent's."""
     return {i: frozenset(own[i]).union(own.get(tree.parent(i), ())) for i in tree.nodes()}
@@ -122,7 +128,7 @@ def _tag_num(tag, beta: int) -> int:
     return tag
 
 
-def _intra_edge(a, b, beta: int) -> bool:
+def _intra_edge(a, b) -> bool:
     """Consecutive-color constraint inside one tree node."""
     (qa, pa, ta, _wa) = a
     (qb, pb, tb, _wb) = b
@@ -179,7 +185,10 @@ def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
 
     init_blocks = _block_view(beta, blocks, (machine.blank,) * machine.work_cells, 1)
 
-    labels_of: dict[tuple[int, int], list] = {}
+    # vertices are numbered class by class in (node, color) order
+    vid: dict[tuple[int, int, tuple], int] = {}
+    label_of_vertex: dict[int, tuple[int, int, tuple]] = {}
+    members: dict[tuple[int, int], list[tuple[tuple, int]]] = {}  # class -> (label, vertex)
     for i in shape.nodes():
         states = role_states(i)
         for j in range(1, blocks + 1):
@@ -193,96 +202,61 @@ def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
                           for p in range(0, npos)
                           for tag in tags
                           for w in contents]
-            labels_of[(i, j)] = labels
             cap = len(machine.states) * npos * (beta + 2) * (1 << beta)
             assert len(labels) <= cap
+            members[(i, j)] = []
+            for lab in labels:
+                v = len(label_of_vertex) + 1
+                vid[(i, j, lab)] = v
+                label_of_vertex[v] = (i, j, lab)
+                members[(i, j)].append((lab, v))
 
-    vid: dict[tuple[int, int, tuple], int] = {}
-    label_of_vertex: dict[int, tuple[int, int, tuple]] = {}
-    nxt = 1
-    for key in sorted(labels_of):
-        for lab in labels_of[key]:
-            vid[(key[0], key[1], lab)] = nxt
-            label_of_vertex[nxt] = (key[0], key[1], lab)
-            nxt += 1
-    total = nxt - 1
-
-    edges: set[tuple[int, int]] = set()
-
-    def connect(u: int, v: int):
-        edges.add(normalize_edge(u, v))
-
-    def transition_edge(parent_lab, child_lab, allowed_actions) -> bool:
-        q, p, tag, w = parent_lab
-        q2, p2, tag2, w2 = child_lab
-        if tag in (BEFORE, AFTER):
-            # block without the head: content is untouched; the pairs also
-            # admit the head entering this block at its first or last cell
-            pairs_ok = (
-                (tag == AFTER and tag2 == AFTER)
-                or (tag == BEFORE and tag2 == BEFORE)
-                or (tag == AFTER and tag2 == 1)
-                or (tag == BEFORE and tag2 == beta))
-            return pairs_ok and w == w2
-        # head-bearing block: some machine transition must explain the step
-        for act in allowed_actions(q, input_symbol(x, p), w[tag - 1]):
-            if act.state != q2:
-                continue
-            if p + act.di != p2:
-                continue
-            if _tag_num(tag2, beta) != tag + act.dw:
-                continue
-            expect = w[:tag - 1] + act.write + w[tag:]
-            if expect == w2:
-                return True
-        return False
-
-    for i in shape.nodes():
-        # intra-node constraint edges on consecutive colors, completion beyond
-        for j1 in range(1, blocks + 1):
-            for j2 in range(j1 + 1, blocks + 1):
-                for lab_a in labels_of[(i, j1)]:
-                    for lab_b in labels_of[(i, j2)]:
-                        if j2 == j1 + 1:
-                            keep = _intra_edge(lab_a, lab_b, beta)
-                        else:
-                            keep = True
-                        if keep:
-                            connect(vid[(i, j1, lab_a)], vid[(i, j2, lab_b)])
-
-    for parent in shape.nodes():
+    def transition_rule(parent: int, j: int, child: int) -> Callable:
+        """The test whether a label of block j at parent steps to one of
+        block j at child: the work head stays on the tape, a block without
+        the head keeps its content (admitting the head entering at its first
+        or last cell), and a head-bearing block's step is some transition
+        (of a universal parent, its first or second toward that child)."""
         kids = shape.child_list(parent)
-        for idx, child in enumerate(kids):
-            if len(kids) == 2:
-                def allowed(q, a, w, _idx=idx):
-                    acts = machine.transitions.get((q, a, w), ())
-                    return acts[_idx:_idx + 1]
-            else:
-                def allowed(q, a, w):
-                    return machine.transitions.get((q, a, w), ())
-            for j in range(1, blocks + 1):
-                for lab_a in labels_of[(parent, j)]:
-                    for lab_b in labels_of[(child, j)]:
-                        # the work head must stay on the tape globally
-                        if isinstance(lab_a[2], int):
-                            ghead = (j - 1) * beta + lab_a[2]
-                            moved = _tag_num(lab_b[2], beta) - lab_a[2]
-                            if not 1 <= ghead + moved <= blocks * beta:
-                                continue
-                        if transition_edge(lab_a, lab_b, allowed):
-                            connect(vid[(parent, j, lab_a)], vid[(child, j, lab_b)])
-            # completion across the tree edge for different colors
-            for j1 in range(1, blocks + 1):
-                for j2 in range(1, blocks + 1):
-                    if j1 == j2:
-                        continue
-                    for lab_a in labels_of[(parent, j1)]:
-                        for lab_b in labels_of[(child, j2)]:
-                            connect(vid[(parent, j1, lab_a)], vid[(child, j2, lab_b)])
+        idx = kids.index(child)
+        pick = slice(idx, idx + 1) if len(kids) == 2 else slice(None)
+        offset = (j - 1) * beta
 
-    graph = Graph(n=total, edges=frozenset(edges))
-    classes = {key: frozenset(vid[(key[0], key[1], lab)] for lab in labs)
-               for key, labs in labels_of.items()}
+        def step(parent_lab, child_lab) -> bool:
+            q, p, tag, w = parent_lab
+            q2, p2, tag2, w2 = child_lab
+            if tag in (BEFORE, AFTER):
+                return w == w2 and (tag == tag2 or (tag == AFTER and tag2 == 1)
+                                    or (tag == BEFORE and tag2 == beta))
+            moved = _tag_num(tag2, beta) - tag
+            if not 1 <= offset + tag + moved <= blocks * beta:
+                return False
+            for act in machine.transitions.get((q, input_symbol(x, p), w[tag - 1]), ())[pick]:
+                if (act.state == q2 and p + act.di == p2 and act.dw == moved
+                        and w[:tag - 1] + act.write + w[tag:] == w2):
+                    return True
+            return False
+
+        return step
+
+    # consecutive colors of a node keep the configuration rule, equal colors
+    # across a tree edge the child's transition rule; every other
+    # constrained pair is completed
+    edges: set[tuple[int, int]] = set()
+    for a, b in constrained_class_pairs(shape, blocks):
+        keep = None
+        if a[0] == b[0]:
+            if b[1] == a[1] + 1:
+                keep = _intra_edge
+        elif a[1] == b[1]:
+            keep = transition_rule(a[0], a[1], b[0])
+        for lab_a, u in members[a]:
+            for lab_b, v in members[b]:
+                if keep is None or keep(lab_a, lab_b):
+                    edges.add(normalize_edge(u, v))
+
+    graph = Graph(n=len(label_of_vertex), edges=frozenset(edges))
+    classes = {key: frozenset(v for _lab, v in pairs) for key, pairs in members.items()}
     target = TcmcInstance(tree=shape, k=blocks, classes=classes, graph=graph)
 
     def encode_part(node: int, part) -> dict[tuple[int, int], int]:
@@ -420,13 +394,11 @@ def reduce_listcoloring_to_precoloring(instance: ListColoringInstance) -> Reduct
     graph = Graph(n=nxt - 1, edges=frozenset(edges))
     witness = instance.decomposition
     if witness is not None:
-        host: dict[int, int] = {}
-        for i in sorted(witness.bags):
-            for v in witness.bags[i]:
-                host.setdefault(v, i)
+        # each pendant hangs under the least tree node whose bag holds its vertex
+        occ = witness.occurrences
         witness = _grow_decomposition(
             witness.tree, witness.bags,
-            [(host[v], frozenset({v, pv})) for (v, _c), pv in sorted(pendants.items())])
+            [(_least_node(occ[v]), frozenset({v, pv})) for (v, _c), pv in sorted(pendants.items())])
     precolored = {pv: c for (v, c), pv in pendants.items()}
     target = ListColoringInstance(graph=graph, palette=palette,
                                   lists={v: palette for v in graph.vertices()},
@@ -486,18 +458,12 @@ def reduce_negcnf_to_poscnf(instance: TreeChainedCnf) -> ReductionArtifact:
     (unsatisfiable under the partition, mirroring the source semantics)."""
     if instance.variant != "negative-partitioned":
         raise DomainError("negcnf-poscnf needs a negative-partitioned instance")
-    assert instance.partition is not None
-    cell_of = {}
-    for key, cell in instance.partition.items():
-        for v in cell:
-            cell_of[v] = key
     clauses = []
     for clause in instance.clauses:
         out = []
         for lit in clause:
             v = -lit
-            others = sorted(instance.partition[cell_of[v]] - {v})
-            out.extend(others)
+            out.extend(sorted(instance.partition[instance.cell_of_var(v)] - {v}))
         clauses.append(tuple(out))
     target = TreeChainedCnf(
         tree=instance.tree, variable_sets=dict(instance.variable_sets),
@@ -569,10 +535,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
 
     cell_keys = sorted(instance.partition)
     cell_vars = {key: sorted(instance.partition[key]) for key in cell_keys}
-    cell_of = {}
-    for key in cell_keys:
-        for v in cell_vars[key]:
-            cell_of[v] = key
+    cell_of = instance.cell_of_var
     bits_of = {key: max(len(cell_vars[key]) - 1, 0).bit_length()
                for key in cell_keys}
 
@@ -605,7 +568,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
             edges.add(normalize_edge(h0, h1))
 
     def var_bits(v: int) -> str:
-        key = cell_of[v]
+        key = cell_of(v)
         index = cell_vars[key].index(v)
         t = bits_of[key]
         return format(index, f"0{t}b") if t else ""
@@ -629,7 +592,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
             lit_vertex[t] = v
             edges.add(normalize_edge(v, p[t]))
             edges.add(normalize_edge(v, pp[t]))
-            key = cell_of[lit]
+            key = cell_of(lit)
             for alpha, b in enumerate(var_bits(lit), start=1):
                 edges.add(normalize_edge(v, hat[(key, alpha, 1 - int(b))]))
         gadget.append({"lits": lits, "ell": ell, "p": p, "pp": pp,
@@ -650,7 +613,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
     base = _parent_closed_bags(tree, gvs)
     extra = []
     for g in gadget:
-        host = _host_node(tree, {cell_of[lit][0] for lit in g["lits"] if lit is not None})
+        host = _host_node(tree, {cell_of(lit)[0] for lit in g["lits"] if lit is not None})
         parent = host
         for t in range(0, g["ell"] + 1):
             window = {g["p"][t], g["p"][t + 1]}
@@ -698,9 +661,9 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
 
     records = tuple(
         (instance.var_names[v],
-         tuple(f"v{hat[(cell_of[v], alpha, int(b))]}"
+         tuple(f"v{hat[(cell_of(v), alpha, int(b))]}"
                for alpha, b in enumerate(var_bits(v), start=1)))
-        for v in sorted(cell_of))
+        for v in instance.all_variables())
     return ReductionArtifact(
         target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 
@@ -745,15 +708,10 @@ def reduce_vc_to_rbds(instance: LogTwGraphInstance) -> ReductionArtifact:
     graph = Graph(n=nxt - 1, edges=frozenset(edges), labels=labels)
 
     dec = instance.decomposition
-    occ = [0] * (n + 1)  # v -> the tree nodes whose bags hold it, as bits
-    for i, bag in dec.bags.items():
-        for v in bag:
-            occ[v] |= 1 << i
-    extra = []
-    for (u, v), r in sub_vertex.items():
-        # the least tree node whose bag holds both ends
-        both = occ[u] & occ[v]
-        extra.append(((both & -both).bit_length() - 1, frozenset({u, v, r})))
+    occ = dec.occurrences
+    # each red vertex hangs under the least tree node whose bag holds both ends
+    extra = [(_least_node(occ[u] & occ[v]), frozenset({u, v, r}))
+             for (u, v), r in sub_vertex.items()]
     witness = _grow_decomposition(dec.tree, dec.bags, extra)
     k_out = log_width_parameter(witness.width(), graph.n)
     target = LogTwGraphInstance(graph=graph, decomposition=witness,

@@ -826,8 +826,8 @@ def _faulty_negcnf_poscnf(instance: TreeChainedCnf) -> ReductionArtifact:
     the replacement disjunction wrongly keeps the replaced variable, so
     every transformed clause becomes satisfiable under exactly-one."""
     art = reduce_negcnf_to_poscnf(instance)
-    cell = {v: sorted(vs) for vs in instance.partition.values() for v in vs}
-    clauses = tuple(tuple(u for lit in clause for u in cell[-lit])
+    cell = instance.partition
+    clauses = tuple(tuple(u for lit in clause for u in sorted(cell[instance.cell_of_var(-lit)]))
                     for clause in instance.clauses)
     art.target = dataclasses.replace(art.target, clauses=clauses)
     return art

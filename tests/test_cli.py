@@ -244,6 +244,32 @@ def test_solve_cap_exit_3(workdir, capsys):
                  "--cap", "2"]) == 3
 
 
+def test_solve_past_a_cap_too_long_to_print_exits_3(workdir, capsys):
+    # a valid 15,000-vertex path: its subset space 2^15000 has no decimal text
+    n = 15000
+    pathlib.Path("path.logtw").write_text("".join(
+        ["xalpwb 1\nlogtw 1 1\nproblem ds\n", f"p graph {n} {n - 1}\n",
+         *(f"e {v} {v + 1}\n" for v in range(1, n)), f"t {n - 1}\n",
+         *(f"a {i} {i + 1} 1\n" for i in range(1, n - 1)),
+         *(f"bag {i} {i} {i + 1}\n" for i in range(1, n))]))
+    assert main(["solve", "--problem", "ds", "--solver", "brute", "-i", "path.logtw",
+                 "--cap", "10"]) == 3
+    assert capsys.readouterr().err.endswith("subset space of 15001 bits > cap 10\n")
+
+
+@pytest.mark.parametrize("problem,text,message", [
+    ("tcmc", "tcmc 1\np graph 1 0\nt 1000000000\nclass 1 1 1",
+     "line 4: a tree of 1000000000 nodes needs 999999999 'a' records, found 0"),
+    ("is", "logtw 1 1\nproblem is\np graph 1000000000 0\nt 1\nbag 1 1",
+     "invalid decomposition: vertex uncovered: 2"),
+])
+def test_a_declared_size_the_text_does_not_witness_exits_2(workdir, capsys, problem, text,
+                                                            message):
+    pathlib.Path("big.txt").write_text(f"xalpwb 1\n{text}\n")
+    assert main(["solve", "--problem", problem, "-i", "big.txt"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "1.5", " 7"])
 def test_a_malformed_cap_variable_exits_2_naming_it(workdir, capsys, monkeypatch, value):
     _write_instance("g.logtw", "logtw-is", seed=3)

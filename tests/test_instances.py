@@ -293,6 +293,14 @@ def _corruptions(inst, rng):
     yield graph, TreeDecomposition(tree=dec.tree, bags=bags)
 
 
+def test_decomposition_checking_is_bounded_by_the_bags():
+    # a declared vertex count past what the bags hold allocates nothing
+    dec = TreeDecomposition(tree=OrderedTree(n=1), bags={1: frozenset({1})})
+    check = validate_decomposition(Graph(n=10**9), dec)
+    assert (check.ok, check.violation, check.witness) == (False, "vertex uncovered: 2", 2)
+    assert dec.occurrences == {1: 0b10}
+
+
 def test_decomposition_count_matches_the_search():
     rng = random.Random(8)
     seen = set()
@@ -454,6 +462,20 @@ def test_a_second_record_of_one_key_is_rejected_at_its_line(tag, records, messag
         parse_instance(tag, f"xalpwb 1\n{records}\n")
 
 
+@pytest.mark.parametrize("records,found", [
+    ("t 3\na 1 2 1", 1),
+    ("t 2\na 1 2 1\na 2 1 1", 2),
+    ("t 1000000000", 0),
+])
+def test_a_tree_size_needs_one_arc_per_node_but_the_root(records, found):
+    # checked at the t line before the tree is built, so a declared size
+    # allocates nothing the text does not witness
+    n = int(records.split()[1])
+    with pytest.raises(FormatError, match=re.escape(
+            f"line 2: a tree of {n} nodes needs {n - 1} 'a' records, found {found}")):
+        parse_instance("tree", f"xalpwb 1\n{records}\n")
+
+
 def _syntax_record(syntax: str, length: int) -> str:
     """A record of the syntax's literal words, every field '1', cut or
     padded to length tokens."""
@@ -553,6 +575,26 @@ def test_empty_lists_and_cells_round_trip():
                                              for j in (1, 2)})))
     for tag, inst in cases:
         assert parse_instance(tag, serialize_instance(inst)) == inst
+
+
+def test_a_general_cnf_partition_is_checked_like_any_other():
+    # a slot past k once parsed to a cell (1, 7) beside an empty (1, 1)
+    with pytest.raises(InvariantViolation, match=re.escape("extra [(1, 7)]")):
+        parse_instance("cnf", "xalpwb 1\ncnf general 1\nt 1\nvar 1 a 7\n")
+    with pytest.raises(InvariantViolation, match="exactly their node's variables"):
+        parse_instance("cnf", "xalpwb 1\ncnf general 1\nt 1\nvar 1 a 1\nvar 1 b\n")
+    text = "xalpwb 1\ncnf general 2\nt 2\na 1 2 1\nvar 1 a 2\nvar 2 b 1\nc a b\n"
+    inst = parse_instance("cnf", text)
+    assert [inst.cell_of_var(x) for x in (1, 2)] == [(1, 2), (2, 1)]
+    assert serialize_instance(inst) == text
+
+
+def test_a_partition_member_in_two_cells_is_rejected():
+    tree = OrderedTree(n=2, children={1: (2,)})
+    with pytest.raises(InvariantViolation, match=re.escape("puts 1 in cells (1, 1) and (2, 1)")):
+        TreeChainedCnf(tree=tree, variable_sets={1: frozenset({1}), 2: frozenset({2})},
+                       clauses=(), variant="negative-partitioned", k=1,
+                       partition={(1, 1): frozenset({1}), (2, 1): frozenset({1, 2})})
 
 
 def test_header_required():

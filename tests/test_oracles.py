@@ -748,6 +748,12 @@ def test_dominate_dp_is_capped_on_the_width_it_solves_on():
         optimum_treedp(inst, "ds", cap=80)
 
 
+def test_a_size_too_long_to_print_is_named_by_its_bit_length():
+    # 2^15000 has more decimal digits than Python converts to text
+    with pytest.raises(CapExceeded, match=r"subset space of 15001 bits > cap 10$"):
+        optimum_subset(Graph(n=15000), "ds", cap=10)
+
+
 def test_an_invalid_elimination_is_never_solved_on(monkeypatch):
     inst = ds_chain_target(0)
     short = TreeDecomposition(tree=OrderedTree(n=1), bags={1: frozenset({1})})

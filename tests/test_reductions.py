@@ -45,7 +45,7 @@ from xalpwb.reductions import (
     reduce_vc_to_rbds,
 )
 from xalpwb.machines import AtmInstance, shaped_run
-from xalpwb.verify import FAMILIES, generate_instance
+from xalpwb.verify import FAMILIES, generate_instance, verify_reduction
 
 BIGCAP = 1 << 44
 
@@ -143,6 +143,21 @@ def test_atm_tcmc_lift_records_are_the_vertex_labels():
     shape = OrderedTree(n=2, children={1: (2,)})
     art = reduce_atm_to_tcmc(AtmInstance(m, "", shape, 2, 1))
     assert art.lift.serialize() == ATM_TCMC_LIFT
+
+
+def test_atm_tcmc_at_three_blocks_completes_the_blocks_apart():
+    profile = {"blocks": 3, "beta": 1}
+    report = verify_reduction("atm-tcmc", 20, 0, profile=profile)
+    assert report.ok and report.agreements == 20
+    pairs = 0
+    for seed in range(10):
+        target = reduce_atm_to_tcmc(generate_instance("atm", profile, seed=seed)).target
+        # blocks 1 and 3 of a node do not touch, so every pair of them is an edge
+        for i in target.tree.nodes():
+            first, third = target.classes[(i, 1)], target.classes[(i, 3)]
+            assert all(target.graph.has_edge(u, v) for u in first for v in third), (seed, i)
+            pairs += len(first) * len(third)
+    assert pairs > 1000
 
 
 def test_atm_tcmc_rejects_bad_layout():

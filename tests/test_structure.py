@@ -124,3 +124,119 @@ def test_a_reduction_takes_only_its_source():
              for name, fn in {**REDUCTIONS, **FIXTURES}.items()}
     assert {name: len(params) for name, params in takes.items()} == dict.fromkeys(takes, 1)
     assert [f.name for f in dataclasses.fields(ReductionArtifact)] == ["target", "lift"]
+
+
+def _reads(node, name: str) -> bool:
+    """Whether node is the name name or an attribute .name, read or called."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _top_level_readers(source: str, name: str) -> list[str]:
+    """The module-level functions and classes whose body reads name, as a
+    name or as an attribute of any object, at any depth."""
+    return sorted(node.name for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and any(_reads(part, name) for part in ast.walk(node)))
+
+
+def test_top_level_reader_scan_sees_attributes_and_aliases():
+    source = ("def direct(inst):\n    return inst.cell_of_var(1)\n"
+              "def alias(inst):\n    look = inst.cell_of_var\n    return look(2)\n"
+              "def bare():\n    return cell_of_var(3)\n"
+              "def other(inst):\n    return inst.cell_of(4)\n")
+    assert _top_level_readers(source, "cell_of_var") == ["alias", "bare", "direct"]
+
+
+_MAPPED = ("bags", "classes", "partition")
+
+
+def _keyed_by(node, names: set[str]) -> bool:
+    """Whether node stores into a map under one of names: d[v] = ...,
+    d[v] op= ... or d.setdefault(v, ...)."""
+    if isinstance(node, (ast.Assign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(isinstance(t, ast.Subscript) and isinstance(t.slice, ast.Name)
+                   and t.slice.id in names for t in targets)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "setdefault" and bool(node.args)
+            and isinstance(node.args[0], ast.Name) and node.args[0].id in names)
+
+
+def _member_maps(source: str) -> list[str]:
+    """The module-level functions and classes that key a map by the members
+    of bags, classes or cells: by a name bound inside a loop, or by a later
+    generator of a dict comprehension, whose iterable reads .bags, .classes
+    or .partition."""
+    def reads_mapped(node) -> bool:
+        return any(isinstance(n, ast.Attribute) and n.attr in _MAPPED for n in ast.walk(node))
+
+    def bound(targets) -> set[str]:
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+    found = []
+    for top in ast.parse(source).body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.For) and reads_mapped(node.iter):
+                inner = bound(n.target for part in node.body for n in ast.walk(part)
+                              if isinstance(n, ast.For))
+                hit = any(_keyed_by(n, inner) for part in node.body for n in ast.walk(part))
+            elif isinstance(node, ast.DictComp) and isinstance(node.key, ast.Name):
+                gens = node.generators
+                hit = any(reads_mapped(g.iter)
+                          and node.key.id in bound(later.target for later in gens[i + 1:])
+                          for i, g in enumerate(gens))
+            else:
+                continue
+            if hit:
+                found.append(top.name)
+                break
+    return sorted(found)
+
+
+def test_member_map_scan_sees_loops_setdefault_and_comprehensions():
+    source = ("def loop(inst):\n    out = {}\n"
+              "    for key, cell in inst.partition.items():\n"
+              "        for v in cell:\n            out[v] = key\n"
+              "def mask(dec):\n    occ = [0] * 9\n"
+              "    for i, bag in dec.bags.items():\n"
+              "        for v in bag:\n            occ[v] |= 1 << i\n"
+              "def host(dec):\n    out = {}\n    for i in sorted(dec.bags):\n"
+              "        for v in dec.bags[i]:\n            out.setdefault(v, i)\n"
+              "def comp(inst):\n"
+              "    return {v: vs for vs in inst.partition.values() for v in vs}\n"
+              "def by_key(inst):\n"
+              "    return {key: set(vs) for key, vs in inst.classes.items()}\n"
+              "def by_vertex(g):\n    out = {}\n    for v in g.vertices():\n"
+              "        out[v] = 0\n")
+    assert _member_maps(source) == ["comp", "host", "loop", "mask"]
+
+
+def test_each_structure_map_has_one_home():
+    """The instance that validates a tree-chained structure map builds it,
+    and the reductions read it from there: class pairs through
+    constrained_class_pairs (or constrained_pairs), partition cells through
+    cell_of_var or class_of, and bag occurrences through occurrences.  No
+    other module keys a map by the members of bags, classes or cells."""
+    source = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _top_level_readers(source["instances"], "_cell_owners") == [
+        "TcmcInstance", "TreeChainedCnf"]
+    assert _member_maps(source["instances"]) == ["TreeDecomposition"]
+    assert {stem: found for stem, text in source.items()
+            if stem != "instances" and (found := _member_maps(text))} == {}
+    readers = {
+        "reductions": {
+            "constrained_class_pairs": ["reduce_atm_to_tcmc"],
+            "constrained_pairs": ["complement_tcmc_to_tcmis"],
+            "class_of": ["reduce_tcmis_to_listcoloring"],
+            "cell_of_var": ["reduce_negcnf_to_poscnf", "reduce_poscnf_to_logtw_is"],
+            "occurrences": ["reduce_listcoloring_to_precoloring", "reduce_vc_to_rbds"]},
+        "formats": {"cell_of_var": ["_cnf_lines"]},
+        "verify": {"cell_of_var": ["_faulty_negcnf_poscnf"]},
+        "instances": {"occurrences": ["_check_decomposition"]},
+    }
+    for module, names in readers.items():
+        for name, want in names.items():
+            assert _top_level_readers(source[module], name) == want, (module, name)
