@@ -5,7 +5,6 @@ oracles certifying every construction on desk-scale instances."""
 from .instances import (
     CapExceeded,
     CapSettingError,
-    DecompositionCheck,
     FormatError,
     Graph,
     InvariantViolation,
@@ -39,7 +38,6 @@ __all__ = [
     "Action",
     "CapExceeded",
     "CapSettingError",
-    "DecompositionCheck",
     "FormatError",
     "Graph",
     "InvariantViolation",

@@ -4,6 +4,10 @@ Every type here is immutable after construction and checks its invariants
 eagerly: building an invalid instance raises InvariantViolation naming the
 violated condition.  Identifiers (vertices, tree nodes, variables, colors)
 are 1-based dense integers; display labels are optional decoration.
+
+validate_decomposition returns a decomposition's width or raises
+InvariantViolation naming the first violated condition; it reads each
+vertex's occurrences, the set of tree nodes whose bags hold it.
 """
 
 from __future__ import annotations
@@ -271,67 +275,59 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags.values()) - 1
 
     @cached_property
-    def occurrences(self) -> dict[int, int]:
-        """Each bag vertex mapped to the int with bit 1 << i for each tree
-        node i whose bag holds it, in order of first occurrence.  Computed
-        on first use and kept on the instance."""
-        occ: dict[int, int] = {}
+    def occurrences(self) -> dict[int, set[int]]:
+        """Each bag vertex mapped to the set of tree nodes whose bags hold
+        it, in order of first occurrence.  Computed on first use and kept on
+        the instance."""
+        occ: dict[int, set[int]] = {}
         for i, bag in self.bags.items():
-            bit = 1 << i
             for v in bag:
-                occ[v] = occ.get(v, 0) | bit
+                if v in occ:
+                    occ[v].add(i)
+                else:
+                    occ[v] = {i}
         return occ
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
-    """Outcome of validate_decomposition; violations are in-band results."""
+def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> int:
+    """Check the three tree-decomposition conditions against graph and
+    return the width, or raise InvariantViolation naming the first violated
+    condition: a bag vertex out of range, a vertex uncovered, an edge
+    uncovered, or a vertex whose occurrences are disconnected.  The tree
+    nodes whose bags hold v induce a forest, which is connected exactly when
+    it has one node more than it has edges.
 
-    ok: bool
-    width: int | None = None
-    violation: str | None = None
-    witness: object = None
-
-
-def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> DecompositionCheck:
-    """Check the three tree-decomposition conditions against graph.
-
-    Returns the width when all conditions hold, otherwise the first violated
-    condition (vertex coverage, edge coverage, occurrence connectivity) with
-    a witness.  The tree nodes whose bags hold v induce a forest, which is
-    connected exactly when it has one node more than it has edges.
-
-    The result is remembered on dec together with the graph object it was
+    A success is remembered on dec together with the graph object it was
     checked against: a later call with that same object (compared by
-    identity, as an equal graph built anew is checked again) returns it
-    without a second pass.
+    identity, as an equal graph built anew is checked again) returns the
+    width without a second pass.
     """
     memo = getattr(dec, "_checked", None)
     if memo is not None and memo[0] is graph:
         return memo[1]
-    check = _check_decomposition(graph, dec)
-    object.__setattr__(dec, "_checked", (graph, check))
-    return check
+    violation = _check_decomposition(graph, dec)
+    if violation is not None:
+        raise InvariantViolation(f"invalid decomposition: {violation}")
+    width = dec.width()
+    object.__setattr__(dec, "_checked", (graph, width))
+    return width
 
 
-def _check_decomposition(graph: Graph, dec: TreeDecomposition) -> DecompositionCheck:
+def _check_decomposition(graph: Graph, dec: TreeDecomposition) -> str | None:
+    """The first violated condition of validate_decomposition, or None."""
     # bounded by the bags: once every bag vertex is in range and none is
     # missing, the graph has no more vertices than the bags hold
     n = graph.n
     occ = dec.occurrences
     for v in occ:
         if not 0 < v <= n:
-            return DecompositionCheck(
-                False, violation=f"bag vertex out of range: {v}", witness=v)
+            return f"bag vertex out of range: {v}"
     if len(occ) < n:
-        v = next(v for v in range(1, n + 1) if v not in occ)
-        return DecompositionCheck(
-            False, violation=f"vertex uncovered: {v}", witness=v)
-    uncovered = [e for e in graph.edges if not occ[e[0]] & occ[e[1]]]
+        return f"vertex uncovered: {next(v for v in range(1, n + 1) if v not in occ)}"
+    uncovered = [e for e in graph.edges if occ[e[0]].isdisjoint(occ[e[1]])]
     if uncovered:
         u, v = min(uncovered)
-        return DecompositionCheck(
-            False, violation=f"edge uncovered: {{{u},{v}}}", witness=(u, v))
+        return f"edge uncovered: {{{u},{v}}}"
     links = dict.fromkeys(occ, 1)  # v -> one more than the tree edges inside occ[v]
     bags = dec.bags
     for p, cs in dec.tree.children.items():
@@ -340,10 +336,9 @@ def _check_decomposition(graph: Graph, dec: TreeDecomposition) -> DecompositionC
             for v in bags[c] & up:
                 links[v] += 1
     for v in range(1, n + 1):
-        if occ[v].bit_count() != links[v]:
-            return DecompositionCheck(
-                False, violation=f"occurrences disconnected: {v}", witness=v)
-    return DecompositionCheck(True, width=dec.width())
+        if len(occ[v]) != links[v]:
+            return f"occurrences disconnected: {v}"
+    return None
 
 
 class _Decomposed:
@@ -353,10 +348,7 @@ class _Decomposed:
     def _keep_width(self):
         width = None
         if self.decomposition is not None:
-            check = validate_decomposition(self.graph, self.decomposition)
-            if not check.ok:
-                raise InvariantViolation(f"invalid decomposition: {check.violation}")
-            width = check.width
+            width = validate_decomposition(self.graph, self.decomposition)
         object.__setattr__(self, "_width", width)
 
     @property
@@ -560,7 +552,8 @@ class ListColoringInstance(_Decomposed):
         object.__setattr__(self, "palette", palette)
         lists = {v: frozenset(cs) for v, cs in self.lists.items()}
         object.__setattr__(self, "lists", lists)
-        if set(lists) != set(self.graph.vertices()):
+        n = self.graph.n
+        if len(lists) != n or not all(0 < v <= n for v in lists):
             raise InvariantViolation("every vertex needs a color list")
         for v in sorted(lists):
             if not lists[v] <= palette:

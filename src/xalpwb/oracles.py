@@ -684,11 +684,9 @@ def dp_decomposition(instance: LogTwGraphInstance,
     it is narrower."""
     if SUBSET_PROBLEMS[problem].condition == "dominate":
         dec = min_degree_decomposition(instance.graph)
-        check = validate_decomposition(instance.graph, dec)
-        if not check.ok:
-            raise InvariantViolation(f"invalid min-degree decomposition: {check.violation}")
-        if check.width < instance.width:
-            return dec, check.width
+        width = validate_decomposition(instance.graph, dec)
+        if width < instance.width:
+            return dec, width
     # the instance's decomposition was validated with it
     return instance.decomposition, instance.width
 

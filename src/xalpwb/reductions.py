@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .instances import (
     Graph,
@@ -38,16 +38,17 @@ AFTER = "after"
 @dataclass
 class LiftMap:
     """Invertible solution correspondence: forward maps source solutions to
-    target solutions, backward the reverse; records are the serializable
-    desk-scale table."""
+    target solutions, backward the reverse; records builds the serializable
+    desk-scale table, as (source item, target items) pairs, when it is
+    called, so an artifact that is never serialized builds no table."""
 
-    records: tuple[tuple[str, tuple[str, ...]], ...]
+    records: Callable[[], Iterable[tuple[str, tuple[str, ...]]]]
     forward: Callable
     backward: Callable
 
     def serialize(self) -> str:
         lines = []
-        for src, targets in self.records:
+        for src, targets in self.records():
             lines.append("lift " + " ".join([src, *targets]))
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -76,11 +77,6 @@ def _grow_decomposition(tree: OrderedTree, bags: dict[int, frozenset[int]],
     grown = OrderedTree(n=tree.n + len(extra),
                         children={i: tuple(cs) for i, cs in children.items() if cs})
     return TreeDecomposition(tree=grown, bags=bags)
-
-
-def _least_node(occurrence: int) -> int:
-    """The least tree node of an occurrence mask (bit 1 << i for node i)."""
-    return (occurrence & -occurrence).bit_length() - 1
 
 
 def _parent_closed_bags(tree: OrderedTree, own: dict[int, set[int]]) -> dict[int, frozenset[int]]:
@@ -285,7 +281,7 @@ def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
             run[node] = (q, p, tape, wh)
         return run
 
-    records = tuple(
+    records = lambda: (
         (f"{lab[0]}@{lab[1]}/{lab[2]}/{lab[3]}", (f"v{v}",))
         for v, (node, color, lab) in sorted(label_of_vertex.items()))
     return ReductionArtifact(
@@ -309,7 +305,7 @@ def complement_tcmc_to_tcmis(instance: TcmcInstance) -> ReductionArtifact:
     target = TcmcInstance(tree=instance.tree, k=instance.k,
                           classes=dict(instance.classes), graph=graph)
     identity = lambda sol: dict(sol)
-    records = tuple((f"v{v}", (f"v{v}",)) for v in instance.graph.vertices())
+    records = lambda: ((f"v{v}", (f"v{v}",)) for v in instance.graph.vertices())
     return ReductionArtifact(
         target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
 
@@ -368,9 +364,9 @@ def reduce_tcmis_to_listcoloring(instance: TcmcInstance) -> ReductionArtifact:
     def backward(coloring: dict[int, int]) -> dict[tuple[int, int], int]:
         return {key: coloring[class_vertex[key]] for key in keys}
 
-    records = tuple((f"class:{i}:{j}", (f"v{class_vertex[(i, j)]}",)) for i, j in keys)
-    records += tuple((f"edge:{u}:{w}", (f"v{cv}",))
-                     for (u, w), cv in sorted(conflict_vertex.items()))
+    records = lambda: itertools.chain(
+        ((f"class:{i}:{j}", (f"v{class_vertex[(i, j)]}",)) for i, j in keys),
+        ((f"edge:{u}:{w}", (f"v{cv}",)) for (u, w), cv in sorted(conflict_vertex.items())))
     return ReductionArtifact(
         target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 
@@ -398,7 +394,7 @@ def reduce_listcoloring_to_precoloring(instance: ListColoringInstance) -> Reduct
         occ = witness.occurrences
         witness = _grow_decomposition(
             witness.tree, witness.bags,
-            [(_least_node(occ[v]), frozenset({v, pv})) for (v, _c), pv in sorted(pendants.items())])
+            [(min(occ[v]), frozenset({v, pv})) for (v, _c), pv in sorted(pendants.items())])
     precolored = {pv: c for (v, c), pv in pendants.items()}
     target = ListColoringInstance(graph=graph, palette=palette,
                                   lists={v: palette for v in graph.vertices()},
@@ -412,8 +408,8 @@ def reduce_listcoloring_to_precoloring(instance: ListColoringInstance) -> Reduct
     def backward(coloring: dict[int, int]) -> dict[int, int]:
         return {v: coloring[v] for v in instance.graph.vertices()}
 
-    records = tuple((f"forbid:{v}:{c}", (f"v{pv}",))
-                    for (v, c), pv in sorted(pendants.items()))
+    records = lambda: ((f"forbid:{v}:{c}", (f"v{pv}",))
+                       for (v, c), pv in sorted(pendants.items()))
     return ReductionArtifact(
         target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 
@@ -445,8 +441,8 @@ def reduce_tcmis_to_negcnf(instance: TcmcInstance) -> ReductionArtifact:
             out[key] = picked[0]
         return out
 
-    records = tuple((f"v{v}", (target.var_names[v],))
-                    for v in instance.graph.vertices())
+    records = lambda: ((f"v{v}", (target.var_names[v],))
+                       for v in instance.graph.vertices())
     return ReductionArtifact(
         target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 
@@ -470,8 +466,8 @@ def reduce_negcnf_to_poscnf(instance: TreeChainedCnf) -> ReductionArtifact:
         clauses=tuple(clauses), variant="positive-partitioned", k=instance.k,
         partition=dict(instance.partition), var_names=dict(instance.var_names))
     identity = lambda sol: frozenset(sol)
-    records = tuple((instance.var_names[v], (instance.var_names[v],))
-                    for v in instance.all_variables())
+    records = lambda: ((instance.var_names[v], (instance.var_names[v],))
+                       for v in instance.all_variables())
     return ReductionArtifact(
         target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
 
@@ -494,8 +490,8 @@ def reduce_partitioned_to_general_cnf(instance: TreeChainedCnf) -> ReductionArti
         clauses=tuple(clauses), variant="general", k=instance.k,
         var_names=dict(instance.var_names))
     identity = lambda sol: frozenset(sol)
-    records = tuple((instance.var_names[v], (instance.var_names[v],))
-                    for v in instance.all_variables())
+    records = lambda: ((instance.var_names[v], (instance.var_names[v],))
+                       for v in instance.all_variables())
     return ReductionArtifact(
         target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
 
@@ -659,7 +655,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
                 true_vars.add(cell_vars[key][index])
         return frozenset(true_vars)
 
-    records = tuple(
+    records = lambda: (
         (instance.var_names[v],
          tuple(f"v{hat[(cell_of(v), alpha, int(b))]}"
                for alpha, b in enumerate(var_bits(v), start=1)))
@@ -682,7 +678,7 @@ def reduce_is_to_vc(instance: LogTwGraphInstance) -> ReductionArtifact:
         k=instance.k, problem="vc")
     allv = frozenset(instance.graph.vertices())
     complement = lambda s: frozenset(allv - s)
-    records = (("complement", ("complement",)),)
+    records = lambda: (("complement", ("complement",)),)
     return ReductionArtifact(
         target=target, lift=LiftMap(records=records, forward=complement, backward=complement))
 
@@ -710,7 +706,7 @@ def reduce_vc_to_rbds(instance: LogTwGraphInstance) -> ReductionArtifact:
     dec = instance.decomposition
     occ = dec.occurrences
     # each red vertex hangs under the least tree node whose bag holds both ends
-    extra = [(_least_node(occ[u] & occ[v]), frozenset({u, v, r}))
+    extra = [(min(occ[u] & occ[v]), frozenset({u, v, r}))
              for (u, v), r in sub_vertex.items()]
     witness = _grow_decomposition(dec.tree, dec.bags, extra)
     k_out = log_width_parameter(witness.width(), graph.n)
@@ -718,7 +714,7 @@ def reduce_vc_to_rbds(instance: LogTwGraphInstance) -> ReductionArtifact:
                                 target_weight=instance.target_weight,
                                 k=k_out, problem="rbds")
     identity = lambda s: frozenset(s)
-    records = tuple((f"e:{u}:{v}", (f"v{r}",)) for (u, v), r in sorted(sub_vertex.items()))
+    records = lambda: ((f"e:{u}:{v}", (f"v{r}",)) for (u, v), r in sorted(sub_vertex.items()))
     return ReductionArtifact(
         target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
 
@@ -762,7 +758,7 @@ def reduce_rbds_to_ds(instance: LogTwGraphInstance) -> ReductionArtifact:
                 out |= ends & -ends
         return frozenset(b for b in blues if out >> b & 1)
 
-    records = (("x0", (f"v{x0}",)), ("x1", (f"v{x1}",)))
+    records = lambda: (("x0", (f"v{x0}",)), ("x1", (f"v{x1}",)))
     return ReductionArtifact(
         target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 

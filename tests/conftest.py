@@ -1,3 +1,8 @@
+import pathlib
+import resource
+import subprocess
+import sys
+
 import pytest
 
 from xalpwb.instances import Graph, ListColoringInstance, OrderedTree, TcmcInstance
@@ -55,6 +60,28 @@ def ds_chain_target(seed: int):
     for name in DS_CHAIN:
         target = REDUCTIONS[name](target).target
     return target
+
+
+CLI_MEMORY_LIMIT = 2 << 30  # bytes of address space for a run_cli child
+
+
+def _limit_memory():
+    _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = CLI_MEMORY_LIMIT if hard == resource.RLIM_INFINITY else min(CLI_MEMORY_LIMIT, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def run_cli(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run `python -m xalpwb` with args in a child process whose address
+    space is limited to CLI_MEMORY_LIMIT, set in the child alone: an input
+    that makes the program allocate without bound ends in a MemoryError
+    there and leaves the test process and the host alone.  The child
+    writes no bytecode cache into the source tree."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "xalpwb", *args], capture_output=True, text=True,
+        timeout=timeout, env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        preexec_fn=_limit_memory)
 
 
 @pytest.fixture(scope="session")

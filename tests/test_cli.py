@@ -2,12 +2,10 @@
 
 import pathlib
 import re
-import subprocess
-import sys
 
 import pytest
 
-from conftest import deep_path_tcmc, ds_chain_target, path_coloring
+from conftest import deep_path_tcmc, ds_chain_target, path_coloring, run_cli
 from xalpwb import oracles
 from xalpwb.cli import main
 from xalpwb.formats import parse_instance, serialize_instance
@@ -270,6 +268,15 @@ def test_a_declared_size_the_text_does_not_witness_exits_2(workdir, capsys, prob
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_list_coloring_declaring_more_vertices_than_lists_exits_2(workdir):
+    # the lists are compared with the vertices by count and range, so the
+    # declared size allocates nothing
+    pathlib.Path("big.lc").write_text(
+        "xalpwb 1\nlistcol\np graph 1000000000 0\npalette 1\nlist 1 1\n")
+    done = run_cli("solve", "--problem", "listcol", "-i", "big.lc", timeout=30)
+    assert (done.returncode, done.stderr) == (2, "error: every vertex needs a color list\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "1.5", " 7"])
 def test_a_malformed_cap_variable_exits_2_naming_it(workdir, capsys, monkeypatch, value):
     _write_instance("g.logtw", "logtw-is", seed=3)
@@ -396,11 +403,7 @@ def test_machine_eval_past_the_configuration_cap_exits_3(workdir, corpus, capsys
 
 def test_python_m_runs_the_cli(workdir):
     machine = pathlib.Path(oracles.__file__).parent / "corpus" / "push_pop.mach"
-    done = subprocess.run(
-        [sys.executable, "-m", "xalpwb", "machine", "eval", "--semantics", "stackalt",
-         "-m", str(machine)],
-        capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(pathlib.Path(oracles.__file__).parents[1])})
+    done = run_cli("machine", "eval", "--semantics", "stackalt", "-m", str(machine))
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ACCEPT treeNodes=6")
 

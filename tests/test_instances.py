@@ -3,13 +3,13 @@
 import dataclasses
 import random
 import re
+import time
 
 import pytest
 
 from xalpwb import formats
 from xalpwb.formats import FORMATS, parse_instance, serialize_instance
 from xalpwb.instances import (
-    DecompositionCheck,
     FormatError,
     Graph,
     InvariantViolation,
@@ -142,26 +142,23 @@ def test_validate_decomposition_trivial_bag():
         g = Graph(n=n, edges=frozenset((u, u + 1) for u in range(1, n)))
         dec = TreeDecomposition(tree=OrderedTree(n=1),
                                 bags={1: frozenset(range(1, n + 1))})
-        check = validate_decomposition(g, dec)
-        assert check.ok and check.width == n - 1
+        assert validate_decomposition(g, dec) == n - 1
 
 
 def test_validate_decomposition_path():
     g = Graph(n=3, edges=frozenset({(1, 2), (2, 3)}))
     dec = TreeDecomposition(tree=OrderedTree(n=2, children={1: (2,)}),
                             bags={1: frozenset({1, 2}), 2: frozenset({2, 3})})
-    check = validate_decomposition(g, dec)
-    assert check.ok and check.width == 1
+    assert validate_decomposition(g, dec) == 1
 
 
 def test_validate_decomposition_uncovered_edge():
     g = Graph(n=3, edges=frozenset({(1, 2), (2, 3), (1, 3)}))
     dec = TreeDecomposition(tree=OrderedTree(n=2, children={1: (2,)}),
                             bags={1: frozenset({1, 2}), 2: frozenset({2, 3})})
-    check = validate_decomposition(g, dec)
-    assert not check.ok
-    assert check.violation == "edge uncovered: {1,3}"
-    assert check.witness == (1, 3)
+    with pytest.raises(InvariantViolation,
+                       match=r"^invalid decomposition: edge uncovered: \{1,3\}$"):
+        validate_decomposition(g, dec)
 
 
 def test_validate_decomposition_disconnected_occurrence():
@@ -169,9 +166,9 @@ def test_validate_decomposition_disconnected_occurrence():
     dec = TreeDecomposition(
         tree=OrderedTree(n=3, children={1: (2, 3)}),
         bags={1: frozenset({2}), 2: frozenset({1}), 3: frozenset({1})})
-    check = validate_decomposition(g, dec)
-    assert not check.ok
-    assert "disconnected" in check.violation
+    with pytest.raises(InvariantViolation,
+                       match="^invalid decomposition: occurrences disconnected: 1$"):
+        validate_decomposition(g, dec)
 
 
 def _brute_decomposition_check(graph, dec):
@@ -225,30 +222,36 @@ def test_decomposition_checker_against_bruteforce():
         edges = frozenset((u, v) for u in range(1, n + 1)
                           for v in range(u + 1, n + 1) if rng.random() < 0.3)
         g = Graph(n=n, edges=edges)
-        got = validate_decomposition(g, dec)
-        assert got.ok == _brute_decomposition_check(g, dec), (trial, got.violation)
+        got = _outcome(g, dec)
+        assert isinstance(got, int) == _brute_decomposition_check(g, dec), (trial, got)
         checked += 1
     assert checked == 120
 
 
+def _outcome(graph, dec):
+    """validate_decomposition's width, or the violation its error names."""
+    try:
+        return validate_decomposition(graph, dec)
+    except InvariantViolation as err:
+        return str(err).removeprefix("invalid decomposition: ")
+
+
 def _bfs_decomposition_check(graph, dec):
     """validate_decomposition as it was before connectivity became a count:
-    the same checks in the same order, one search over the tree per vertex."""
+    the same checks in the same order, one search over the tree per vertex.
+    Returns the width, or the text of the first violation."""
     occ = {v: set() for v in graph.vertices()}
     for i, bag in dec.bags.items():
         for v in bag:
             if v not in occ:
-                return DecompositionCheck(
-                    False, violation=f"bag vertex out of range: {v}", witness=v)
+                return f"bag vertex out of range: {v}"
             occ[v].add(i)
     for v in graph.vertices():
         if not occ[v]:
-            return DecompositionCheck(
-                False, violation=f"vertex uncovered: {v}", witness=v)
+            return f"vertex uncovered: {v}"
     for u, v in sorted(graph.edges):
         if not occ[u] & occ[v]:
-            return DecompositionCheck(
-                False, violation=f"edge uncovered: {{{u},{v}}}", witness=(u, v))
+            return f"edge uncovered: {{{u},{v}}}"
     for v in graph.vertices():
         nodes = occ[v]
         start = next(iter(nodes))
@@ -264,9 +267,8 @@ def _bfs_decomposition_check(graph, dec):
                     seen.add(j)
                     stack.append(j)
         if seen != nodes:
-            return DecompositionCheck(
-                False, violation=f"occurrences disconnected: {v}", witness=v)
-    return DecompositionCheck(True, width=dec.width())
+            return f"occurrences disconnected: {v}"
+    return dec.width()
 
 
 def _corruptions(inst, rng):
@@ -296,9 +298,21 @@ def _corruptions(inst, rng):
 def test_decomposition_checking_is_bounded_by_the_bags():
     # a declared vertex count past what the bags hold allocates nothing
     dec = TreeDecomposition(tree=OrderedTree(n=1), bags={1: frozenset({1})})
-    check = validate_decomposition(Graph(n=10**9), dec)
-    assert (check.ok, check.violation, check.witness) == (False, "vertex uncovered: 2", 2)
-    assert dec.occurrences == {1: 0b10}
+    with pytest.raises(InvariantViolation, match="^invalid decomposition: vertex uncovered: 2$"):
+        validate_decomposition(Graph(n=10**9), dec)
+    assert dec.occurrences == {1: {1}}
+
+
+def test_a_long_thin_decomposition_validates_in_near_linear_time():
+    # 200,000 bags of two on a path: checking must stay near-linear in the
+    # number of tree nodes, which tree-node bit masks per vertex are not
+    n = 200_000
+    graph = Graph(n=n, edges=frozenset((v, v + 1) for v in range(1, n)))
+    tree = OrderedTree(n=n - 1, children={i: (i + 1,) for i in range(1, n - 1)})
+    dec = TreeDecomposition(tree=tree, bags={i: frozenset({i, i + 1}) for i in range(1, n)})
+    start = time.process_time()
+    assert validate_decomposition(graph, dec) == 1
+    assert time.process_time() - start < 3.0
 
 
 def test_decomposition_count_matches_the_search():
@@ -308,9 +322,9 @@ def test_decomposition_count_matches_the_search():
         inst = generate_instance("logtw-is", {"tree_nodes": 8, "n": 12, "max_bag": 5},
                                  seed=seed)
         for graph, dec in _corruptions(inst, rng):
-            got = validate_decomposition(graph, dec)
+            got = _outcome(graph, dec)
             assert got == _bfs_decomposition_check(graph, dec), (seed, got)
-            seen.add(got.violation.split(":")[0] if got.violation else "ok")
+            seen.add("ok" if isinstance(got, int) else got.split(":")[0])
     assert seen == {"ok", "bag vertex out of range", "vertex uncovered",
                     "edge uncovered", "occurrences disconnected"}
 
@@ -325,25 +339,29 @@ def test_a_checked_pair_is_remembered_and_a_new_graph_is_checked_again(monkeypat
     inst = generate_instance("logtw-is", {"tree_nodes": 8, "n": 12, "max_bag": 5}, seed=4)
     graph, dec = inst.graph, inst.decomposition
     assert checked == [graph]  # at construction
-    assert validate_decomposition(graph, dec) == DecompositionCheck(True, width=inst.width)
+    assert validate_decomposition(graph, dec) == inst.width
     assert checked == [graph]
     # as in _corruptions: an edge no bag covers, added to a new Graph on the
     # same decomposition
     (u, v), *_ = [(u, v) for u in graph.vertices() for v in graph.vertices()
                   if u < v and not any({u, v} <= bag for bag in dec.bags.values())]
     wider = Graph(n=graph.n, edges=graph.edges | {(u, v)})
-    assert validate_decomposition(wider, dec) == _bfs_decomposition_check(wider, dec)
-    assert not validate_decomposition(wider, dec).ok
+    violation = f"edge uncovered: {{{u},{v}}}"
+    assert _outcome(wider, dec) == _bfs_decomposition_check(wider, dec) == violation
     assert checked == [graph, wider]
+    # a failure is not remembered, and leaves the success in place
+    assert _outcome(wider, dec) == violation
+    assert validate_decomposition(graph, dec) == inst.width
+    assert checked == [graph, wider, wider]
     # an equal graph is still another object, and is checked again
     again = Graph(n=graph.n, edges=graph.edges)
-    assert validate_decomposition(again, dec).ok
-    assert checked == [graph, wider, again]
+    assert validate_decomposition(again, dec) == inst.width
+    assert checked == [graph, wider, wider, again]
 
 
 def test_logtw_instance_keeps_its_validated_width():
     inst = generate_instance("logtw-vc", {"tree_nodes": 6, "n": 10}, seed=3)
-    assert inst.width == validate_decomposition(inst.graph, inst.decomposition).width
+    assert inst.width == validate_decomposition(inst.graph, inst.decomposition)
     assert inst.width == inst.decomposition.width()
 
 

@@ -704,8 +704,7 @@ def _complete_graph(n: int) -> Graph:
 ])
 def test_min_degree_decomposition_is_valid(graph, width):
     dec = min_degree_decomposition(graph)
-    check = validate_decomposition(graph, dec)
-    assert check.ok and check.width == width
+    assert validate_decomposition(graph, dec) == width
     assert min_degree_decomposition(graph) == dec
 
 
@@ -717,8 +716,8 @@ def test_dominate_dp_on_the_elimination_matches_the_witness_dp(monkeypatch):
     narrower = subset_checked = 0
     for pos, (inst, problem) in enumerate(cases):
         elimination = validate_decomposition(inst.graph, min_degree_decomposition(inst.graph))
-        assert elimination.width <= inst.width, pos
-        assert dp_decomposition(inst, problem)[1] == min(elimination.width, inst.width)
+        assert elimination <= inst.width, pos
+        assert dp_decomposition(inst, problem)[1] == min(elimination, inst.width)
         got = optimum_treedp(inst, problem)
         with monkeypatch.context() as m:
             m.setattr(oracles, "min_degree_decomposition",
@@ -728,7 +727,7 @@ def test_dominate_dp_on_the_elimination_matches_the_witness_dp(monkeypatch):
         if inst.graph.n <= 20:
             assert optimum_subset(inst.graph, problem) == got, pos
             subset_checked += 1
-        narrower += elimination.width < inst.width
+        narrower += elimination < inst.width
     assert narrower >= 400 and subset_checked == 300
 
 
@@ -758,7 +757,7 @@ def test_an_invalid_elimination_is_never_solved_on(monkeypatch):
     inst = ds_chain_target(0)
     short = TreeDecomposition(tree=OrderedTree(n=1), bags={1: frozenset({1})})
     monkeypatch.setattr(oracles, "min_degree_decomposition", lambda graph: short)
-    with pytest.raises(InvariantViolation, match="invalid min-degree decomposition"):
+    with pytest.raises(InvariantViolation, match="^invalid decomposition: vertex uncovered: 2$"):
         optimum_treedp(inst, "ds")
 
 
