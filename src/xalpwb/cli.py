@@ -81,7 +81,9 @@ def _solution_line(solution) -> str:
 
 def cmd_solve(args) -> int:
     family = _PROBLEMS[args.problem]
-    solve = family.solvers.get(args.solver)
+    # by default the family's first solver, the one Family.decide and verify run
+    solver = args.solver or next(iter(family.solvers))
+    solve = family.solvers.get(solver)
     if solve is None:
         raise UsageError(f"--problem {args.problem} takes --solver "
                          + " or ".join(sorted(family.solvers)))
@@ -90,7 +92,7 @@ def cmd_solve(args) -> int:
         raise UsageError("--threshold applies to --problem "
                          + ", ".join(p for p, f in _PROBLEMS.items() if f.format == "logtw"))
     instance = parse_instance(family.format, _read(args.input))
-    if args.solver == "treedp":
+    if solver == "treedp":
         # built once: the width line reports it, and the DP solves on it
         on = oracles.dp_decomposition(instance, args.problem)
         print(f"dp width {on[1]} (witness {instance.width})", file=sys.stderr)
@@ -180,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output")
     p.add_argument("--threshold", type=int)
-    p.add_argument("--solver", choices=_SOLVERS, default="brute")
+    p.add_argument("--solver", choices=_SOLVERS)
     p.add_argument("--cap", type=_cap)
     p.set_defaults(func=cmd_solve)
 

@@ -22,6 +22,13 @@ a leaf, a dead end, an existential step or a universal step.  _reach walks
 the parts reachable from the initial one; over _step it gives the table that
 alt and balanced cost and altstack replays, and the shaped runs read _step
 node by node.
+
+A machine remembers the work done on the last input it was asked about
+(_Explored): that _step table with its costs, the smallest accepting tree,
+and the outcome of the stack search per step budget and stack-height cap.
+Evaluators asked about the same input in a row share them; asking about
+another input replaces the record, so a machine holds the tables of one
+input at most.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ MODES = ("det", "exist", "univ")
 
 # hard guard on exhaustive exploration of a machine's configuration space
 MAX_CONFIGS = 1 << 17
+_TOO_MANY_CONFIGS = "machine configuration space too large"
 
 
 class SemanticsMismatch(XalpwbError):
@@ -131,6 +139,7 @@ class MachineSpec:
                     raise InvariantViolation(
                         "stack machines are nondeterministic: no universal states allowed")
         object.__setattr__(self, "_uses_stack", any_stack)
+        object.__setattr__(self, "_explored", None)
 
     @property
     def uses_stack(self) -> bool:
@@ -207,6 +216,34 @@ def _require_no_universal(m: MachineSpec, what: str):
         raise SemanticsMismatch(f"{what} requires a machine without universal states")
 
 
+# ---------------------------------------------------------- remembered work
+
+
+class _Explored:
+    """What a machine has worked out about one input x: the _step table of
+    the reachable parts (succ) with its _min_tree_costs (cost), the
+    smallest accepting tree as _smallest_tree returns it, listed once a
+    budget admits it (smallest), and the stack semantics' RunStats from
+    _stack_search per (time_steps, stack_height_cap) (searches)."""
+
+    def __init__(self, x: str):
+        self.x = x
+        self.succ: dict[Part, tuple] | None = None
+        self.cost: dict[Part, int] | None = None
+        self.smallest: tuple[RunStats, tuple] | None = None
+        self.searches: dict[tuple[int, int | None], RunStats] = {}
+
+
+def _record(m: MachineSpec, x: str) -> _Explored:
+    """The machine's record of input x; a record of another input is
+    replaced."""
+    rec = m._explored  # type: ignore[attr-defined]
+    if rec is None or rec.x != x:
+        rec = _Explored(x)
+        object.__setattr__(m, "_explored", rec)
+    return rec
+
+
 # ------------------------------------------------------------------ stack
 
 
@@ -266,17 +303,28 @@ def _stack_search(m: MachineSpec, x: str, budget: ResourceBudget):
     return None, True
 
 
+def _searched(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
+    """The stack semantics' RunStats, from one _stack_search per input,
+    step budget and stack-height cap."""
+    searches = _record(m, x).searches
+    key = (budget.time_steps, budget.stack_height_cap)
+    if key not in searches:
+        path, exhausted = _stack_search(m, x, budget)
+        if path is None:
+            searches[key] = RunStats(accepted=False, exhausted=exhausted)
+        else:
+            steps = len(path) - 1
+            searches[key] = RunStats(accepted=True, tree_nodes=steps + 1,
+                                     peak_stack_height=max(len(stk) for _, stk in path),
+                                     steps_used=steps)
+    return searches[key]
+
+
 def eval_stack(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
     """Nondeterministic stack semantics: accepted iff some run within the
     step budget reaches an accepting state with an empty stack."""
     _require_no_universal(m, "eval_stack")
-    path, exhausted = _stack_search(m, x, budget)
-    if path is None:
-        return RunStats(accepted=False, exhausted=exhausted)
-    steps = len(path) - 1
-    peak = max(len(stk) for _, stk in path)
-    return RunStats(accepted=True, tree_nodes=steps + 1,
-                    peak_stack_height=peak, steps_used=steps)
+    return _searched(m, x, budget)
 
 
 # ------------------------------------------------------- alternating core
@@ -311,8 +359,20 @@ def _reach(m: MachineSpec, x: str, expand) -> dict[Part, tuple]:
         table[part] = entry = expand(part)
         todo.extend(entry[1])  # parts already reached are skipped when popped
         if len(table) > MAX_CONFIGS:
-            raise CapExceeded("machine configuration space too large")
+            raise CapExceeded(_TOO_MANY_CONFIGS)
     return table
+
+
+def _exploration(m: MachineSpec, x: str) -> _Explored:
+    """The machine's record of input x with its _step table built.  A table
+    remembered under a higher MAX_CONFIGS raises CapExceeded as _reach
+    would, once it has more parts than the cap."""
+    rec = _record(m, x)
+    if rec.succ is None:
+        rec.succ = _reach(m, x, partial(_step, m, x))
+    elif len(rec.succ) > MAX_CONFIGS:
+        raise CapExceeded(_TOO_MANY_CONFIGS)
+    return rec
 
 
 def _min_tree_costs(succ) -> dict[Part, int]:
@@ -377,23 +437,29 @@ def _smallest_tree(m: MachineSpec, x: str, budget: ResourceBudget, what: str):
     tree, and that tree as _smallest_run lists it, as child lists, parent
     indices and subtree sizes (None when it is rejected).  steps_used is the
     tree's height, the depth of its last node listed, and
-    max_co_nondet_on_path the most universal nodes above any node."""
+    max_co_nondet_on_path the most universal nodes above any node.  The
+    costs and the listed tree do not depend on the budget, so the machine
+    keeps them for the input."""
     _require_stack_free(m, what)
     _require_budget(budget, "tree_size")
-    succ = _reach(m, x, partial(_step, m, x))
-    cost = _min_tree_costs(succ)
+    rec = _exploration(m, x)
+    if rec.cost is None:
+        rec.cost = _min_tree_costs(rec.succ)
+    cost = rec.cost
     init = initial_part(m, x)
     best = cost.get(init)
     if best is None or best > budget.tree_size:
         return RunStats(accepted=False, exhausted=best is not None), None
-    parts, kids, parent = _smallest_run(succ, cost, init)
-    depth, co = [0], [0]
-    for up in parent[1:]:
-        depth.append(depth[up] + 1)
-        co.append(co[up] + (len(kids[up]) == 2))
-    stats = RunStats(accepted=True, tree_nodes=best, max_co_nondet_on_path=max(co),
-                     steps_used=depth[-1])
-    return stats, (kids, parent, [cost[part] for part in parts])
+    if rec.smallest is None:
+        parts, kids, parent = _smallest_run(rec.succ, cost, init)
+        depth, co = [0], [0]
+        for up in parent[1:]:
+            depth.append(depth[up] + 1)
+            co.append(co[up] + (len(kids[up]) == 2))
+        stats = RunStats(accepted=True, tree_nodes=best, max_co_nondet_on_path=max(co),
+                         steps_used=depth[-1])
+        rec.smallest = stats, (kids, parent, [cost[part] for part in parts])
+    return rec.smallest
 
 
 def eval_alternating(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
@@ -756,8 +822,7 @@ def eval_stack_via_alternation(m: MachineSpec, x: str, budget: ResourceBudget) -
                             max_co_nondet_on_path=co, steps_used=used)
         if seg.quiet():  # a dead run: no later step count can accept
             break
-    _, exhausted = _stack_search(m, x, budget)
-    return RunStats(accepted=False, exhausted=exhausted)
+    return RunStats(accepted=False, exhausted=_searched(m, x, budget).exhausted)
 
 
 # ------------------------------------------------- alternation as stack
@@ -769,13 +834,13 @@ def eval_alternating_as_stack(m: MachineSpec, x: str, budget: ResourceBudget) ->
     pushed, at an accepting leaf a pending branch is popped and resumed.
 
     The replay reads each part's step from the _step table that alt and
-    balanced build, but keeps its own memoised search over (part, pending
+    balanced share, but keeps its own memoised search over (part, pending
     branches, nodes left), so its agreement with alt checks the stack replay
     apart from the cost table.  Like them it raises CapExceeded past
     MAX_CONFIGS reachable parts."""
     _require_stack_free(m, "eval_alternating_as_stack")
     _require_budget(budget, "tree_size")
-    succ = _reach(m, x, partial(_step, m, x))
+    succ = _exploration(m, x).succ
     exhausted = False
     memo: dict = {}
 
@@ -809,7 +874,12 @@ def eval_alternating_as_stack(m: MachineSpec, x: str, budget: ResourceBudget) ->
         memo[key] = res
         return res
 
-    got = search(initial_part(m, x), (), budget.tree_size)
+    try:
+        got = search(initial_part(m, x), (), budget.tree_size)
+    finally:
+        # search reaches itself through its closure; breaking that cycle
+        # frees the memo on return, not in a later cyclic collection
+        del search
     if got is None:
         return RunStats(accepted=False, exhausted=exhausted)
     nodes, peak = got
@@ -901,7 +971,10 @@ def _balanced_co_meter(kids: list[tuple[int, ...]], parent: list[int | None],
             return co_at_j
         return 1 + max(meter(top, j), co_at_j)
 
-    return meter(0, None)
+    try:
+        return meter(0, None)
+    finally:
+        del meter, step_through  # they reach each other through their closures
 
 
 def eval_balanced(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:

@@ -91,7 +91,7 @@ def test_solve_is_on_path(workdir, capsys):
 
 def test_solve_treedp_matches_brute(workdir, capsys):
     _write_instance("g.logtw", "logtw-is", seed=3)
-    assert main(["solve", "--problem", "is", "-i", "g.logtw"]) == 0
+    assert main(["solve", "--problem", "is", "-i", "g.logtw", "--solver", "brute"]) == 0
     brute = capsys.readouterr().out.strip()
     assert main(["solve", "--problem", "is", "-i", "g.logtw",
                  "--solver", "treedp"]) == 0
@@ -103,7 +103,7 @@ def test_solve_ds_treedp_matches_brute(workdir, capsys):
     for seed in range(6):
         target = reduce_rbds_to_ds(generate_instance("logtw-rbds", None, seed=seed)).target
         pathlib.Path("d.logtw").write_text(serialize_instance(target))
-        assert main(["solve", "--problem", "ds", "-i", "d.logtw"]) == 0
+        assert main(["solve", "--problem", "ds", "-i", "d.logtw", "--solver", "brute"]) == 0
         brute = capsys.readouterr().out.strip()
         assert main(["solve", "--problem", "ds", "-i", "d.logtw",
                      "--solver", "treedp"]) == 0
@@ -242,17 +242,33 @@ def test_solve_cap_exit_3(workdir, capsys):
                  "--cap", "2"]) == 3
 
 
+def _path_logtw(n: int, problem: str, weight: int) -> str:
+    """A valid n-vertex path as a logtw text of width 1: bag i holds i and
+    i + 1, and bag i + 1 hangs under bag i."""
+    return "".join(
+        ["xalpwb 1\n", f"logtw 1 {weight}\n", f"problem {problem}\n", f"p graph {n} {n - 1}\n",
+         *(f"e {v} {v + 1}\n" for v in range(1, n)), f"t {n - 1}\n",
+         *(f"a {i} {i + 1} 1\n" for i in range(1, n - 1)),
+         *(f"bag {i} {i} {i + 1}\n" for i in range(1, n))])
+
+
 def test_solve_past_a_cap_too_long_to_print_exits_3(workdir, capsys):
     # a valid 15,000-vertex path: its subset space 2^15000 has no decimal text
     n = 15000
-    pathlib.Path("path.logtw").write_text("".join(
-        ["xalpwb 1\nlogtw 1 1\nproblem ds\n", f"p graph {n} {n - 1}\n",
-         *(f"e {v} {v + 1}\n" for v in range(1, n)), f"t {n - 1}\n",
-         *(f"a {i} {i + 1} 1\n" for i in range(1, n - 1)),
-         *(f"bag {i} {i} {i + 1}\n" for i in range(1, n))]))
+    pathlib.Path("path.logtw").write_text(_path_logtw(n, "ds", 1))
     assert main(["solve", "--problem", "ds", "--solver", "brute", "-i", "path.logtw",
                  "--cap", "10"]) == 3
     assert capsys.readouterr().err.endswith("subset space of 15001 bits > cap 10\n")
+
+
+@pytest.mark.parametrize("weight, verdict", [(20, "YES"), (19, "NO")])
+def test_solve_defaults_to_the_family_decide(workdir, capsys, weight, verdict):
+    # 2^60 subsets are past the brute force's cap, so only the DP, the ds
+    # family's first solver, answers; a 60-vertex path needs 20 dominators
+    pathlib.Path("path.logtw").write_text(_path_logtw(60, "ds", weight))
+    assert main(["solve", "--problem", "ds", "-i", "path.logtw"]) == 0
+    assert capsys.readouterr() == (f"{verdict}\n", "dp width 1 (witness 1)\n")
+    assert main(["solve", "--problem", "ds", "--solver", "brute", "-i", "path.logtw"]) == 3
 
 
 @pytest.mark.parametrize("problem,text,message", [

@@ -11,7 +11,13 @@ from conftest import make_machine
 from xalpwb import machines
 from xalpwb.corpus import CORPUS_BUDGET, corpus_inputs
 from xalpwb.formats import parse_instance, serialize_instance
-from xalpwb.instances import CapExceeded, InvariantViolation, OrderedTree, ResourceBudget
+from xalpwb.instances import (
+    CapExceeded,
+    InvariantViolation,
+    OrderedTree,
+    ResourceBudget,
+    XalpwbError,
+)
 from xalpwb.machines import (
     AtmInstance,
     SemanticsMismatch,
@@ -281,6 +287,38 @@ def test_every_reached_part_counts_toward_the_configuration_cap(corpus, monkeypa
     monkeypatch.setattr(machines, "MAX_CONFIGS", 6)
     with pytest.raises(CapExceeded):
         evaluate(m, x, CORPUS_BUDGET)
+
+
+def _every_outcome(machine, x, budget) -> dict:
+    """Each evaluator's RunStats, and the smallest tree's shape within the
+    tree-size budget, or the type and text of what they raise; each call
+    runs on the machine that machine() returns."""
+    calls = {**machines.EVALUATORS,
+             "shape": lambda m, x, b: smallest_tree_shape(m, x, b.tree_size)}
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call(machine(), x, budget)
+        except XalpwbError as exc:
+            out[name] = (type(exc).__name__, str(exc))
+    return out
+
+
+def test_remembered_work_matches_a_fresh_machine(corpus):
+    """A machine remembers its work on the last input it was asked about;
+    over interleaved inputs and budgets every result equals the one a fresh
+    copy of the machine gives."""
+    budgets = [CORPUS_BUDGET, ResourceBudget(time_steps=32, tree_size=500),
+               ResourceBudget(time_steps=32, tree_size=64, stack_height_cap=1)]
+    for name, m in sorted(corpus.items()):
+        m = dataclasses.replace(m)  # one machine object per corpus machine
+        inputs = corpus_inputs(m)
+        x1, x2 = inputs[-1], inputs[len(inputs) // 2]
+        for turn, x in enumerate((x1, x2, x1)):
+            for budget in budgets[turn:] + budgets[:turn]:
+                got = _every_outcome(lambda: m, x, budget)
+                fresh = _every_outcome(lambda: dataclasses.replace(m), x, budget)
+                assert got == fresh, (name, x, budget)
 
 
 # a repeated tr record is a second, equal action; in a universal state the

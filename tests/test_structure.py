@@ -118,6 +118,19 @@ def test_one_step_rule_reads_the_transition_table():
     assert _top_level_callers(source, "_apply") == readers
 
 
+def test_one_exploration_per_machine_input():
+    """The _step table of an input is walked in one place, whose record the
+    machine keeps for alt, balanced, altstack and smallest_tree_shape; only
+    stackalt's stack-guard-free closure walks the parts apart from it.  The
+    costs and the smallest tree are built by their one reader, and the
+    stack search runs only through the record."""
+    source = (PACKAGE / "machines.py").read_text(encoding="utf-8")
+    assert _top_level_callers(source, "_reach") == ["_exploration", "_overapprox_parts"]
+    assert _top_level_callers(source, "_min_tree_costs") == ["_smallest_tree"]
+    assert _top_level_callers(source, "_smallest_run") == ["_smallest_tree"]
+    assert _top_level_callers(source, "_stack_search") == ["_searched"]
+
+
 def test_a_reduction_takes_only_its_source():
     # a decomposition travels inside its instance, never beside it
     takes = {name: list(inspect.signature(fn).parameters)
