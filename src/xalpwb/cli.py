@@ -139,8 +139,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_machine(args) -> int:
-    if args.action != "eval":
-        raise UsageError("machine supports the 'eval' action")
     machine = parse_instance("machine", _read(args.machine))
     x = args.input_string or ""
     budget = ResourceBudget(time_steps=args.budget_steps,

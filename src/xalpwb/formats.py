@@ -2,9 +2,12 @@
 
 All files are UTF-8, one record per line, lines whose first token starts
 with '#' are comments, and the first record is the versioned header
-"xalpwb 1".  One grammar reads every format: _SYNTAX gives each record's
-syntax, _collect checks a text's records against it and groups them by
-token, and a format's reader only assembles its instance from the groups.
+"xalpwb 1".  One grammar reads and writes every format: _SYNTAX gives
+each record's syntax, which _compile turns into the record's one reader
+and one writer.  _collect checks a text's records with the readers and
+groups them by token, a format's reader only assembles its instance from
+the groups, and a format's writer only hands each record's fields to the
+record's writer.
 parse_instance(tag, text) and serialize_instance(x) round-trip:
 parse(serialize(x)) is structurally equal to x.  Both read only FORMATS,
 the table at the end of this module.
@@ -13,6 +16,7 @@ the table at the end of this module.
 from __future__ import annotations
 
 import sys
+from itertools import starmap
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -31,9 +35,10 @@ from .machines import Action, AtmInstance, MachineSpec
 
 HEADER = "xalpwb 1"
 
-# Each record's syntax, as error messages quote it: its token, literal
-# words, <field>s, and last an optional [<field>], or a rest field that
-# takes one or more (<field...>) or any number ([<field>...]) of tokens.
+# Each record's syntax, as error messages quote it and as its reader and
+# writer are compiled from it: its token, literal words, <field>s, and
+# last an optional [<field>], or a rest field that takes one or more
+# (<field...>) or any number ([<field>...]) of tokens.
 _SYNTAX = {
     "p": "p graph <n> <m>",
     "e": "e <u> <v>",
@@ -68,10 +73,13 @@ _SINGLE = {"p", "t", "tcmc", "cnf", "listcol", "palette", "logtw", "problem",
            "m", "init", "accept", "work", "atm"}
 
 
-def _compile(syntax: str) -> Callable:
-    """The field reader of one syntax: it checks a record's literal words
-    and arity and returns its fields in order, integers read by name, an
-    absent optional field as None and a rest field as a list."""
+def _compile(syntax: str) -> tuple[Callable, Callable]:
+    """The field reader and the record writer of one syntax.  The reader
+    checks a record's literal words and arity and returns its fields in
+    order, integers read by name, an absent optional field as None and a
+    rest field as a list.  The writer takes fields in that order and
+    writes the record: literal words in place, an absent (None) optional
+    field left out and a rest field's items spread out."""
     words = syntax.split()
     rest = words[-1].endswith(("...>", "...]"))
     optional = words[-1].startswith("[") and not rest
@@ -90,7 +98,6 @@ def _compile(syntax: str) -> Callable:
     ints = [i for i, name in enumerate(fields)
             if name in _INT_FIELDS and not (open_end and i == last)]
     tail_int = open_end and fields[last] in _INT_FIELDS
-    all_int = not literals and not optional and all(name in _INT_FIELDS for name in fields)
 
     def bad_integer(toks: list[str], lineno: int) -> FormatError:
         for pos, tok in enumerate(toks):
@@ -109,38 +116,35 @@ def _compile(syntax: str) -> Callable:
             out = toks[1:]
             for i in dropped:
                 del out[i]
-            if rest:
-                out[last:] = [out[last:]]
-            elif len(out) == last:
-                out.append(None)
             for i in ints:
                 out[i] = int(out[i])
-            if tail_int and out[last] is not None:
-                out[last] = [*map(int, out[last])] if rest else int(out[last])
+            if rest:
+                out[last:] = [[*map(int, out[last:])] if tail_int else out[last:]]
+            elif len(out) == last:
+                out.append(None)
+            elif tail_int:
+                out[last] = int(out[last])
             return out
         except ValueError:
             raise bad_integer(toks, lineno) from None
 
-    if not all_int:
-        return read
-
-    def read_ints(toks: list[str], lineno: int) -> list:
-        # the fast path of an all-integer record; read() names what is wrong
-        if lo <= len(toks) <= hi:
-            try:
-                out = [*map(int, toks[1:])]
-            except ValueError:
-                pass
-            else:
-                if rest:
-                    out[last:] = [out[last:]]
-                return out
-        return read(toks, lineno)
-
-    return read_ints
+    # the writer is one f-string of the same words, compiled once: a
+    # str.format template takes twice an f-string's time on a tr record
+    args = [f"f{i}" for i in range(len(fields))]
+    it = iter(args)
+    parts = [f"{{{next(it)}}}" if name else w for w, name in zip(words, names)]
+    body = "f" + repr(" ".join(parts[:len(parts) - open_end]))
+    if rest:
+        body = f"' '.join([{body}, *map(str, {args[-1]})])"
+    elif optional:
+        body = f"{body} if {args[-1]} is None else f{' '.join(parts)!r}"
+    write = eval(f"lambda {', '.join(args)}: {body}", {})
+    return read, write
 
 
-_READ = {tok: _compile(syntax) for tok, syntax in _SYNTAX.items()}
+_READ, _WRITE = {}, {}
+for _tok, _syntax in _SYNTAX.items():
+    _READ[_tok], _WRITE[_tok] = _compile(_syntax)
 
 
 class Format(NamedTuple):
@@ -222,12 +226,9 @@ def serialize_instance(instance) -> str:
 # ---------------------------------------------------------------- graph
 
 def _graph_lines(g: Graph) -> list[str]:
-    lines = [f"p graph {g.n} {len(g.edges)}"]
-    for u, v in sorted(g.edges):
-        lines.append(f"e {u} {v}")
-    for v in sorted(g.labels):
-        lines.append(f"label {v} {g.labels[v]}")
-    return lines
+    # a label's text is written as it is, one item of its rest field
+    return [_WRITE["p"](g.n, len(g.edges)), *starmap(_WRITE["e"], sorted(g.edges)),
+            *(_WRITE["label"](v, [g.labels[v]]) for v in sorted(g.labels))]
 
 
 def _parse_graph(groups) -> Graph:
@@ -247,11 +248,9 @@ def _parse_graph(groups) -> Graph:
 # ---------------------------------------------------------------- tree
 
 def _tree_lines(t: OrderedTree) -> list[str]:
-    lines = [f"t {t.n}"]
-    for p in sorted(t.children):
-        for order, c in enumerate(t.children[p], start=1):
-            lines.append(f"a {p} {c} {order}")
-    return lines
+    arc = _WRITE["a"]
+    return [_WRITE["t"](t.n), *(arc(p, c, order) for p in sorted(t.children)
+                                for order, c in enumerate(t.children[p], start=1))]
 
 
 def _parse_tree(groups) -> OrderedTree:
@@ -279,11 +278,8 @@ def _parse_tree(groups) -> OrderedTree:
 # ------------------------------------------------------- decomposition
 
 def _decomposition_lines(dec: TreeDecomposition) -> list[str]:
-    lines = _tree_lines(dec.tree)
-    for i in sorted(dec.bags):
-        vs = " ".join(str(v) for v in sorted(dec.bags[i]))
-        lines.append(f"bag {i} {vs}".rstrip())
-    return lines
+    bag = _WRITE["bag"]
+    return [*_tree_lines(dec.tree), *(bag(i, sorted(dec.bags[i])) for i in sorted(dec.bags))]
 
 
 def _parse_decomposition(groups) -> TreeDecomposition:
@@ -297,11 +293,9 @@ def _parse_decomposition(groups) -> TreeDecomposition:
 # ---------------------------------------------------------------- tcmc
 
 def _tcmc_lines(inst: TcmcInstance) -> list[str]:
-    lines = [f"tcmc {inst.k}", *_graph_lines(inst.graph), *_tree_lines(inst.tree)]
-    for (i, j) in sorted(inst.classes):
-        vs = " ".join(str(v) for v in sorted(inst.classes[(i, j)]))
-        lines.append(f"class {i} {j} {vs}".rstrip())
-    return lines
+    cls = _WRITE["class"]
+    return [_WRITE["tcmc"](inst.k), *_graph_lines(inst.graph), *_tree_lines(inst.tree),
+            *(cls(i, j, sorted(inst.classes[(i, j)])) for i, j in sorted(inst.classes))]
 
 
 def _parse_tcmc(groups) -> TcmcInstance:
@@ -318,16 +312,14 @@ def _parse_tcmc(groups) -> TcmcInstance:
 # ----------------------------------------------------------------- cnf
 
 def _cnf_lines(inst: TreeChainedCnf) -> list[str]:
-    lines = [f"cnf {inst.variant} {inst.k}", *_tree_lines(inst.tree)]
+    var, names = _WRITE["var"], inst.var_names
+    lines = [_WRITE["cnf"](inst.variant, inst.k), *_tree_lines(inst.tree)]
     for x in inst.all_variables():
-        line = f"var {inst.node_of_var(x)} {inst.var_names[x]}"
         # a partition, when given, holds every variable
-        lines.append(line if inst.partition is None else f"{line} {inst.cell_of_var(x)[1]}")
-    for clause in inst.clauses:
-        lits = " ".join(
-            inst.var_names[lit] if lit > 0 else "-" + inst.var_names[-lit]
-            for lit in clause)
-        lines.append(f"c {lits}".rstrip())
+        slot = None if inst.partition is None else inst.cell_of_var(x)[1]
+        lines.append(var(inst.node_of_var(x), names[x], slot))
+    lines += (_WRITE["c"]([names[lit] if lit > 0 else "-" + names[-lit] for lit in clause])
+              for clause in inst.clauses)
     return lines
 
 
@@ -381,13 +373,11 @@ def _parse_cnf(groups) -> TreeChainedCnf:
 # ------------------------------------------------------------- listcol
 
 def _listcol_lines(inst: ListColoringInstance) -> list[str]:
-    lines = ["listcol", *_graph_lines(inst.graph)]
-    lines.append("palette " + " ".join(str(c) for c in sorted(inst.palette)))
-    for v in sorted(inst.lists):
-        cs = " ".join(str(c) for c in sorted(inst.lists[v]))
-        lines.append(f"list {v} {cs}".rstrip())
-    for v in sorted(inst.precolored):
-        lines.append(f"pre {v} {inst.precolored[v]}")
+    lst, pre = _WRITE["list"], _WRITE["pre"]
+    lines = [_WRITE["listcol"](), *_graph_lines(inst.graph),
+             _WRITE["palette"](sorted(inst.palette)),
+             *(lst(v, sorted(inst.lists[v])) for v in sorted(inst.lists)),
+             *(pre(v, inst.precolored[v]) for v in sorted(inst.precolored))]
     if inst.decomposition is not None:
         lines += _decomposition_lines(inst.decomposition)
     return lines
@@ -407,7 +397,7 @@ def _parse_listcol(groups) -> ListColoringInstance:
 # --------------------------------------------------------------- logtw
 
 def _logtw_lines(inst: LogTwGraphInstance) -> list[str]:
-    return [f"logtw {inst.k} {inst.target_weight}", f"problem {inst.problem}",
+    return [_WRITE["logtw"](inst.k, inst.target_weight), _WRITE["problem"](inst.problem),
             *_graph_lines(inst.graph), *_decomposition_lines(inst.decomposition)]
 
 
@@ -429,19 +419,13 @@ def _stackop_text(op) -> str:
 
 
 def _machine_lines(m: MachineSpec) -> list[str]:
-    lines = ["m states " + " ".join(m.states)]
-    lines.append(f"init {m.initial}")
-    lines.append("accept " + " ".join(sorted(m.accepting)))
-    for q in m.states:
-        lines.append(f"mode {q} {m.mode[q]}")
-    lines.append(f"work {m.work_cells} {''.join(m.work_alphabet)}")
-    for key in sorted(m.transitions):
-        q, a, w = key
-        for act in m.transitions[key]:
-            lines.append(
-                f"tr {q} {a} {w} -> {act.state} {act.write} "
-                f"{act.dw} {act.di} {_stackop_text(act.stack_op)}")
-    return lines
+    mode, tr = _WRITE["mode"], _WRITE["tr"]
+    return [_WRITE["m"](m.states), _WRITE["init"](m.initial),
+            _WRITE["accept"](sorted(m.accepting)),
+            *(mode(q, m.mode[q]) for q in m.states),
+            _WRITE["work"](m.work_cells, "".join(m.work_alphabet)),
+            *(tr(*key, act.state, act.write, act.dw, act.di, _stackop_text(act.stack_op))
+              for key in sorted(m.transitions) for act in m.transitions[key])]
 
 
 def _parse_stackop(tok: str, lineno: int):
@@ -479,7 +463,7 @@ def _parse_machine(groups) -> MachineSpec:
 def _atm_lines(inst: AtmInstance) -> list[str]:
     if any(ch.isspace() for ch in inst.x):
         raise FormatError(f"input string {inst.x!r} holds whitespace")
-    return [f"atm {inst.blocks} {inst.beta} {inst.x}".rstrip(),
+    return [_WRITE["atm"](inst.blocks, inst.beta, inst.x or None),
             *_machine_lines(inst.machine), *_tree_lines(inst.shape)]
 
 

@@ -247,12 +247,10 @@ def _record(m: MachineSpec, x: str) -> _Explored:
 # ------------------------------------------------------------------ stack
 
 
-def _stack_search(m: MachineSpec, x: str, budget: ResourceBudget):
-    """Layered search over (part, stack) states.
-
-    Returns (path or None, exhausted); the path is the minimal-step accepting
-    run as a list of (part, stack) states.
-    """
+def _stack_search(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
+    """Layered search over (part, stack) states for the minimal-step run
+    that reaches an accepting state with an empty stack.  Each state keeps
+    the peak stack height along the first path that reached it."""
     _require_budget(budget, "time_steps")
     limit = budget.time_steps
     cap = budget.stack_height_cap
@@ -262,24 +260,14 @@ def _stack_search(m: MachineSpec, x: str, budget: ResourceBudget):
         part, stk = state
         return part[0] in m.accepting and not stk
 
-    parents: dict = {start: None}
-
-    def path_to(state):
-        out = []
-        while state is not None:
-            out.append(state)
-            state = parents[state]
-        return list(reversed(out))
-
     if halted_accepting(start):
-        return path_to(start), False
+        return RunStats(accepted=True, tree_nodes=1, peak_stack_height=0, steps_used=0)
+    peak = {start: 0}
     frontier = [start]
-    for _ in range(limit):
+    for steps in range(1, limit + 1):
         nxt = []
         for state in frontier:
             part, stk = state
-            if halted_accepting(state):
-                continue
             for act in _applicable(m, part, x):
                 if act.stack_op is None:
                     new = (_apply(part, act), stk)
@@ -291,16 +279,17 @@ def _stack_search(m: MachineSpec, x: str, budget: ResourceBudget):
                     if not stk or stk[-1] != act.stack_op[1]:
                         continue
                     new = (_apply(part, act), stk[:-1])
-                if new in parents:
+                if new in peak:
                     continue
-                parents[new] = state
+                peak[new] = max(peak[state], len(new[1]))
                 if halted_accepting(new):
-                    return path_to(new), False
+                    return RunStats(accepted=True, tree_nodes=steps + 1,
+                                    peak_stack_height=peak[new], steps_used=steps)
                 nxt.append(new)
         if not nxt:
-            return None, False
+            return RunStats(accepted=False)
         frontier = nxt
-    return None, True
+    return RunStats(accepted=False, exhausted=True)
 
 
 def _searched(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
@@ -309,14 +298,7 @@ def _searched(m: MachineSpec, x: str, budget: ResourceBudget) -> RunStats:
     searches = _record(m, x).searches
     key = (budget.time_steps, budget.stack_height_cap)
     if key not in searches:
-        path, exhausted = _stack_search(m, x, budget)
-        if path is None:
-            searches[key] = RunStats(accepted=False, exhausted=exhausted)
-        else:
-            steps = len(path) - 1
-            searches[key] = RunStats(accepted=True, tree_nodes=steps + 1,
-                                     peak_stack_height=max(len(stk) for _, stk in path),
-                                     steps_used=steps)
+        searches[key] = _stack_search(m, x, budget)
     return searches[key]
 
 

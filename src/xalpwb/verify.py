@@ -741,8 +741,9 @@ def check_chain(chain: list[str]) -> tuple[str, str]:
 def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOutcome:
     """One chain trial: reduce through every stage and compare the
     endpoints' verdicts.  A solvable source's solution is carried through
-    the stages' forward lifts; when every stage accepts it, it proves the
-    end solvable, and only otherwise does the end's oracle decide."""
+    the stages' forward lifts and checked on every stage's target, so a
+    stage that rejects it is a disagreement naming that stage; the end's
+    oracle decides only an unsolvable source's end."""
     src_family, end_family = check_chain(chain)
     cap = oracles.resolve_cap(cap)  # a malformed XALPWB_CAP raises, never a trial outcome
 
@@ -752,24 +753,18 @@ def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOu
             artifacts.append(_lookup_reduction(nm)(current))
             current = artifacts[-1].target
         src_ok, solution = FAMILIES[src_family].decide(source, cap)
-        tgt_ok = src_ok and _carried(chain, artifacts, solution)
-        if not tgt_ok:
-            tgt_ok = FAMILIES[end_family].decide(current, cap)[0]
-        if src_ok != tgt_ok:
-            return TrialOutcome("disagree", detail=f"source {src_ok} end {tgt_ok}")
+        if src_ok:
+            for nm, art in zip(chain, artifacts):
+                solution = art.lift.forward(solution)
+                if not FAMILIES[CONTRACTS[nm].target].check(art.target, solution):
+                    return TrialOutcome(
+                        "disagree", detail=f"stage {nm}: carried solution invalid on target")
+            return TrialOutcome("agree")
+        if FAMILIES[end_family].decide(current, cap)[0]:
+            return TrialOutcome("disagree", detail="source False end True")
         return TrialOutcome("agree")
 
     return _booked(trial)
-
-
-def _carried(chain: list[str], artifacts: list[ReductionArtifact], solution) -> bool:
-    """Whether a source solution, lifted forward stage by stage, is valid on
-    every stage's target; it is checked before the next lift receives it."""
-    for nm, art in zip(chain, artifacts):
-        solution = art.lift.forward(solution)
-        if not FAMILIES[CONTRACTS[nm].target].check(art.target, solution):
-            return False
-    return True
 
 
 def verify_chain(chain: list[str], trials: int, seed: int,

@@ -561,6 +561,47 @@ def test_a_non_integer_field_is_named_with_its_syntax():
         "logtw k", "logtw W", "work cells", "tr dw", "tr di", "atm blocks", "atm beta"]
 
 
+def _syntax_fields(syntax: str, rng: random.Random) -> list:
+    """Seeded fields of one syntax, in the order its reader returns them:
+    integers for integer fields, tokens for the others, a rest field as a
+    list (empty when it takes any number) and an optional field as None
+    or a value."""
+    def value(name: str):
+        if name in formats._INT_FIELDS:
+            return rng.randint(-5, 10**6)
+        return rng.choice(["q", "x12", "-y", "push:a", "none", "0", "det", "rbds"])
+
+    fields = []
+    for word in syntax.split()[1:]:
+        if word[0] not in "<[":
+            continue
+        name = word.strip("[<.>]")
+        if word.endswith("...>"):
+            fields.append([value(name) for _ in range(rng.randint(1, 3))])
+        elif word.endswith("...]"):
+            fields.append([value(name) for _ in range(rng.randint(0, 3))])
+        elif word[0] == "[":
+            fields.append(rng.choice([None, value(name)]))
+        else:
+            fields.append(value(name))
+    return fields
+
+
+@pytest.mark.parametrize("tok", sorted(formats._SYNTAX))
+def test_each_record_reads_back_what_its_writer_writes(tok):
+    syntax = formats._SYNTAX[tok]
+    rng = random.Random(tok)
+    left_out = False
+    for _ in range(50):
+        fields = _syntax_fields(syntax, rng)
+        record = formats._WRITE[tok](*fields)
+        assert record == " ".join(record.split()) and record.split()[0] == tok
+        assert formats._READ[tok](record.split(), 1) == fields, record
+        left_out |= bool(fields) and fields[-1] in (None, [])
+    # a last field that may be absent or empty was written without it
+    assert left_out == syntax.endswith("]")
+
+
 def test_round_trip_empty_edge_graph():
     g = Graph(n=3)
     text = serialize_instance(g)

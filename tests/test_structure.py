@@ -253,3 +253,47 @@ def test_each_structure_map_has_one_home():
     for module, names in readers.items():
         for name, want in names.items():
             assert _top_level_readers(source[module], name) == want, (module, name)
+
+
+def _record_builders(source: str) -> dict[str, list[str]]:
+    """What each _*_lines function builds a record with itself: an
+    f-string, a ' '.join or a .rstrip(), outside a raise statement."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                and fn.name.endswith("_lines")):
+            continue
+        raised = {id(n) for r in ast.walk(fn) if isinstance(r, ast.Raise) for n in ast.walk(r)}
+        found[fn.name] = []
+        for node in ast.walk(fn):
+            if id(node) in raised:
+                continue
+            if isinstance(node, ast.JoinedStr):
+                found[fn.name].append("f-string")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                func = node.func
+                if func.attr == "rstrip":
+                    found[fn.name].append(".rstrip()")
+                elif (func.attr == "join" and isinstance(func.value, ast.Constant)
+                      and func.value.value == " "):
+                    found[fn.name].append("' '.join")
+    return {name: sorted(what) for name, what in found.items()}
+
+
+def test_record_builder_scan_sees_fstrings_joins_and_rstrip():
+    source = ("def _a_lines(x):\n    return [f'a {x}']\n"
+              "def _b_lines(xs):\n    return ['b ' + ' '.join(xs).rstrip()]\n"
+              "def _c_lines(x):\n    if ' ' in x:\n        raise ValueError(f'bad {x!r}')\n"
+              "    return [write(x), ''.join(x)]\n"
+              "def helper(x):\n    return f'{x}'\n")
+    assert _record_builders(source) == {"_a_lines": ["f-string"],
+                                        "_b_lines": ["' '.join", ".rstrip()"], "_c_lines": []}
+
+
+def test_format_writers_leave_each_record_to_its_compiled_writer():
+    """_SYNTAX is the one place a record's layout is written down: the
+    nine format writers hand fields to the record writers _compile builds
+    from it, and spell out no record of their own."""
+    builders = _record_builders((PACKAGE / "formats.py").read_text(encoding="utf-8"))
+    assert len(builders) == 9
+    assert not any(builders.values()), builders

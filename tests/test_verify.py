@@ -13,6 +13,7 @@ from xalpwb.instances import (
     TreeDecomposition,
     log_width_parameter,
 )
+from xalpwb.machines import RunStats
 from xalpwb.reductions import REDUCTION_NAMES, REDUCTIONS
 from xalpwb.verify import (
     CONTRACTS,
@@ -195,6 +196,30 @@ def test_machine_equivalence_report(corpus):
     report = verify_machine_equivalences(corpus, CORPUS_BUDGET, max_len=3)
     assert report.ok
     assert report.trials == report.agreements
+
+
+@pytest.mark.parametrize("sem, fake, problem", [
+    ("stackalt", RunStats(accepted=True, tree_nodes=17), "tree size 17 > 8*steps+8"),
+    ("balanced", RunStats(accepted=True, max_co_nondet_on_path=99), "co-nondet 99 > 16.00"),
+    ("alt", RunStats(accepted=False), "evaluators disagree: {'stack': True, 'alt': False, "),
+])
+def test_machine_report_names_the_machine_and_input_of_a_problem(monkeypatch, corpus,
+                                                                  sem, fake, problem):
+    # one evaluator swapped for a fake on input '1' (trial 2) trips one of
+    # the report's checks: the stackalt tree-size ratio (find_one's stack
+    # run takes 1 step), the co-nondeterminism bound 2*log2(64)+4, or the
+    # verdicts' agreement
+    from xalpwb.corpus import CORPUS_BUDGET
+
+    real = verify.EVALUATORS[sem]
+    monkeypatch.setitem(verify.EVALUATORS, sem,
+                        lambda m, x, budget: fake if x == "1" else real(m, x, budget))
+    report = verify_machine_equivalences({"find_one": corpus["find_one"]}, CORPUS_BUDGET,
+                                         max_len=1)
+    assert not report.ok and report.agreements == 2
+    (trial, text), = report.disagreements
+    assert trial == 2
+    assert text.startswith("# machine find_one input '1'\n" + problem)
 
 
 def test_report_serialization_lines():
@@ -526,14 +551,13 @@ def test_carried_solution_decides_a_solvable_end(monkeypatch):
     assert len(ends) == 1 and checked == []
 
 
-def test_rejected_carry_falls_back_to_the_end_oracle(monkeypatch):
+def test_rejected_carry_is_a_disagreement_naming_its_stage(monkeypatch):
     # a stage lifting to an invalid solution (an empty dominating set of a
-    # nonempty graph) is noticed by its checker, and the end's oracle
-    # decides with the verdict the carry would have given
+    # nonempty graph) is noticed by its checker and blamed; the end's
+    # oracle is not asked to overrule it
     from xalpwb.verify import run_chain_trial
 
     source = _ds_source(True)
-    expect = run_chain_trial(DS_CHAIN, source)
     real_reduce = REDUCTIONS["rbds-ds"]
 
     def invalid_lift(src):
@@ -541,10 +565,19 @@ def test_rejected_carry_falls_back_to_the_end_oracle(monkeypatch):
         art.lift.forward = lambda sol: frozenset()
         return art
 
-    monkeypatch.setitem(REDUCTIONS, "rbds-ds", invalid_lift)
-    ends = _counted_end(monkeypatch, "logtw-ds")
-    assert run_chain_trial(DS_CHAIN, source) == expect
-    assert expect.status == "agree" and len(ends) == 1
+    with monkeypatch.context() as patch:
+        patch.setitem(REDUCTIONS, "rbds-ds", invalid_lift)
+        ends = _counted_end(patch, "logtw-ds")
+        outcome = run_chain_trial(DS_CHAIN, source)
+    assert (outcome.status, outcome.detail) == (
+        "disagree", "stage rbds-ds: carried solution invalid on target")
+    assert ends == []
+    # a checker rejecting at any stage names that stage, not a later one
+    for stage in DS_CHAIN:
+        with monkeypatch.context() as patch:
+            _with(patch, CONTRACTS[stage].target, check=lambda instance, solution: False)
+            outcome = run_chain_trial(DS_CHAIN, source)
+        assert outcome.detail == f"stage {stage}: carried solution invalid on target"
 
 
 def test_capped_end_oracle_skips_only_without_a_carried_solution(monkeypatch):
@@ -568,11 +601,24 @@ def _bench_chains():
 
 @pytest.mark.parametrize("chain, profile", _bench_chains())
 def test_carried_reports_match_end_oracle_reports(monkeypatch, chain, profile):
-    # every checker rejecting forces the end's oracle on every trial, as
-    # before solutions were carried; the reports must not tell them apart
+    # on the bench's chains no stage rejects a carried solution: each report
+    # is the one given when the end's oracle decides every trial
     carried = [verify_chain(chain, 20, seed, profile=profile).serialize()
                for seed in range(3)]
-    for family in verify.FAMILIES:
-        _with(monkeypatch, family, check=lambda instance, solution: False)
+    src_family, end_family = verify.check_chain(chain)
+
+    def end_oracle_trial(chain, source, cap=None):
+        def trial():
+            end = source
+            for stage in chain:
+                end = verify._lookup_reduction(stage)(end).target
+            src_ok = verify.FAMILIES[src_family].decide(source, cap)[0]
+            end_ok = verify.FAMILIES[end_family].decide(end, cap)[0]
+            if src_ok == end_ok:
+                return verify.TrialOutcome("agree")
+            return verify.TrialOutcome("disagree", detail=f"source {src_ok} end {end_ok}")
+        return verify._booked(trial)
+
+    monkeypatch.setattr(verify, "run_chain_trial", end_oracle_trial)
     assert carried == [verify_chain(chain, 20, seed, profile=profile).serialize()
                        for seed in range(3)]
