@@ -4,7 +4,6 @@ oracles certifying every construction on desk-scale instances."""
 
 from .instances import (
     CapExceeded,
-    CapSettingError,
     FormatError,
     Graph,
     InvariantViolation,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "CapExceeded",
-    "CapSettingError",
     "FormatError",
     "Graph",
     "InvariantViolation",

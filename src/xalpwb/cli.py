@@ -1,9 +1,8 @@
 """Command-line surface binding all modules for batch use and CI.
 
 Exit codes are a stable contract: 0 success/agreement, 1 verification
-disagreement, 2 usage or parse error, 3 oracle resource cap.  The default
-oracle cap can be overridden with the XALPWB_CAP environment variable or
-per-run flags.
+disagreement, 2 usage or parse error, 3 oracle resource cap.  The oracle
+cap is oracles.DEFAULT_CAP unless solve or verify is given --cap.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import sys
 from . import oracles, verify
 from .corpus import CORPUS_BUDGET, MAX_INPUT_LEN, load_corpus
 from .formats import parse_instance, serialize_instance
-from .instances import CapExceeded, CapSettingError, ResourceBudget, XalpwbError
+from .instances import CapExceeded, ResourceBudget, XalpwbError
 from .machines import EVALUATORS, shaped_run
 from .reductions import REDUCTION_NAMES, REDUCTIONS
 
@@ -35,11 +34,10 @@ class UsageError(XalpwbError):
 
 
 def _cap(text: str) -> int:
-    """An oracle cap read by oracles.parse_cap, as argparse reports it."""
-    try:
-        return oracles.parse_cap(text)
-    except CapSettingError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    """A --cap value: decimal digits, an integer >= 0; else exit 2."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return int(text)
 
 
 def _read(path: str) -> str:
@@ -218,7 +216,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        oracles.resolve_cap()  # a malformed XALPWB_CAP fails every command
         return args.func(args)
     except CapExceeded as exc:
         print(f"oracle cap: {exc}", file=sys.stderr)

@@ -333,8 +333,6 @@ def _parse_cnf(groups) -> TreeChainedCnf:
     for idx, (lineno, (node, name, slot)) in enumerate(groups["var"], start=1):
         if name in id_of:
             raise FormatError(f"duplicate variable name {name!r}", lineno)
-        if name.startswith("-"):
-            raise FormatError(f"variable name {name!r} may not start with '-'", lineno)
         id_of[name] = idx
         var_names[idx] = name
         if node not in variable_sets:

@@ -43,11 +43,6 @@ class CapExceeded(XalpwbError):
     """An oracle refused an instance that is too large for exhaustive search."""
 
 
-class CapSettingError(XalpwbError):
-    """An oracle cap given as text (the XALPWB_CAP environment variable, or
-    the CLI's --cap) that is not an integer >= 0 in decimal digits."""
-
-
 def ceil_log2(n: int) -> int:
     """ceil(log2(n)) with the convention ceil_log2(1) = 1 so that k*log(n)
     width checks never degenerate to zero on tiny instances."""
@@ -88,6 +83,10 @@ class Graph:
         for v in self.labels:
             if not 1 <= v <= self.n:
                 raise InvariantViolation(f"label on unknown vertex {v}")
+        # a label is written as words and read back joined by single spaces
+        for text in set(self.labels.values()):
+            if not text or " ".join(text.split()) != text:
+                raise InvariantViolation(f"label {text!r} must be words joined by single spaces")
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -486,6 +485,11 @@ class TreeChainedCnf:
             names.setdefault(x, f"x{x}")
         if len(set(names.values())) != len(names):
             raise InvariantViolation("variable names must be unique")
+        for name in names.values():
+            # a clause writes a negated variable as '-' and its name
+            if name.split() != [name] or name[0] == "-":
+                raise InvariantViolation(
+                    f"variable name {name!r} must be one token not starting with '-'")
         object.__setattr__(self, "var_names", names)
         object.__setattr__(
             self, "clauses", tuple(tuple(c) for c in self.clauses))

@@ -94,6 +94,8 @@ class MachineSpec:
             raise InvariantViolation("accepting set contains unknown states")
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         for q in self.states:
+            if q.split() != [q]:
+                raise InvariantViolation(f"state name {q!r} must be one token")
             if self.mode.get(q) not in MODES:
                 raise InvariantViolation(f"state {q!r} needs a mode in {MODES}")
         if self.work_cells < 1:
@@ -101,6 +103,9 @@ class MachineSpec:
         if not self.work_alphabet or len(set(self.work_alphabet)) != len(self.work_alphabet):
             raise InvariantViolation("work alphabet must be nonempty and distinct")
         work = set(self.work_alphabet)
+        for w in work:
+            if len(w) != 1 or w.isspace():
+                raise InvariantViolation(f"work symbol {w!r} must be one non-whitespace character")
         any_stack = False
         for key, acts in self.transitions.items():
             q, a, w = key
@@ -108,8 +113,8 @@ class MachineSpec:
                 raise InvariantViolation(f"transition from unknown state {q!r}")
             if w not in work:
                 raise InvariantViolation(f"transition reads unknown work symbol {w!r}")
-            if len(a) != 1:
-                raise InvariantViolation(f"input symbol {a!r} must be one character")
+            if len(a) != 1 or a.isspace():
+                raise InvariantViolation(f"input symbol {a!r} must be one non-whitespace character")
             if not acts:
                 raise InvariantViolation(f"empty action set for {key}")
             if self.mode[q] == "det" and len(acts) != 1:
@@ -130,6 +135,9 @@ class MachineSpec:
                     kind, sym = act.stack_op
                     if kind not in ("push", "pop"):
                         raise InvariantViolation(f"unknown stack op {kind!r}")
+                    if len(sym) != 1 or sym.isspace():
+                        raise InvariantViolation(
+                            f"stack symbol {sym!r} must be one non-whitespace character")
                     if kind == "pop" and self.mode[q] != "det":
                         raise InvariantViolation(
                             f"pop in non-deterministic state {q!r}: pops must be deterministic steps")

@@ -27,12 +27,10 @@ import functools
 import heapq
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 from .instances import (
     CapExceeded,
-    CapSettingError,
     Graph,
     InvariantViolation,
     ListColoringInstance,
@@ -50,30 +48,8 @@ DEFAULT_CAP = 1 << 20
 TCMC_MODES = ("clique", "independent-set")
 
 
-def parse_cap(text: str) -> int:
-    """An oracle cap written as text: decimal digits, an integer >= 0."""
-    if not (text.isascii() and text.isdigit()):
-        raise CapSettingError(f"must be an integer >= 0, not {text!r}")
-    return int(text)
-
-
-def resolve_cap(cap: int | None = None) -> int:
-    """The cap itself when given, else XALPWB_CAP read by parse_cap (an
-    empty value counts as unset), else DEFAULT_CAP.  A malformed XALPWB_CAP
-    raises CapSettingError naming it."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("XALPWB_CAP")
-    if not env:
-        return DEFAULT_CAP
-    try:
-        return parse_cap(env)
-    except CapSettingError as exc:
-        raise CapSettingError(f"XALPWB_CAP {exc}") from None
-
-
 def _guard(size: int, cap: int | None, what: str):
-    cap = resolve_cap(cap)
+    cap = DEFAULT_CAP if cap is None else cap
     if size > cap:
         # a size past 64 bits is named by its bit length: Python prints no
         # integer of more than 4300 decimal digits

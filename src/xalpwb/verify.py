@@ -641,7 +641,6 @@ def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
     contract's parameter rules."""
     reduce, contract = _lookup_reduction(name), CONTRACTS[name]
     src, tgt = FAMILIES[contract.sources[0]], FAMILIES[contract.target]
-    cap = oracles.resolve_cap(cap)  # a malformed XALPWB_CAP raises, never a trial outcome
 
     def trial():
         art = reduce(source)
@@ -745,7 +744,6 @@ def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOu
     stage that rejects it is a disagreement naming that stage; the end's
     oracle decides only an unsolvable source's end."""
     src_family, end_family = check_chain(chain)
-    cap = oracles.resolve_cap(cap)  # a malformed XALPWB_CAP raises, never a trial outcome
 
     def trial():
         artifacts, current = [], source

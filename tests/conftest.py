@@ -3,6 +3,9 @@ import resource
 import subprocess
 import sys
 
+# set before xalpwb is imported: the suite leaves no bytecode cache in src/
+sys.dont_write_bytecode = True
+
 import pytest
 
 from xalpwb.instances import Graph, ListColoringInstance, OrderedTree, TcmcInstance

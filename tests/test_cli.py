@@ -10,7 +10,7 @@ from xalpwb import oracles
 from xalpwb.cli import main
 from xalpwb.formats import parse_instance, serialize_instance
 from xalpwb.reductions import reduce_rbds_to_ds
-from xalpwb.verify import generate_instance, replay_counterexample
+from xalpwb.verify import generate_instance, replay_counterexample, verify_reduction
 
 
 @pytest.fixture()
@@ -293,22 +293,12 @@ def test_a_list_coloring_declaring_more_vertices_than_lists_exits_2(workdir):
     assert (done.returncode, done.stderr) == (2, "error: every vertex needs a color list\n")
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", "1.5", " 7"])
-def test_a_malformed_cap_variable_exits_2_naming_it(workdir, capsys, monkeypatch, value):
+@pytest.mark.parametrize("value", ["1", "abc"])
+def test_the_environment_sets_no_cap(workdir, monkeypatch, value):
     _write_instance("g.logtw", "logtw-is", seed=3)
+    unset = verify_reduction("is-vc", 3, 0).serialize()
     monkeypatch.setenv("XALPWB_CAP", value)
-    for argv in (["verify", "--reduction", "is-vc", "--trials", "2"],
-                 ["solve", "--problem", "is", "-i", "g.logtw"]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"XALPWB_CAP must be an integer >= 0, not {value!r}" in err
-
-
-def test_a_cap_variable_of_digits_is_used(workdir, capsys, monkeypatch):
-    _write_instance("g.logtw", "logtw-is", seed=3)
-    monkeypatch.setenv("XALPWB_CAP", "2")
-    assert main(["solve", "--problem", "is", "-i", "g.logtw"]) == 3
-    monkeypatch.setenv("XALPWB_CAP", "")
+    assert verify_reduction("is-vc", 3, 0).serialize() == unset
     assert main(["solve", "--problem", "is", "-i", "g.logtw"]) == 0
 
 

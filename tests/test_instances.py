@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import make_machine
 from xalpwb import formats
 from xalpwb.formats import FORMATS, parse_instance, serialize_instance
 from xalpwb.instances import (
@@ -654,6 +655,51 @@ def test_a_partition_member_in_two_cells_is_rejected():
         TreeChainedCnf(tree=tree, variable_sets={1: frozenset({1}), 2: frozenset({2})},
                        clauses=(), variant="negative-partitioned", k=1,
                        partition={(1, 1): frozenset({1}), (2, 1): frozenset({1, 2})})
+
+
+def _labelled(text: str) -> Graph:
+    return Graph(n=2, edges=frozenset({(1, 2)}), labels={1: text, 2: "b"})
+
+
+def _named(name: str) -> TreeChainedCnf:
+    return TreeChainedCnf(tree=OrderedTree(n=1), variable_sets={1: frozenset({1, 2})},
+                          clauses=((1, -2),), variant="general", k=1,
+                          var_names={1: name, 2: "y"})
+
+
+def _machine(state="q", blank="_", stack="a", symbol="1"):
+    """A stack machine whose one step reads symbol and blank and pushes
+    stack on its way to state."""
+    return make_machine(["s", state], "s", [state], {"s": "exist", state: "det"}, 1, [blank],
+                        {("s", symbol, blank): [(state, blank, 0, 1, ("push", stack))]})
+
+
+# (format, builder, a value its writer cannot write back, a valid neighbour)
+_UNWRITABLE = {
+    "empty label": ("graph", _labelled, "", "a"),
+    "label with two spaces": ("graph", _labelled, "a  b", "a b"),
+    "label with a leading space": ("graph", _labelled, " a", "a"),
+    "label with a tab": ("graph", _labelled, "a\tb", "a b c"),
+    "var name with a space": ("cnf", _named, "a b", "a_b"),
+    "var name starting with '-'": ("cnf", _named, "-a", "a-"),
+    "empty var name": ("cnf", _named, "", "a"),
+    "state name with a space": ("machine", _machine, "s t", "s_t"),
+    "empty state name": ("machine", _machine, "", "t"),
+    "work symbol of two characters": ("machine", lambda w: _machine(blank=w), "ab", "b"),
+    "blank work symbol": ("machine", lambda w: _machine(blank=w), " ", "b"),
+    "stack symbol of two characters": ("machine", lambda c: _machine(stack=c), "ab", "b"),
+    "blank stack symbol": ("machine", lambda c: _machine(stack=c), " ", "#"),
+    "blank input symbol": ("machine", lambda c: _machine(symbol=c), " ", "0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNWRITABLE))
+def test_a_name_its_format_cannot_write_back_is_rejected(case):
+    tag, build, bad, good = _UNWRITABLE[case]
+    with pytest.raises(InvariantViolation):
+        build(bad)
+    inst = build(good)
+    assert parse_instance(tag, serialize_instance(inst)) == inst
 
 
 def test_header_required():

@@ -769,12 +769,3 @@ def test_caps_enforced_before_work():
         solve_tcmc_bruteforce(inst, cap=1 << 20)
     ok, _ = solve_tcmc_bruteforce(inst, cap=1 << 23)
     assert not ok  # no edges: clique mode unsolvable with k=2
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("XALPWB_CAP", "8")
-    g = Graph(n=5)
-    with pytest.raises(CapExceeded):
-        optimum_subset(g, "is")
-    monkeypatch.delenv("XALPWB_CAP")
-    assert optimum_subset(g, "is")[0] == 5

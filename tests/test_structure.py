@@ -297,3 +297,37 @@ def test_format_writers_leave_each_record_to_its_compiled_writer():
     builders = _record_builders((PACKAGE / "formats.py").read_text(encoding="utf-8"))
     assert len(builders) == 9
     assert not any(builders.values()), builders
+
+
+def _environment_reads(source: str) -> list[str]:
+    """Each place the source imports os or reads os.environ or os.getenv,
+    at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name.split(".")[0] == "os"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "os":
+            found.append(f"from {node.module} import")
+        elif (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"os.{node.attr}")
+    return sorted(found)
+
+
+def test_environment_scan_sees_imports_and_reads():
+    source = ("import os\n"
+              "def f():\n    from os import environ\n    return os.getenv('A')\n"
+              "def g():\n    return os.environ.get('A')\n"
+              "def h(env):\n    return env.environ\n")
+    assert _environment_reads(source) == ["from os import", "import os", "os.environ",
+                                          "os.getenv"]
+
+
+def test_no_module_reads_the_process_environment():
+    # an oracle cap or any other setting comes in as an argument, so a
+    # result depends on its arguments alone
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    offenders = {path.name: reads for path in modules
+                 if (reads := _environment_reads(path.read_text(encoding="utf-8")))}
+    assert offenders == {}

@@ -7,7 +7,6 @@ import pytest
 from conftest import DS_CHAIN, DS_PROFILE, ds_chain_target
 from xalpwb import oracles, verify
 from xalpwb.instances import (
-    CapSettingError,
     FormatError,
     InvariantViolation,
     TreeDecomposition,
@@ -259,28 +258,6 @@ def test_cap_skips_carry_the_cap_message():
     chain = verify_chain(["is-vc", "vc-rbds"], trials=2, seed=0, cap=1)
     assert chain.skips == [0, 1]
     assert chain.resource_notes[1].startswith("trial 1 skip: instance too large")
-
-
-@pytest.mark.parametrize("value", ["-1", " 7", "abc", "1.5"])
-def test_a_malformed_cap_variable_raises_and_is_never_a_trial_outcome(monkeypatch, value):
-    cex = verify_reduction("negcnf-poscnf!faulty", trials=20, seed=5).disagreements[0][1]
-    monkeypatch.setenv("XALPWB_CAP", value)
-    message = f"XALPWB_CAP must be an integer >= 0, not {value!r}"
-    for run in (lambda: verify_reduction("is-vc", 3, 0),
-                lambda: verify_chain(["is-vc", "vc-rbds"], 2, 0),
-                lambda: replay_counterexample(cex)):
-        with pytest.raises(CapSettingError) as info:
-            run()
-        assert str(info.value) == message
-    # a cap given by the caller is used as it is
-    assert verify_reduction("is-vc", 3, 0, cap=1 << 20).ok
-
-
-def test_an_empty_cap_variable_counts_as_unset(monkeypatch):
-    monkeypatch.setenv("XALPWB_CAP", "")
-    assert oracles.resolve_cap() == oracles.DEFAULT_CAP
-    monkeypatch.setenv("XALPWB_CAP", "007")
-    assert oracles.resolve_cap() == 7
 
 
 def _count_validations(monkeypatch, *modules) -> list:
