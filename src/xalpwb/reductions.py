@@ -12,6 +12,7 @@ k' are measured on the source and the target.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -30,9 +31,6 @@ from .instances import (
     normalize_edge,
 )
 from .machines import AtmInstance, input_symbol
-
-BEFORE = "before"
-AFTER = "after"
 
 
 @dataclass
@@ -98,45 +96,20 @@ def _host_node(tree: OrderedTree, scope: set[int]) -> int:
 
 
 def _block_view(beta: int, blocks: int, tape: tuple[str, ...], work_head: int):
-    """Per-block (position tag, content) encoding of a work tape."""
-    head_block = (work_head - 1) // beta + 1
-    in_block = work_head - (head_block - 1) * beta
-    out = []
-    for j in range(1, blocks + 1):
-        content = tape[(j - 1) * beta: j * beta]
-        if j < head_block:
-            tag = BEFORE
-        elif j > head_block:
-            tag = AFTER
-        else:
-            tag = in_block
-        out.append((tag, content))
-    return out
+    """Per-block (tag, content) encoding of a work tape.  Block j's tag is
+    the work head's cell offset in it, work_head - (j - 1)*beta, clipped to
+    0..beta + 1: 1..beta is the head's cell in the block, 0 puts the head
+    left of the block and beta + 1 right of it."""
+    return [(min(max(work_head - (j - 1) * beta, 0), beta + 1), tape[(j - 1) * beta: j * beta])
+            for j in range(1, blocks + 1)]
 
 
-def _tag_num(tag, beta: int) -> int:
-    # movement arithmetic: a block that just lost the head to the left reads
-    # "after" (numeric 0), to the right "before" (numeric beta+1)
-    if tag == AFTER:
-        return 0
-    if tag == BEFORE:
-        return beta + 1
-    return tag
-
-
-def _intra_edge(a, b) -> bool:
-    """Consecutive-color constraint inside one tree node."""
-    (qa, pa, ta, _wa) = a
-    (qb, pb, tb, _wb) = b
-    if qa != qb or pa != pb:
-        return False
-    if ta == tb and ta in (BEFORE, AFTER):
-        return True
-    if isinstance(ta, int) and tb == AFTER:
-        return True
-    if ta == BEFORE and isinstance(tb, int):
-        return True
-    return False
+def _intra_edge(beta: int, a, b) -> bool:
+    """Consecutive-color constraint inside one tree node: labels a of block
+    j and b of block j + 1 share state and input head, and their tags are
+    the clipped offsets of one work head cell h, h - (j - 1)*beta and
+    h - j*beta.  So b's tag is 0 exactly when a's is at most beta."""
+    return a[0] == b[0] and a[1] == b[1] and (b[2] == 0) == (a[2] <= beta)
 
 
 def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
@@ -145,12 +118,17 @@ def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
 
     The work tape (blocks*beta cells over the binary alphabet with blank 0)
     is split into one color class per block; a vertex (q, p, tag, content)
-    records the machine state, input head, the block's position relative to
-    the work head, and the block content.  Intra-node edges force the chosen
-    vertices of one node to encode a single configuration, cross-node edges
-    on equal colors encode machine transitions (restricted to the first or
-    second universal transition toward the first or second child), and the
-    remaining non-constraining pairs are completed into cliques.
+    records the machine state, input head, the block's tag and the block
+    content.  Intra-node edges force the chosen vertices of one node to
+    encode a single configuration, cross-node edges on equal colors encode
+    machine transitions (restricted to the first or second universal
+    transition toward the first or second child), and the remaining
+    non-constraining pairs are completed into cliques.
+
+    A block's tag is the work head's cell offset in the block, clipped to
+    0..beta + 1 (_block_view).  The lift records name the clipped ends by
+    where the head is: 0 "after" (the head is left of the block) and
+    beta + 1 "before" (right of it).
     """
     machine, x, shape, blocks, beta = source
     if machine.uses_stack:
@@ -166,7 +144,7 @@ def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
     shape.validate_binary()
 
     npos = len(x) + 2  # head positions 0..len+1 including both boundary markers
-    tags = [BEFORE, AFTER] + list(range(1, beta + 1))
+    tags = [beta + 1, 0, *range(1, beta + 1)]
     contents = ["".join(bits) for bits in itertools.product(*(["01"] * beta))]
 
     def role_states(node: int) -> list[str]:
@@ -198,8 +176,6 @@ def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
                           for p in range(0, npos)
                           for tag in tags
                           for w in contents]
-            cap = len(machine.states) * npos * (beta + 2) * (1 << beta)
-            assert len(labels) <= cap
             members[(i, j)] = []
             for lab in labels:
                 v = len(label_of_vertex) + 1
@@ -221,10 +197,9 @@ def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
         def step(parent_lab, child_lab) -> bool:
             q, p, tag, w = parent_lab
             q2, p2, tag2, w2 = child_lab
-            if tag in (BEFORE, AFTER):
-                return w == w2 and (tag == tag2 or (tag == AFTER and tag2 == 1)
-                                    or (tag == BEFORE and tag2 == beta))
-            moved = _tag_num(tag2, beta) - tag
+            if not 1 <= tag <= beta:
+                return w == w2 and abs(tag2 - tag) <= 1
+            moved = tag2 - tag
             if not 1 <= offset + tag + moved <= blocks * beta:
                 return False
             for act in machine.transitions.get((q, input_symbol(x, p), w[tag - 1]), ())[pick]:
@@ -243,7 +218,7 @@ def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
         keep = None
         if a[0] == b[0]:
             if b[1] == a[1] + 1:
-                keep = _intra_edge
+                keep = functools.partial(_intra_edge, beta)
         elif a[1] == b[1]:
             keep = transition_rule(a[0], a[1], b[0])
         for lab_a, u in members[a]:
@@ -274,15 +249,15 @@ def reduce_atm_to_tcmc(source: AtmInstance) -> ReductionArtifact:
             per_block = [label_of_vertex[choice[(node, j)]][2]
                          for j in range(1, blocks + 1)]
             q, p = per_block[0][0], per_block[0][1]
-            head_block = next(j for j, lab in enumerate(per_block, start=1)
-                              if isinstance(lab[2], int))
-            wh = (head_block - 1) * beta + per_block[head_block - 1][2]
+            wh = next((j - 1) * beta + lab[2] for j, lab in enumerate(per_block, start=1)
+                      if 1 <= lab[2] <= beta)
             tape = tuple(ch for lab in per_block for ch in lab[3])
             run[node] = (q, p, tape, wh)
         return run
 
+    names = {0: "after", beta + 1: "before"}
     records = lambda: (
-        (f"{lab[0]}@{lab[1]}/{lab[2]}/{lab[3]}", (f"v{v}",))
+        (f"{lab[0]}@{lab[1]}/{names.get(lab[2], lab[2])}/{lab[3]}", (f"v{v}",))
         for v, (node, color, lab) in sorted(label_of_vertex.items()))
     return ReductionArtifact(
         target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
@@ -304,10 +279,9 @@ def complement_tcmc_to_tcmis(instance: TcmcInstance) -> ReductionArtifact:
                   labels=dict(instance.graph.labels))
     target = TcmcInstance(tree=instance.tree, k=instance.k,
                           classes=dict(instance.classes), graph=graph)
-    identity = lambda sol: dict(sol)
     records = lambda: ((f"v{v}", (f"v{v}",)) for v in instance.graph.vertices())
     return ReductionArtifact(
-        target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
+        target=target, lift=LiftMap(records=records, forward=dict, backward=dict))
 
 
 # ============================================================ list coloring
@@ -447,6 +421,14 @@ def reduce_tcmis_to_negcnf(instance: TcmcInstance) -> ReductionArtifact:
         target=target, lift=LiftMap(records=records, forward=forward, backward=backward))
 
 
+def _same_variables_lift(instance: TreeChainedCnf) -> LiftMap:
+    """The lift of a CNF reduction that keeps instance's variables: each
+    variable, named as in instance, maps to itself."""
+    name = instance.var_names
+    return LiftMap(records=lambda: ((name[v], (name[v],)) for v in instance.all_variables()),
+                   forward=frozenset, backward=frozenset)
+
+
 def reduce_negcnf_to_poscnf(instance: TreeChainedCnf) -> ReductionArtifact:
     """Replace every negative literal on a cell variable by the disjunction
     of the other variables of its cell; a literal on a singleton cell
@@ -465,11 +447,7 @@ def reduce_negcnf_to_poscnf(instance: TreeChainedCnf) -> ReductionArtifact:
         tree=instance.tree, variable_sets=dict(instance.variable_sets),
         clauses=tuple(clauses), variant="positive-partitioned", k=instance.k,
         partition=dict(instance.partition), var_names=dict(instance.var_names))
-    identity = lambda sol: frozenset(sol)
-    records = lambda: ((instance.var_names[v], (instance.var_names[v],))
-                       for v in instance.all_variables())
-    return ReductionArtifact(
-        target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
+    return ReductionArtifact(target=target, lift=_same_variables_lift(instance))
 
 
 def reduce_partitioned_to_general_cnf(instance: TreeChainedCnf) -> ReductionArtifact:
@@ -478,7 +456,6 @@ def reduce_partitioned_to_general_cnf(instance: TreeChainedCnf) -> ReductionArti
     clauses (pick at most one); weight k per node set."""
     if instance.variant not in ("positive-partitioned", "negative-partitioned"):
         raise DomainError("part-gencnf needs a partitioned instance")
-    assert instance.partition is not None
     clauses = list(instance.clauses)
     for key in sorted(instance.partition):
         cell = sorted(instance.partition[key])
@@ -489,11 +466,7 @@ def reduce_partitioned_to_general_cnf(instance: TreeChainedCnf) -> ReductionArti
         tree=instance.tree, variable_sets=dict(instance.variable_sets),
         clauses=tuple(clauses), variant="general", k=instance.k,
         var_names=dict(instance.var_names))
-    identity = lambda sol: frozenset(sol)
-    records = lambda: ((instance.var_names[v], (instance.var_names[v],))
-                       for v in instance.all_variables())
-    return ReductionArtifact(
-        target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
+    return ReductionArtifact(target=target, lift=_same_variables_lift(instance))
 
 
 # ==================================== independent set at logarithmic width
@@ -527,7 +500,6 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
     that get path positions but no literal vertex."""
     if instance.variant != "positive-partitioned":
         raise DomainError("poscnf-logtwis needs a positive-partitioned instance")
-    assert instance.partition is not None
 
     cell_keys = sorted(instance.partition)
     cell_vars = {key: sorted(instance.partition[key]) for key in cell_keys}
@@ -563,11 +535,11 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
             hat[(key, alpha, 1)] = h1
             edges.add(normalize_edge(h0, h1))
 
-    def var_bits(v: int) -> str:
+    def var_bits(v: int) -> list[int]:
+        """The bits of v's index in its cell, most significant first."""
         key = cell_of(v)
         index = cell_vars[key].index(v)
-        t = bits_of[key]
-        return format(index, f"0{t}b") if t else ""
+        return [index >> s & 1 for s in reversed(range(bits_of[key]))]
 
     gadget: list[dict] = []
     for lits in padded:
@@ -590,7 +562,7 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
             edges.add(normalize_edge(v, pp[t]))
             key = cell_of(lit)
             for alpha, b in enumerate(var_bits(lit), start=1):
-                edges.add(normalize_edge(v, hat[(key, alpha, 1 - int(b))]))
+                edges.add(normalize_edge(v, hat[(key, alpha, 1 - b)]))
         gadget.append({"lits": lits, "ell": ell, "p": p, "pp": pp,
                        "lit_vertex": lit_vertex})
 
@@ -628,9 +600,8 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
         chosen: set[int] = set()
         for key in cell_keys:
             picked = sorted(true_vars & instance.partition[key])
-            bits = var_bits(picked[0])
-            for alpha, b in enumerate(bits, start=1):
-                chosen.add(hat[(key, alpha, int(b))])
+            for alpha, b in enumerate(var_bits(picked[0]), start=1):
+                chosen.add(hat[(key, alpha, b)])
         for g in gadget:
             pos = None
             for t, lit in enumerate(g["lits"], start=1):
@@ -647,17 +618,15 @@ def reduce_poscnf_to_logtw_is(instance: TreeChainedCnf) -> ReductionArtifact:
         true_vars = set()
         for key in cell_keys:
             t = bits_of[key]
-            bits = ""
-            for alpha in range(1, t + 1):
-                bits += "1" if hat[(key, alpha, 1)] in solution else "0"
-            index = int(bits, 2) if bits else 0
+            index = sum(1 << (t - alpha) for alpha in range(1, t + 1)
+                        if hat[(key, alpha, 1)] in solution)
             if index < len(cell_vars[key]):
                 true_vars.add(cell_vars[key][index])
         return frozenset(true_vars)
 
     records = lambda: (
         (instance.var_names[v],
-         tuple(f"v{hat[(cell_of(v), alpha, int(b))]}"
+         tuple(f"v{hat[(cell_of(v), alpha, b)]}"
                for alpha, b in enumerate(var_bits(v), start=1)))
         for v in instance.all_variables())
     return ReductionArtifact(
@@ -713,10 +682,9 @@ def reduce_vc_to_rbds(instance: LogTwGraphInstance) -> ReductionArtifact:
     target = LogTwGraphInstance(graph=graph, decomposition=witness,
                                 target_weight=instance.target_weight,
                                 k=k_out, problem="rbds")
-    identity = lambda s: frozenset(s)
     records = lambda: ((f"e:{u}:{v}", (f"v{r}",)) for (u, v), r in sorted(sub_vertex.items()))
     return ReductionArtifact(
-        target=target, lift=LiftMap(records=records, forward=identity, backward=identity))
+        target=target, lift=LiftMap(records=records, forward=frozenset, backward=frozenset))
 
 
 def reduce_rbds_to_ds(instance: LogTwGraphInstance) -> ReductionArtifact:

@@ -1,12 +1,16 @@
 """Per-reduction constructions: the spec'd small cases, counting laws,
 witness bounds, lift round-trips, and end-to-end composition."""
 
+import hashlib
 import random
 
 import pytest
 
 from conftest import make_machine
+from xalpwb.formats import serialize_instance
 from xalpwb.instances import (
+    CapExceeded,
+    DomainError,
     Graph,
     InvariantViolation,
     ListColoringInstance,
@@ -31,7 +35,10 @@ from xalpwb.oracles import (
     solve_tcmc_bruteforce,
 )
 from xalpwb.reductions import (
+    REDUCTIONS,
+    _block_view,
     _clause_completion,
+    _intra_edge,
     complement_tcmc_to_tcmis,
     reduce_atm_to_tcmc,
     reduce_is_to_vc,
@@ -45,7 +52,7 @@ from xalpwb.reductions import (
     reduce_vc_to_rbds,
 )
 from xalpwb.machines import AtmInstance, shaped_run
-from xalpwb.verify import FAMILIES, generate_instance, verify_reduction
+from xalpwb.verify import CONTRACTS, FAMILIES, generate_instance, verify_reduction
 
 BIGCAP = 1 << 44
 
@@ -92,18 +99,47 @@ def test_atm_tcmc_two_step_existential_path():
 
 
 def test_atm_tcmc_per_class_size_cap():
-    m = make_machine(
-        ["u", "l", "r", "acc"], "u", ["acc"],
-        {"u": "univ", "l": "exist", "r": "exist", "acc": "det"}, 2, "01",
-        {("u", "#", "0"): [("l", "1", 0, 0, None), ("r", "0", 1, 0, None)],
-         ("l", "#", "1"): [("acc", "1", 0, 0, None)],
-         ("r", "#", "0"): [("acc", "1", 0, 0, None)]})
     x = "0"
     shape = OrderedTree(n=5, children={1: (2, 3), 2: (4,), 3: (5,)})
-    beta = 1
-    art = reduce_atm_to_tcmc(AtmInstance(m, x, shape, 2, beta))
-    cap = len(m.states) * (len(x) + 2) * (beta + 2) * (1 << beta)
-    assert all(len(vs) <= cap for vs in art.target.classes.values())
+    for blocks, beta in [(2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]:
+        m = make_machine(
+            ["u", "l", "r", "acc"], "u", ["acc"],
+            {"u": "univ", "l": "exist", "r": "exist", "acc": "det"}, blocks * beta, "01",
+            {("u", "#", "0"): [("l", "1", 0, 0, None), ("r", "0", 1, 0, None)],
+             ("l", "#", "1"): [("acc", "1", 0, 0, None)],
+             ("r", "#", "0"): [("acc", "1", 0, 0, None)]})
+        art = reduce_atm_to_tcmc(AtmInstance(m, x, shape, blocks, beta))
+        assert len(art.target.classes) == 5 * blocks
+        cap = len(m.states) * (len(x) + 2) * (beta + 2) * (1 << beta)
+        assert all(len(vs) <= cap for vs in art.target.classes.values()), (blocks, beta)
+
+
+def _clip(offset, beta):
+    return min(max(offset, 0), beta + 1)
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3])
+def test_atm_tcmc_block_tags_are_clipped_head_offsets(beta):
+    # _block_view: at every head cell of a 3-block tape, the head's block
+    # tags the head's cell in it, blocks left of it beta + 1, right of it 0
+    blocks = 3
+    tape = tuple("01"[c % 2] for c in range(blocks * beta))
+    for h in range(1, blocks * beta + 1):
+        head_block = (h - 1) // beta + 1
+        want = [(beta + 1 if j < head_block else 0 if j > head_block else h - (j - 1) * beta,
+                 tape[(j - 1) * beta: j * beta]) for j in range(1, blocks + 1)]
+        assert _block_view(beta, blocks, tape, h) == want, h
+    # _intra_edge: labels of blocks j = 2 and 3 (of 4) are adjacent exactly
+    # when some head cell gives them their two tags, given equal state and
+    # input head
+    j = 2
+    for ta in range(beta + 2):
+        for tb in range(beta + 2):
+            one_head = any(_clip(h - (j - 1) * beta, beta) == ta and _clip(h - j * beta, beta) == tb
+                           for h in range(1, 4 * beta + 1))
+            assert _intra_edge(beta, ("q", 1, ta, "0"), ("q", 1, tb, "1")) == one_head, (ta, tb)
+            assert not _intra_edge(beta, ("q", 1, ta, "0"), ("r", 1, tb, "0"))
+            assert not _intra_edge(beta, ("q", 1, ta, "0"), ("q", 2, tb, "0"))
 
 
 ATM_TCMC_LIFT = """\
@@ -679,3 +715,36 @@ def test_atm_tcmc_beta2_blocks2_cross_block_movement():
     art2 = reduce_atm_to_tcmc(AtmInstance(off, "", shape2, 2, 1))
     ok2, _ = solve_tcmc_bruteforce(art2.target, "clique", cap=BIGCAP)
     assert ok2 == (shaped_run(off, "", shape2) is not None) == False
+
+
+# ------------------------------------------------------------ artifact pin
+
+# sha256 over each case's serialized target, lift table and the sorted
+# forward lift of the source oracle's solution, at seeds 0-19: every
+# reduction at its default profile and atm-tcmc at two more.  A refactor
+# that keeps every artifact keeps this digest; a change that means to
+# alter an artifact updates it.
+ARTIFACT_CASES = [(name, None) for name in REDUCTIONS] + [
+    ("atm-tcmc", {"blocks": 2, "beta": 2}), ("atm-tcmc", {"blocks": 3, "beta": 1})]
+ARTIFACT_DIGEST = "cc73345faa804be4b94964d25dbdf4db87779b47c3464ebb1101b6edcc99122f"
+
+
+def _artifacts(name, profile, seed):
+    family = CONTRACTS[name].sources[0]
+    source = generate_instance(family, profile, seed=seed)
+    try:
+        art = REDUCTIONS[name](source)
+        ok, solution = FAMILIES[family].decide(source, None)
+    except (DomainError, CapExceeded) as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+    lifted = art.lift.forward(solution) if ok else ()
+    items = sorted(lifted.items() if isinstance(lifted, dict) else lifted)
+    return f"{serialize_instance(art.target)}{art.lift.serialize()}{ok} {items}\n"
+
+
+def test_every_reduction_builds_the_pinned_artifacts():
+    digest = hashlib.sha256()
+    for name, profile in ARTIFACT_CASES:
+        for seed in range(20):
+            digest.update(_artifacts(name, profile, seed).encode())
+    assert digest.hexdigest() == ARTIFACT_DIGEST
