@@ -4,20 +4,19 @@ certifying every reduction and evaluator-equivalence claim.
 Each problem family's format, solution checker, solve table and generator
 sit in one registry, FAMILIES, which the CLI reads too; the first entry of
 a family's solve table is its exact oracle.  The atm source of atm-tcmc is
-one more family, decided by its shaped run.  Each
-reduction trial solves its source and its target once; the verdicts are
-compared and the solutions they come with are carried across the reduction
-by its lift maps: forward, backward, and backward then forward again, each
-checked on the side it lands on.  A chain trial solves its source and
-carries a solvable source's solution forward through every stage, checked
-on each stage's target; only when no carried solution reaches the end does
-the end's oracle decide it.  The logtw families are solved by the
-decomposition DP; a DS or RBDS instance is first tried against a dominator
-packing, which refutes it when larger than its threshold, and the DP
-decides the rest.  Subset enumeration stays the oracles' small-n
-cross-check.  Each reduction's contract (CONTRACTS) names its families, the
-parameter rules its measured k and k' obey, and for some the size rules
-its target obeys.  Trials are
+one more family, decided by its shaped run.  One pipeline runs every trial,
+and a reduction's trial is its chain of one.  Each stage checks its
+contract on its own input.  A solvable source's solution is carried forward,
+checked on each stage's target; the end's solution is then lifted back,
+checked on each stage's source and, lifted forward again, on its target.
+The end's oracle decides the end of an unsolvable source and of a chain of
+one, whose backward pass starts from that oracle's solution.  The logtw
+families are solved by the decomposition DP; a DS or RBDS instance is first
+tried against a dominator packing, which refutes it when larger than its
+threshold, and the DP decides the rest.  Subset enumeration stays the
+oracles' small-n cross-check.  Each reduction's contract (CONTRACTS) names
+its families, the parameter rules its measured k and k' obey, and for some
+the size rules its target obeys.  Trials are
 deterministic in (name, profile, seed); disagreements, any error a trial
 raises among them, carry a replayable serialized counterexample and their
 detail as a note.  Skips (an oracle's cap reached, or a stage's source
@@ -602,10 +601,8 @@ def replay_counterexample(text: str, cap: int | None = None) -> bool:
     """Re-run a serialized counterexample; True when the disagreement (or
     resource violation) reproduces."""
     name, source = parse_counterexample(text)
-    if name.startswith("chain:"):
-        chain = name.removeprefix("chain:").split(",")
-        return run_chain_trial(chain, source, cap=cap).status == "disagree"
-    return run_trial(name, source, cap=cap).status == "disagree"
+    return run_chain_trial(name.removeprefix("chain:").split(","), source,
+                           cap=cap).status == "disagree"
 
 
 # ------------------------------------------------------------- the trials
@@ -636,27 +633,8 @@ def _booked(trial) -> TrialOutcome:
 
 
 def run_trial(name: str, source, cap: int | None = None) -> TrialOutcome:
-    """One verification step on a given source: reduce, solve both sides
-    with the oracles, compare, and check lifts, witnesses, and the
-    contract's parameter rules."""
-    reduce, contract = _lookup_reduction(name), CONTRACTS[name]
-    src, tgt = FAMILIES[contract.sources[0]], FAMILIES[contract.target]
-
-    def trial():
-        art = reduce(source)
-        src_ok, src_sol = src.decide(source, cap)
-        tgt_ok, tgt_sol = tgt.decide(art.target, cap)
-        if src_ok != tgt_ok:
-            return TrialOutcome("disagree", detail=f"source {src_ok} target {tgt_ok}")
-        notes: list[str] = []
-        problems = _resource_checks(contract, source, art, notes)
-        if not problems and src_ok:
-            problems = _lift_checks(src, tgt, source, art, src_sol, tgt_sol)
-        if problems:
-            return TrialOutcome("disagree", detail="; ".join(problems), notes=notes)
-        return TrialOutcome("agree", notes=notes)
-
-    return _booked(trial)
+    """One reduction's trial on a given source: its chain of one."""
+    return run_chain_trial([name], source, cap=cap)
 
 
 def _resource_checks(contract: Contract, source, art: ReductionArtifact,
@@ -673,32 +651,17 @@ def _resource_checks(contract: Contract, source, art: ReductionArtifact,
     return [problem for problem in found if problem]
 
 
-def _lift_checks(src: Family, tgt: Family, source, art: ReductionArtifact,
-                 src_sol, tgt_sol) -> list[str]:
-    """Carry the oracles' solutions of a solvable trial across the
-    reduction both ways and check them on the other side; a valid
-    backward-lifted solution must also lift forward again to a valid
-    target solution."""
-    problems = []
-    if not tgt.check(art.target, art.lift.forward(src_sol)):
-        problems.append("forward-lifted solution invalid on target")
-    back = art.lift.backward(tgt_sol)
-    if not src.check(source, back):
-        problems.append("backward-lifted solution invalid on source")
-    elif not tgt.check(art.target, art.lift.forward(back)):
-        problems.append("round-tripped solution invalid on target")
-    return problems
-
-
-def _run_trials(name: str, src_family: str, run, trials: int, seed: int,
+def _run_trials(name: str, chain: list[str], trials: int, seed: int, cap: int | None,
                 profile: dict | None) -> VerificationReport:
-    """The seeded trial loop both verifiers share: generate trial t's source
-    at seed * 100003 + t, run it, and book an agreement, a skip or a
-    disagreement, each skip and disagreement with its detail as a note."""
+    """The seeded trial loop of every report: generate trial t's source at
+    seed * 100003 + t, run the chain's trial on it, and book an agreement,
+    a skip or a disagreement, each skip and disagreement with its detail as
+    a note."""
+    src_family, _ = check_chain(chain)
     report = VerificationReport(name=name, seed=seed, trials=trials)
     for t in range(trials):
         source = generate_instance(src_family, profile, seed=seed * 100003 + t)
-        outcome = run(source)
+        outcome = run_chain_trial(chain, source, cap=cap)
         if outcome.status == "agree":
             report.agreements += 1
         elif outcome.status == "skip":
@@ -714,13 +677,9 @@ def _run_trials(name: str, src_family: str, run, trials: int, seed: int,
 def verify_reduction(name: str, trials: int, seed: int,
                      cap: int | None = None,
                      profile: dict | None = None) -> VerificationReport:
-    """Seeded trials of one registered reduction (or fault fixture): for
-    each trial generate, reduce, solve both sides, compare, and check lift
-    round-trips, witnesses, and the contract's parameter rules."""
-    _lookup_reduction(name)
-    return _run_trials(name, CONTRACTS[name].sources[0],
-                       lambda source: run_trial(name, source, cap=cap),
-                       trials, seed, profile)
+    """Seeded trials of one registered reduction (or fault fixture), each
+    its chain of one."""
+    return _run_trials(name, [name], trials, seed, cap, profile)
 
 
 def check_chain(chain: list[str]) -> tuple[str, str]:
@@ -738,29 +697,58 @@ def check_chain(chain: list[str]) -> tuple[str, str]:
 
 
 def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOutcome:
-    """One chain trial: reduce through every stage and compare the
-    endpoints' verdicts.  A solvable source's solution is carried through
-    the stages' forward lifts and checked on every stage's target, so a
-    stage that rejects it is a disagreement naming that stage; the end's
-    oracle decides only an unsolvable source's end."""
-    src_family, end_family = check_chain(chain)
+    """One trial of a chain of reductions on a given source; a reduction's
+    trial is its chain of one.  Every stage reduces its input and checks
+    its contract's rules on it.  The source's oracle decides the source;
+    the end's decides the end when the source is unsolvable or the chain
+    has one stage, and the verdicts must agree.  A solvable source's
+    solution is carried through the stages' forward lifts and checked on
+    each stage's target.  The end's solution (the end oracle's when it
+    decided, else the carried one) is then lifted back through the stages
+    in reverse, checked on each stage's source and, lifted forward again,
+    on that stage's target.  In a chain of two or more stages, a failed
+    check and a note of a stage start with "stage <name>: "."""
+    families = [FAMILIES[check_chain(chain)[0]]] + [FAMILIES[CONTRACTS[nm].target]
+                                                    for nm in chain]
+    one = len(chain) == 1
 
     def trial():
-        artifacts, current = [], source
-        for nm in chain:
-            artifacts.append(_lookup_reduction(nm)(current))
-            current = artifacts[-1].target
-        src_ok, solution = FAMILIES[src_family].decide(source, cap)
-        if src_ok:
-            for nm, art in zip(chain, artifacts):
+        stages, given = [], source
+        for nm, src, tgt in zip(chain, families, families[1:]):
+            art = _lookup_reduction(nm)(given)
+            stages.append(("" if one else f"stage {nm}: ", CONTRACTS[nm], given, art, src, tgt))
+            given = art.target
+        src_ok, solution = families[0].decide(source, cap)
+        if one or not src_ok:
+            end_ok, end_solution = families[-1].decide(given, cap)
+            if src_ok != end_ok:
+                side = "target" if one else "end"
+                return TrialOutcome("disagree", detail=f"source {src_ok} {side} {end_ok}")
+        notes, problems = [], []
+        for at, contract, given, art, _, _ in stages:
+            found: list[str] = []
+            problems += [at + p for p in _resource_checks(contract, given, art, found)]
+            notes += [at + note for note in found]
+        if src_ok and not problems:
+            for at, _, _, art, _, tgt in stages:
                 solution = art.lift.forward(solution)
-                if not FAMILIES[CONTRACTS[nm].target].check(art.target, solution):
-                    return TrialOutcome(
-                        "disagree", detail=f"stage {nm}: carried solution invalid on target")
-            return TrialOutcome("agree")
-        if FAMILIES[end_family].decide(current, cap)[0]:
-            return TrialOutcome("disagree", detail="source False end True")
-        return TrialOutcome("agree")
+                if not tgt.check(art.target, solution):
+                    carried = "forward-lifted" if one else "carried"
+                    problems.append(f"{at}{carried} solution invalid on target")
+                    break
+            if one:
+                solution = end_solution
+            # a carry a stage rejected has no end solution to lift back
+            for at, _, given, art, src, tgt in reversed(stages if one or not problems else []):
+                solution = art.lift.backward(solution)
+                if not src.check(given, solution):
+                    problems.append(f"{at}backward-lifted solution invalid on source")
+                    break
+                if not tgt.check(art.target, art.lift.forward(solution)):
+                    problems.append(f"{at}round-tripped solution invalid on target")
+        if problems:
+            return TrialOutcome("disagree", detail="; ".join(problems), notes=notes)
+        return TrialOutcome("agree", notes=notes)
 
     return _booked(trial)
 
@@ -768,12 +756,8 @@ def run_chain_trial(chain: list[str], source, cap: int | None = None) -> TrialOu
 def verify_chain(chain: list[str], trials: int, seed: int,
                  cap: int | None = None,
                  profile: dict | None = None) -> VerificationReport:
-    """End-to-end solvability preservation across a composed chain, checked
-    at the two endpoints per trial."""
-    src_family, _ = check_chain(chain)
-    return _run_trials("chain:" + ",".join(chain), src_family,
-                       lambda source: run_chain_trial(chain, source, cap=cap),
-                       trials, seed, profile)
+    """Seeded trials of a composed chain, every stage checked both ways."""
+    return _run_trials("chain:" + ",".join(chain), chain, trials, seed, cap, profile)
 
 
 def verify_machine_equivalences(corpus: dict[str, MachineSpec],

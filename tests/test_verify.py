@@ -1,6 +1,10 @@
 """Generators, verification reports, fault injection, and replayability."""
 
 import dataclasses
+import hashlib
+import json
+import pathlib
+import re
 
 import pytest
 
@@ -369,7 +373,7 @@ def test_capped_atm_trial_runs_the_backward_lift_check(monkeypatch):
 def test_trial_solves_each_side_once(monkeypatch, name, solver):
     # each side is decided once: a dominate side by its packing, and by the
     # DP only when the packing does not refute it
-    real_solve, real_lift = getattr(oracles, solver), verify._lift_checks
+    real_solve = getattr(oracles, solver)
     real_packing, real_reduce = oracles.dominator_packing, REDUCTIONS[name]
     solved, packed, lifted, targets = [], [], [], []
 
@@ -381,13 +385,14 @@ def test_trial_solves_each_side_once(monkeypatch, name, solver):
         packed.append((graph, real_packing(graph, problem)))
         return packed[-1][1]
 
-    def counted_lift(*args):
-        lifted.append(args)
-        return real_lift(*args)
+    def counted_lift(way, lift):
+        return lambda solution: lifted.append(way) or lift(solution)
 
     def reduce(source):
         art = real_reduce(source)
         targets.append(art.target)
+        art.lift.forward = counted_lift("forward", art.lift.forward)
+        art.lift.backward = counted_lift("backward", art.lift.backward)
         return art
 
     def no_enumeration(*args, **kwargs):
@@ -396,17 +401,20 @@ def test_trial_solves_each_side_once(monkeypatch, name, solver):
     monkeypatch.setattr(oracles, solver, counted_solve)
     monkeypatch.setattr(oracles, "dominator_packing", counted_packing)
     monkeypatch.setattr(oracles, "optimum_subset", no_enumeration)
-    monkeypatch.setattr(verify, "_lift_checks", counted_lift)
     monkeypatch.setitem(REDUCTIONS, name, reduce)
     src_family = CONTRACTS[name].sources[0]
     dominate = CONTRACTS[name].target == "logtw-ds"
-    refuted = 0
+    refuted = solvable = 0
     for seed in range(10):
         source = generate_instance(src_family, None, seed=seed)
         solved.clear()
         packed.clear()
         targets.clear()
+        lifted.clear()
         assert run_trial(name, source).status == "agree", seed
+        # a solvable trial lifts forward, back, and forward again
+        assert lifted in ([], ["forward", "backward", "forward"]), seed
+        solvable += bool(lifted)
         sides = [source, targets[0]]
         assert [graph for graph, _ in packed] == (
             [side.graph for side in sides] if dominate else []), seed
@@ -415,7 +423,7 @@ def test_trial_solves_each_side_once(monkeypatch, name, solver):
         refuted += len(sides) - len(short)
         assert len(solved) == len(short), seed
         assert all(got is side for got, side in zip(solved, short)), seed
-    assert lifted  # some trials were solvable, so their lifts were checked
+    assert solvable  # some trials were solvable, so their lifts were checked
     assert refuted if dominate else not refuted
 
 
@@ -449,14 +457,11 @@ def _widened(dec: TreeDecomposition, vertices, width: int) -> TreeDecomposition:
     return TreeDecomposition(tree=dec.tree, bags={i: b | extra for i, b in dec.bags.items()})
 
 
-@pytest.mark.parametrize("name", ["listcol-precol", "vc-rbds", "rbds-ds"])
-def test_witness_grown_by_two_is_a_disagreement(monkeypatch, name):
-    # these reductions declare width+<=1; a source of width at most 1 shows
-    # that the bound is the source width plus one, with no floor
-    real_reduce = REDUCTIONS[name]
-
+def _grown_by_two(reduce):
+    """reduce, with its target's witness widened to the source's width plus
+    two, as far as the target's vertices allow."""
     def grown(src):
-        art = real_reduce(src)
+        art = reduce(src)
         target = art.target
         dec = _widened(target.decomposition, target.graph.vertices(), src.width + 2)
         fields = {"decomposition": dec}
@@ -465,6 +470,14 @@ def test_witness_grown_by_two_is_a_disagreement(monkeypatch, name):
         art.target = dataclasses.replace(target, **fields)
         return art
 
+    return grown
+
+
+@pytest.mark.parametrize("name", ["listcol-precol", "vc-rbds", "rbds-ds"])
+def test_witness_grown_by_two_is_a_disagreement(monkeypatch, name):
+    # these reductions declare width+<=1; a source of width at most 1 shows
+    # that the bound is the source width plus one, with no floor
+    grown = _grown_by_two(REDUCTIONS[name])
     source = next(
         s for s in (generate_instance(CONTRACTS[name].sources[0], None, seed=t)
                     for t in range(100))
@@ -515,13 +528,16 @@ def test_carried_solution_decides_a_solvable_end(monkeypatch):
     def counted(family, check):
         return lambda instance, solution: checked.append(family) or check(instance, solution)
 
-    for stage in DS_CHAIN:
-        family = CONTRACTS[stage].target
+    sides = [(CONTRACTS[stage].sources[0], CONTRACTS[stage].target) for stage in DS_CHAIN]
+    for family in {family for side in sides for family in side}:
         _with(monkeypatch, family, check=counted(family, verify.FAMILIES[family].check))
     ends = _counted_end(monkeypatch, "logtw-ds")
     assert run_chain_trial(DS_CHAIN, _ds_source(True)).status == "agree"
     assert ends == []
-    assert checked == [CONTRACTS[stage].target for stage in DS_CHAIN]
+    # carried forward to each stage's target, then lifted back to each
+    # stage's source and forward again to its target, last stage first
+    assert checked == ([target for _, target in sides]
+                       + [family for side in reversed(sides) for family in side])
     # an unsolvable source has nothing to carry: the end's oracle decides
     checked.clear()
     assert run_chain_trial(DS_CHAIN, _ds_source(False)).status == "agree"
@@ -567,20 +583,25 @@ def test_capped_end_oracle_skips_only_without_a_carried_solution(monkeypatch):
     assert (outcome.status, outcome.detail) == ("skip", "end over the cap")
 
 
-def _bench_chains():
-    import json
-    import pathlib
-
+def _bench_chains() -> dict[str, tuple[list[str], dict | None]]:
+    """The benchmark's chain-sweep chains and its fault chain, by name."""
     spec = json.loads((pathlib.Path(__file__).parents[1] / "bench" / "config.json")
                       .read_text())["workloads"]["chain-sweep"]
-    return [(c["chain"], c["profile"]) for c in [*spec["chains"].values(), spec["fault"]]]
+    return {name: (c["chain"], c["profile"])
+            for name, c in {**spec["chains"], "fault-chain": spec["fault"]}.items()}
 
 
-@pytest.mark.parametrize("chain, profile", _bench_chains())
+def _without_stage_notes(report: VerificationReport) -> list[str]:
+    return [line for line in report.serialize().splitlines()
+            if not re.match(r"note trial \d+ stage ", line)]
+
+
+@pytest.mark.parametrize("chain, profile", _bench_chains().values())
 def test_carried_reports_match_end_oracle_reports(monkeypatch, chain, profile):
-    # on the bench's chains no stage rejects a carried solution: each report
-    # is the one given when the end's oracle decides every trial
-    carried = [verify_chain(chain, 20, seed, profile=profile).serialize()
+    # on the bench's chains no stage rejects a carried solution or fails a
+    # check: each report, but for the notes its stages add, is the one given
+    # when the end's oracle decides every trial
+    carried = [_without_stage_notes(verify_chain(chain, 20, seed, profile=profile))
                for seed in range(3)]
     src_family, end_family = verify.check_chain(chain)
 
@@ -597,5 +618,54 @@ def test_carried_reports_match_end_oracle_reports(monkeypatch, chain, profile):
         return verify._booked(trial)
 
     monkeypatch.setattr(verify, "run_chain_trial", end_oracle_trial)
-    assert carried == [verify_chain(chain, 20, seed, profile=profile).serialize()
+    assert carried == [_without_stage_notes(verify_chain(chain, 20, seed, profile=profile))
                        for seed in range(3)]
+
+
+# ------------------------------------------------- every stage both ways
+
+
+@pytest.mark.parametrize("stage, chain", [("negcnf-poscnf", "cnf-chain"),
+                                          ("vc-rbds", "ds-chain"),
+                                          ("tcmc-tcmis", "atm-chain")])
+def test_broken_backward_lift_mid_chain_is_a_disagreement_naming_its_stage(
+        monkeypatch, stage, chain):
+    # the stage's backward lift returns an empty solution, which its source
+    # rejects: a solvable trial's end solution, lifted back, meets it
+    chain, profile = _bench_chains()[chain]
+    real_reduce = REDUCTIONS[stage]
+
+    def empty_backward(src):
+        art = real_reduce(src)
+        backward = art.lift.backward
+        art.lift.backward = lambda solution: type(backward(solution))()
+        return art
+
+    monkeypatch.setitem(REDUCTIONS, stage, empty_backward)
+    report = verify_chain(chain, 200, 1, profile=profile)
+    assert report.disagreements
+    assert [note for note in report.resource_notes if " disagree: " in note] == [
+        f"trial {t} disagree: stage {stage}: backward-lifted solution invalid on source"
+        for t, _ in report.disagreements]
+    assert replay_counterexample(report.disagreements[0][1])
+
+
+def test_witness_grown_by_two_mid_chain_is_a_disagreement_naming_its_stage(monkeypatch):
+    # vc-rbds declares width+<=1 on its own input, the middle of the chain
+    monkeypatch.setitem(REDUCTIONS, "vc-rbds", _grown_by_two(REDUCTIONS["vc-rbds"]))
+    report = verify_chain(DS_CHAIN, 20, 0, profile=DS_PROFILE)
+    assert report.disagreements
+    for t, _ in report.disagreements:
+        detail = next(note for note in report.resource_notes
+                      if note.startswith(f"trial {t} disagree: "))
+        grew = re.fullmatch(rf"trial {t} disagree: stage vc-rbds: "
+                            r"witness width (\d+) grew past (\d+)\+1", detail)
+        assert grew and int(grew[1]) == int(grew[2]) + 2, detail
+        assert f"trial {t} stage vc-rbds: witness-width {grew[1]}" in report.resource_notes
+
+
+def test_single_reduction_reports_are_pinned():
+    # the reports of every contract's chain of one, at seeds 0-2, hashed
+    reports = "".join(verify_reduction(name, 20, seed).serialize()
+                      for name in CONTRACTS for seed in range(3))
+    assert hashlib.sha256(reports.encode()).hexdigest()[:16] == "19e500f1f150686b"
