@@ -103,11 +103,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    chosen = [bool(args.reduction), bool(args.chain), bool(args.machines)]
+    chosen = [bool(args.reduction), bool(args.chain), bool(args.machines), bool(args.replay)]
     if sum(chosen) != 1:
-        raise UsageError("pick exactly one of --reduction, --chain, --machines")
-    if not args.machines and args.trials < 1:
+        raise UsageError("pick exactly one of --reduction, --chain, --machines, --replay")
+    if (args.reduction or args.chain) and args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if args.replay:
+        outcome = verify.replay_trial(_read(args.replay), cap=args.cap)
+        print(outcome.status + (f": {outcome.detail}" if outcome.status != "agree" else ""))
+        return EXIT_DISAGREE if outcome.status == "disagree" else EXIT_OK
     if args.reduction:
         report = verify.verify_reduction(args.reduction, args.trials, args.seed,
                                          cap=args.cap)
@@ -186,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduction")
     p.add_argument("--chain")
     p.add_argument("--machines")
+    p.add_argument("--replay")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=_cap)

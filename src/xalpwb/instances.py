@@ -382,15 +382,11 @@ class TcmcInstance:
             raise InvariantViolation(
                 "union of classes must equal the graph's vertex set")
         object.__setattr__(self, "_owner", owner)
-        for u, v in sorted(self.graph.edges):
-            iu, ju = owner[u]
-            iv, jv = owner[v]
-            if (iu, ju) == (iv, jv):
-                raise InvariantViolation(
-                    f"edge joins non-incident classes: ({u},{v}) inside class {(iu, ju)}")
-            if iu != iv and not self.tree.is_tree_edge(iu, iv):
-                raise InvariantViolation(
-                    f"edge joins non-incident classes: ({u},{v}) between nodes {iu},{iv}")
+        # one unsorted pass; the error names the least offending edge
+        least = min(_misjoined_edges(self.tree, owner, self.graph.edges), default=None)
+        if least is not None:
+            u, v, where = least
+            raise InvariantViolation(f"edge joins non-incident classes: ({u},{v}) {where}")
 
     def class_of(self, v: int) -> tuple[int, int]:
         return self._owner[v]  # type: ignore[attr-defined]
@@ -398,6 +394,21 @@ class TcmcInstance:
     def constrained_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         """All class pairs whose chosen vertices are constrained."""
         return constrained_class_pairs(self.tree, self.k)
+
+
+def _misjoined_edges(tree: OrderedTree, owner: dict[int, tuple[int, int]], edges):
+    """The edges of a tcmc graph that join two vertices of one class, or of
+    classes at tree nodes that are neither equal nor adjacent, in the
+    order of edges, each as (u, v, where the edge lies)."""
+    is_tree_edge = tree.is_tree_edge
+    for u, v in edges:
+        iu, ju = owner[u]
+        iv, jv = owner[v]
+        if iu != iv:
+            if not is_tree_edge(iu, iv):
+                yield u, v, f"between nodes {iu},{iv}"
+        elif ju == jv:
+            yield u, v, f"inside class {(iu, ju)}"
 
 
 def constrained_class_pairs(tree: OrderedTree, k: int

@@ -864,12 +864,22 @@ def eval_alternating_as_stack(m: MachineSpec, x: str, budget: ResourceBudget) ->
         memo[key] = res
         return res
 
+    too_deep = False
     try:
         got = search(initial_part(m, x), (), budget.tree_size)
+    except RecursionError:
+        too_deep = True
     finally:
         # search reaches itself through its closure; breaking that cycle
         # frees the memo on return, not in a later cyclic collection
         del search
+    if too_deep:
+        # raised outside the handler, the error carries neither the caught
+        # one nor its search frames; this frame stays in its traceback, so
+        # the memo is emptied before it leaves
+        memo.clear()
+        raise RecursionError(f"altstack search deeper than the recursion limit "
+                             f"at tree size {budget.tree_size}")
     if got is None:
         return RunStats(accepted=False, exhausted=exhausted)
     nodes, peak = got

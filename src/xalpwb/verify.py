@@ -597,12 +597,17 @@ def parse_counterexample(text: str):
     return head[1], parse_instance(tag, "\n".join([header, "", "", *lines[3:]]))
 
 
+def replay_trial(text: str, cap: int | None = None) -> TrialOutcome:
+    """Re-run a serialized counterexample's trial: a reduction name is its
+    chain of one."""
+    name, source = parse_counterexample(text)
+    return run_chain_trial(name.removeprefix("chain:").split(","), source, cap=cap)
+
+
 def replay_counterexample(text: str, cap: int | None = None) -> bool:
     """Re-run a serialized counterexample; True when the disagreement (or
     resource violation) reproduces."""
-    name, source = parse_counterexample(text)
-    return run_chain_trial(name.removeprefix("chain:").split(","), source,
-                           cap=cap).status == "disagree"
+    return replay_trial(text, cap).status == "disagree"
 
 
 # ------------------------------------------------------------- the trials

@@ -1,16 +1,22 @@
-"""The names the benchmark's tracer rebinds still exist in the program.
+"""What the benchmark relies on in the program still holds.
 
 bench/tracing.py wraps module attributes and registry entries of the xalpwb
-modules by name, so a rename breaks `bench/run.py --trace 1`.  This test
-installs the tracer on the modules and uninstalls it again.
+modules by name, so a rename breaks `bench/run.py --trace 1`; one test
+installs the tracer on the modules and uninstalls it again.  The other
+reads the failure bench/config.json accepts on machine-sweep and checks
+that it is the one the evaluator raises.
 """
 
 import importlib
 import importlib.util
+import json
 import pathlib
 from types import SimpleNamespace
 
-from xalpwb.instances import CapExceeded
+import pytest
+
+from xalpwb.instances import CapExceeded, ResourceBudget
+from xalpwb.machines import EVALUATORS
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 MODULES = ("instances", "formats", "machines", "reductions", "oracles", "verify", "corpus")
@@ -51,3 +57,12 @@ def test_tracer_installs_on_the_program_and_restores_it():
         after = _bindings(owner)
         assert after.keys() == bindings.keys()
         assert all(after[key] is value for key, value in bindings.items())
+
+
+def test_the_accepted_machine_sweep_failure_is_what_altstack_raises(corpus):
+    # bench/workloads.py books an evaluator's error as "<name> raised <type>"
+    config = json.loads((BENCH / "config.json").read_text())
+    [defect] = [d for d in config["known_defects"] if d.get("workload") == "machine-sweep"]
+    with pytest.raises(Exception) as info:
+        EVALUATORS["altstack"](corpus["spin"], "0", ResourceBudget(tree_size=2000))
+    assert f"altstack raised {type(info.value).__name__}" == defect["failure"]

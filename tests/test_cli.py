@@ -10,7 +10,12 @@ from xalpwb import oracles
 from xalpwb.cli import main
 from xalpwb.formats import parse_instance, serialize_instance
 from xalpwb.reductions import reduce_rbds_to_ds
-from xalpwb.verify import generate_instance, replay_counterexample, verify_reduction
+from xalpwb.verify import (
+    generate_instance,
+    replay_counterexample,
+    serialize_counterexample,
+    verify_reduction,
+)
 
 
 @pytest.fixture()
@@ -334,6 +339,25 @@ def test_verify_fault_chain_exit_1_with_replayable_counterexample(workdir):
     cex_files = sorted(workdir.glob("rep.txt.cex*.txt"))
     assert cex_files
     assert replay_counterexample(cex_files[0].read_text())
+
+
+def test_verify_replay_reruns_a_counterexample(workdir, capsys):
+    assert main(["verify", "--chain", "tcmis-negcnf,negcnf-poscnf!faulty,part-gencnf",
+                 "--trials", "20", "--seed", "5", "--report", "rep.txt"]) == 1
+    capsys.readouterr()
+    cex = str(sorted(workdir.glob("rep.txt.cex*.txt"))[0])
+    assert main(["verify", "--replay", cex, "--cap", "1048576"]) == 1
+    assert capsys.readouterr().out.startswith("disagree: ")
+    # a counterexample file of a sound reduction replays as an agreement
+    pathlib.Path("vc.txt").write_text(
+        serialize_counterexample("is-vc", generate_instance("logtw-is", seed=3)))
+    assert main(["verify", "--replay", "vc.txt"]) == 0
+    assert capsys.readouterr().out == "agree\n"
+    pathlib.Path("bad.txt").write_text(
+        pathlib.Path("vc.txt").read_text().replace("xalpwb 1", "xalpwb 2", 1))
+    assert main(["verify", "--replay", "bad.txt"]) == 2
+    assert "must start with the header" in capsys.readouterr().err
+    assert main(["verify", "--replay", "vc.txt", "--reduction", "is-vc"]) == 2
 
 
 def test_verify_names_each_skip_reason_and_the_skip_budget(workdir, capsys):

@@ -64,6 +64,17 @@ def test_tcmc_rejects_edge_between_nonincident_classes():
         parse_instance("tcmc", bad)
 
 
+def test_tcmc_error_names_the_least_offending_edge():
+    # four-node path tree; both edges skip a node, and the graph's edge set
+    # lists (2,4) before (1,3)
+    text = ("xalpwb 1\ntcmc 1\np graph 4 2\ne 2 4\ne 1 3\n"
+            "t 4\na 1 2 1\na 2 3 1\na 3 4 1\n"
+            "class 1 1 1\nclass 2 1 2\nclass 3 1 3\nclass 4 1 4\n")
+    assert next(iter(frozenset({(1, 3), (2, 4)}))) == (2, 4)
+    with pytest.raises(InvariantViolation, match=re.escape("(1,3) between nodes 1,3")):
+        parse_instance("tcmc", text)
+
+
 def test_graph_invariants():
     with pytest.raises(InvariantViolation):
         Graph(n=2, edges=frozenset({(1, 1)}))

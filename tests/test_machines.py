@@ -3,6 +3,7 @@ budget monotonicity, and metering determinism."""
 
 import dataclasses
 import hashlib
+import traceback
 from collections import Counter
 
 import pytest
@@ -144,6 +145,16 @@ def test_altstack_one_pending_branch(toys):
     st = eval_alternating_as_stack(toys["univ"], "", B)
     assert st.accepted and st.peak_stack_height == 1
     assert st.tree_nodes == 3
+
+
+def test_altstack_depth_error_frees_its_search(corpus):
+    # spin never accepts, so the search recurses once per node of the budget
+    with pytest.raises(RecursionError) as info:
+        eval_alternating_as_stack(corpus["spin"], "0", ResourceBudget(tree_size=2000))
+    assert type(info.value) is RecursionError and info.value.__context__ is None
+    frames = [frame for frame, _ in traceback.walk_tb(info.value.__traceback__)]
+    assert len(frames) < 10
+    assert not any(frame.f_locals.get("memo") for frame in frames)
 
 
 # ------------------------------------------------------------ eval_balanced
